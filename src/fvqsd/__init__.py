@@ -53,8 +53,6 @@ from .graphical import (
     influence_matrix,
     influence_sets,
     load_marks,
-    mean_influence_size,
-    overlap_probability,
     sample_marks,
     save_marks,
 )
@@ -121,8 +119,6 @@ __all__ = [
     "influence_matrix",
     "influence_sets",
     "load_marks",
-    "mean_influence_size",
-    "overlap_probability",
     "sample_marks",
     "save_marks",
     "check_distribution",

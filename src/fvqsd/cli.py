@@ -5,16 +5,22 @@ solver or Monte Carlo experiment, and writes three artifacts into the
 output directory: results.csv (fixed column set), summary.json (resolved
 config echoed back plus results and bound checks), plot.svg.  Exit codes:
 0 success, 1 input or runtime error, 2 a scientific bound check failed.
+
+Each kind's parameters are declared once, in `PARAMETERS`; `resolve_params`
+checks a config against that table, and the handler consumes and
+summary.json echoes what it returns.
 """
 from __future__ import annotations
 
 import argparse
 import csv
 import json
+import math
 import os
 import sys
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
@@ -39,17 +45,6 @@ from .simulator import (
     transition_tables,
 )
 
-EXPERIMENT_KINDS = (
-    "qsd",
-    "semigroup",
-    "simulate",
-    "correlation",
-    "convergence",
-    "qsd_profile",
-    "overlap",
-    "product_moment",
-)
-
 CSV_COLUMNS = (
     "experiment", "N", "t", "x", "y", "estimate", "se", "bound",
     "replicas", "seed",
@@ -57,54 +52,77 @@ CSV_COLUMNS = (
 
 _REQUIRED = object()
 
-
-def _fail(message: str) -> ConfigError:
-    return ConfigError(message)
-
-
-def _param(params: dict, name: str, default: Any = _REQUIRED) -> Any:
-    if name in params:
-        return params[name]
-    if default is _REQUIRED:
-        raise _fail(f"parameters.{name} is required")
-    return default
+# A converter checks one given value and returns what the handler consumes
+# and summary.json echoes; `where` names the value in error messages.
+Converter = Callable[[Any, str, AbsorbingChain], Any]
 
 
-def _int_param(params: dict, name: str, default: Any = _REQUIRED,
-               minimum: int | None = None) -> int:
-    raw = _param(params, name, default)
-    if isinstance(raw, bool) or not isinstance(raw, int):
-        raise _fail(f"parameters.{name} must be an integer")
-    if minimum is not None and raw < minimum:
-        raise _fail(f"parameters.{name} must be at least {minimum}")
-    return raw
+@dataclass(frozen=True)
+class Param:
+    """One row of a kind's parameter table.
+
+    An absent parameter takes ``default``: ``_REQUIRED`` makes its absence
+    an error and ``None`` leaves it out of the resolved parameters.
+    ``scalar`` names the one-entry form of a list parameter and converts
+    that entry; a config may give either form, not both.
+    """
+
+    name: str
+    convert: Converter
+    default: Any = _REQUIRED
+    scalar: tuple[str, Converter] | None = None
+
+    @property
+    def names(self) -> tuple[str, ...]:
+        return (self.name,) if self.scalar is None else (self.name, self.scalar[0])
 
 
-def _float_param(params: dict, name: str, default: Any = _REQUIRED,
-                 positive: bool = False, nonnegative: bool = False) -> float:
-    raw = _param(params, name, default)
-    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
-        raise _fail(f"parameters.{name} must be a number")
-    value = float(raw)
-    if positive and not value > 0.0:
-        raise _fail(f"parameters.{name} must be positive")
-    if nonnegative and value < 0.0:
-        raise _fail(f"parameters.{name} must be nonnegative")
+def _integer(minimum: int) -> Converter:
+    def convert(value: Any, where: str, chain: AbsorbingChain) -> int:
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ConfigError(f"{where} must be an integer")
+        if value < minimum:
+            raise ConfigError(f"{where} must be at least {minimum}")
+        return value
+    return convert
+
+
+def _number(minimum: float = -math.inf, strict: bool = False) -> Converter:
+    """A finite number, echoed as a float, >= ``minimum`` (> when strict)."""
+    def convert(value: Any, where: str, chain: AbsorbingChain) -> float:
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ConfigError(f"{where} must be a number")
+        # False for NaN, the infinities and integers too large for a float.
+        if not -sys.float_info.max <= value <= sys.float_info.max:
+            raise ConfigError(f"{where} must be finite")
+        if value < minimum or (strict and value == minimum):
+            raise ConfigError(f"{where} must be {'>' if strict else '>='} {minimum:g}")
+        return float(value)
+    return convert
+
+
+def _list_of(entry: Converter, min_len: int = 1, increasing: bool = False,
+             distinct: bool = False) -> Converter:
+    def convert(value: Any, where: str, chain: AbsorbingChain) -> list:
+        if not isinstance(value, list) or len(value) < min_len:
+            raise ConfigError(f"{where} must be a list of at least {min_len} entries")
+        out = [entry(v, f"{where}[{k}]", chain) for k, v in enumerate(value)]
+        if increasing and any(b <= a for a, b in zip(out, out[1:])):
+            raise ConfigError(f"{where} must be strictly increasing")
+        if distinct and len(set(out)) < len(out):
+            raise ConfigError(f"{where} must not repeat an entry")
+        return out
+    return convert
+
+
+def _site(value: Any, where: str, chain: AbsorbingChain) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{where} must be a site name")
+    try:
+        chain.index(value)
+    except KeyError:
+        raise ConfigError(f"{where}: unknown site {value!r}") from None
     return value
-
-
-def _n_list_param(params: dict, name: str = "n_list") -> list[int]:
-    raw = _param(params, name)
-    if not isinstance(raw, list) or not raw:
-        raise _fail(f"parameters.{name} must be a nonempty list of integers")
-    out = []
-    for v in raw:
-        if isinstance(v, bool) or not isinstance(v, int) or v < 2:
-            raise _fail(f"parameters.{name} entries must be integers >= 2")
-        out.append(v)
-    if any(b <= a for a, b in zip(out, out[1:])):
-        raise _fail(f"parameters.{name} must be strictly increasing")
-    return out
 
 
 def _profile(spec: Any, chain: AbsorbingChain, where: str) -> np.ndarray:
@@ -112,27 +130,102 @@ def _profile(spec: Any, chain: AbsorbingChain, where: str) -> np.ndarray:
     if spec == "uniform":
         return np.full(chain.n, 1.0 / chain.n)
     if isinstance(spec, str):
-        try:
-            return np.eye(chain.n)[chain.index(spec)]
-        except KeyError:
-            raise _fail(f"{where}: unknown site {spec!r}") from None
+        return np.eye(chain.n)[chain.index(_site(spec, where, chain))]
     if isinstance(spec, list):
         try:
             return check_distribution(spec, chain.n)
-        except ValueError as exc:
-            raise _fail(f"{where}: {exc}") from None
-    raise _fail(f"{where} must be 'uniform', a site name, or a weight list")
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError(f"{where}: {exc}") from None
+    raise ConfigError(f"{where} must be 'uniform', a site name, or a weight list")
 
 
-def _site_param(params: dict, name: str, chain: AbsorbingChain) -> str:
-    raw = _param(params, name)
-    if not isinstance(raw, str):
-        raise _fail(f"parameters.{name} must be a site name")
-    try:
-        chain.index(raw)
-    except KeyError:
-        raise _fail(f"parameters.{name}: unknown site {raw!r}") from None
-    return raw
+def _profile_spec(value: Any, where: str, chain: AbsorbingChain) -> Any:
+    """Checks a profile and echoes it as given; handlers convert it with
+    `_profile`."""
+    _profile(value, chain, where)
+    return value
+
+
+_PARTICLES = _integer(2)
+_HORIZON = _number(0.0)
+_POSITIVE = _number(0.0, strict=True)
+_N_LIST = _list_of(_PARTICLES, increasing=True)
+_STATIONARY = (
+    Param("burn_in", _POSITIVE),
+    Param("n_samples", _integer(40)),
+    Param("spacing", _POSITIVE),
+)
+
+# Every parameter of every kind: the only place a parameter is declared.
+# docs/config.md lists the same names (checked by the test suite).
+PARAMETERS: dict[str, tuple[Param, ...]] = {
+    "qsd": (
+        Param("tol", _POSITIVE, 1e-12),
+        Param("max_iter", _integer(1), 10**6),
+    ),
+    "semigroup": (
+        Param("initial", _profile_spec),
+        Param("t_grid", _list_of(_POSITIVE, min_len=4, increasing=True)),
+    ),
+    "simulate": (
+        Param("n_particles", _PARTICLES),
+        Param("replicas", _integer(1)),
+        Param("record_times", _list_of(_HORIZON, increasing=True)),
+        Param("initial", _profile_spec, "uniform"),
+    ),
+    "correlation": (
+        Param("n_particles", _PARTICLES),
+        Param("replicas", _integer(2)),
+        Param("t", _HORIZON),
+        Param("x", _site),
+        Param("y", _site),
+        Param("initial", _profile_spec, "uniform"),
+        Param("bound_override", _number(), None),
+    ),
+    "convergence": (
+        Param("n_list", _N_LIST),
+        Param("t", _POSITIVE),
+        Param("replicas", _integer(2)),
+        Param("profiles", _list_of(_profile_spec), "extreme"),
+    ),
+    "qsd_profile": (Param("n_list", _N_LIST),) + _STATIONARY,
+    "overlap": (
+        Param("n_list", _N_LIST, scalar=("n_particles", _PARTICLES)),
+        Param("t_grid", _list_of(_HORIZON), scalar=("t", _HORIZON)),
+        Param("replicas", _integer(2)),
+    ),
+    "product_moment": (
+        Param("sites", _list_of(_site, distinct=True)),
+        Param("n_particles", _PARTICLES),
+    ) + _STATIONARY,
+}
+
+EXPERIMENT_KINDS = tuple(PARAMETERS)
+
+
+def resolve_params(kind: str, params: dict, chain: AbsorbingChain) -> dict:
+    """Check ``params`` against the kind's table and return the resolved
+    parameters: what the handler consumes and summary.json echoes."""
+    table = PARAMETERS[kind]
+    unknown = set(params).difference(*(p.names for p in table))
+    if unknown:
+        raise ConfigError(f"unknown {kind} parameter(s): {sorted(unknown)}")
+    resolved = {}
+    for p in table:
+        given = [name for name in p.names if name in params]
+        where = " or ".join(f"parameters.{name}" for name in p.names)
+        if len(given) > 1:
+            raise ConfigError(f"give one of {where}, not both")
+        if given == [p.name]:
+            resolved[p.name] = p.convert(params[p.name], f"parameters.{p.name}", chain)
+        elif given:
+            name, convert = p.scalar
+            resolved[p.name] = [convert(params[name], f"parameters.{name}", chain)]
+        elif p.default is _REQUIRED:
+            raise ConfigError(f"{where} is required")
+        elif p.default is not None:
+            resolved[p.name] = p.default
+    return resolved
 
 
 def load_config(path: str | os.PathLike) -> dict:
@@ -140,12 +233,12 @@ def load_config(path: str | os.PathLike) -> dict:
         try:
             cfg = json.load(fh)
         except json.JSONDecodeError as exc:
-            raise _fail(
+            raise ConfigError(
                 f"{os.fspath(path)}: invalid JSON at line {exc.lineno}, "
                 f"column {exc.colno}: {exc.msg}"
             ) from exc
     if not isinstance(cfg, dict):
-        raise _fail("config must be a JSON object")
+        raise ConfigError("config must be a JSON object")
     return cfg
 
 
@@ -156,7 +249,7 @@ def _resolve_chain(cfg: dict, config_dir: Path) -> tuple[AbsorbingChain, dict]:
     elif isinstance(spec, dict):
         chain = validate_chain(spec)
     else:
-        raise _fail("chain must be a file path or an inline chain object")
+        raise ConfigError("chain must be a file path or an inline chain object")
     off = chain.rates.copy()
     np.fill_diagonal(off, 0.0)
     echo = {
@@ -167,15 +260,14 @@ def _resolve_chain(cfg: dict, config_dir: Path) -> tuple[AbsorbingChain, dict]:
     return chain, echo
 
 
+@dataclass(frozen=True)
 class RunContext:
     """Everything a kind handler needs, resolved once."""
 
-    def __init__(self, chain: AbsorbingChain, params: dict, master_seed: int,
-                 threads: int):
-        self.chain = chain
-        self.params = params
-        self.master_seed = master_seed
-        self.threads = threads
+    chain: AbsorbingChain
+    params: dict
+    master_seed: int
+    threads: int
 
     def seed(self, replica_base: int = 0) -> ReplicaSeed:
         return ReplicaSeed(self.master_seed, replica_base)
@@ -197,9 +289,7 @@ def _check(name: str, value: float, limit: float) -> dict:
 
 
 def _run_qsd(ctx: RunContext):
-    tol = _float_param(ctx.params, "tol", 1e-12, positive=True)
-    max_iter = _int_param(ctx.params, "max_iter", 10**6, minimum=1)
-    sol = qsd(ctx.chain, tol=tol, max_iter=max_iter)
+    sol = qsd(ctx.chain, tol=ctx.params["tol"], max_iter=ctx.params["max_iter"])
     rows = [
         _row(experiment="qsd", x=state, estimate=float(sol.nu[k]),
              seed=ctx.master_seed)
@@ -219,22 +309,14 @@ def _run_qsd(ctx: RunContext):
         ylabel="weight",
         title="quasi-stationary distribution",
     )
-    return {"tol": tol, "max_iter": max_iter}, rows, results, [], plot
+    return rows, results, [], plot
 
 
 def _run_semigroup(ctx: RunContext):
-    initial = _param(ctx.params, "initial")
-    t_grid = _param(ctx.params, "t_grid")
-    if (not isinstance(t_grid, list) or len(t_grid) < 4
-            or not all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                       for v in t_grid)):
-        raise _fail("parameters.t_grid must be a list of at least 4 numbers")
-    times = np.asarray(t_grid, dtype=np.float64)
-    if np.any(np.diff(times) <= 0.0) or times[0] <= 0.0:
-        raise _fail("parameters.t_grid must be positive and strictly increasing")
-    mu = _profile(initial, ctx.chain, "parameters.initial")
+    mu = _profile(ctx.params["initial"], ctx.chain, "parameters.initial")
     sol = qsd(ctx.chain)
-    fit = decay_rate_estimate(ctx.chain, mu, times, solution=sol)
+    fit = decay_rate_estimate(ctx.chain, mu, np.asarray(ctx.params["t_grid"]),
+                              solution=sol)
     sol = sol.with_theta(fit.theta)
     rows = [
         _row(experiment="semigroup", t=float(t), estimate=float(d),
@@ -257,19 +339,14 @@ def _run_semigroup(ctx: RunContext):
         title="decay toward the quasi-stationary distribution",
         logy=True,
     )
-    resolved = {"initial": initial, "t_grid": [float(v) for v in times]}
-    return resolved, rows, results, [], plot
+    return rows, results, [], plot
 
 
 def _run_simulate(ctx: RunContext):
-    n_particles = _int_param(ctx.params, "n_particles", minimum=2)
-    replicas = _int_param(ctx.params, "replicas", minimum=1)
-    initial = _param(ctx.params, "initial", "uniform")
-    raw_times = _param(ctx.params, "record_times")
-    if not isinstance(raw_times, list) or not raw_times:
-        raise _fail("parameters.record_times must be a nonempty list")
-    times = np.asarray(raw_times, dtype=np.float64)
-    profile = _profile(initial, ctx.chain, "parameters.initial")
+    n_particles = ctx.params["n_particles"]
+    replicas = ctx.params["replicas"]
+    times = np.asarray(ctx.params["record_times"])
+    profile = _profile(ctx.params["initial"], ctx.chain, "parameters.initial")
     chain = ctx.chain
     xi0 = configuration_from_profile(profile, n_particles, chain.states)
     tables = transition_tables(chain)
@@ -306,29 +383,19 @@ def _run_simulate(ctx: RunContext):
         ylabel="mean occupation fraction",
         title=f"mean particle profile, N={n_particles}",
     )
-    resolved = {
-        "n_particles": n_particles, "replicas": replicas, "initial": initial,
-        "record_times": [float(v) for v in times],
-    }
-    return resolved, rows, results, [], plot
+    return rows, results, [], plot
 
 
 def _run_correlation(ctx: RunContext):
-    n_particles = _int_param(ctx.params, "n_particles", minimum=2)
-    replicas = _int_param(ctx.params, "replicas", minimum=2)
-    t = _float_param(ctx.params, "t", nonnegative=True)
-    x = _site_param(ctx.params, "x", ctx.chain)
-    y = _site_param(ctx.params, "y", ctx.chain)
-    initial = _param(ctx.params, "initial", "uniform")
-    bound_override = _param(ctx.params, "bound_override", None)
-    if bound_override is not None and not isinstance(bound_override, (int, float)):
-        raise _fail("parameters.bound_override must be a number")
-    profile = _profile(initial, ctx.chain, "parameters.initial")
+    n_particles = ctx.params["n_particles"]
+    replicas = ctx.params["replicas"]
+    t, x, y = ctx.params["t"], ctx.params["x"], ctx.params["y"]
+    profile = _profile(ctx.params["initial"], ctx.chain, "parameters.initial")
     xi0 = configuration_from_profile(profile, n_particles, ctx.chain.states)
     est = correlation_experiment(
         ctx.chain, xi0, t, x, y, replicas, ctx.seed(), ctx.threads
     )
-    bound = float(bound_override) if bound_override is not None else est.bound
+    bound = ctx.params.get("bound_override", est.bound)
     rows = [_row(
         experiment="correlation", N=n_particles, t=t, x=x, y=y,
         estimate=est.covariance, se=est.std_error, bound=bound,
@@ -352,39 +419,19 @@ def _run_correlation(ctx: RunContext):
         ylabel="covariance magnitude",
         title=f"covariance of (m_{x}, m_{y}) at t={t:g}",
     )
-    resolved = {
-        "n_particles": n_particles, "replicas": replicas, "t": t,
-        "x": x, "y": y, "initial": initial,
-    }
-    if bound_override is not None:
-        resolved["bound_override"] = float(bound_override)
-    return resolved, rows, checks_to_results(results, checks), checks, plot
-
-
-def checks_to_results(results: dict, checks: list[dict]) -> dict:
-    results = dict(results)
-    results["checks_passed"] = all(c["passed"] for c in checks)
-    return results
+    return rows, results, checks, plot
 
 
 def _run_convergence(ctx: RunContext):
-    n_list = _n_list_param(ctx.params)
-    t = _float_param(ctx.params, "t", positive=True)
-    replicas = _int_param(ctx.params, "replicas", minimum=2)
-    raw_profiles = _param(ctx.params, "profiles", None)
-    if raw_profiles is None:
+    t, replicas = ctx.params["t"], ctx.params["replicas"]
+    specs = ctx.params["profiles"]
+    if specs == "extreme":
         profiles = extreme_profiles(ctx.chain.n)
-        resolved_profiles = "extreme"
     else:
-        if not isinstance(raw_profiles, list) or not raw_profiles:
-            raise _fail("parameters.profiles must be a nonempty list")
-        profiles = [
-            _profile(p, ctx.chain, f"parameters.profiles[{k}]")
-            for k, p in enumerate(raw_profiles)
-        ]
-        resolved_profiles = raw_profiles
+        profiles = [_profile(p, ctx.chain, "parameters.profiles") for p in specs]
     curve = convergence_experiment(
-        ctx.chain, profiles, t, n_list, replicas, ctx.seed(), ctx.threads
+        ctx.chain, profiles, t, ctx.params["n_list"], replicas, ctx.seed(),
+        ctx.threads,
     )
     rows = [
         _row(experiment="convergence", N=int(n), t=t, estimate=e, se=s,
@@ -404,20 +451,14 @@ def _run_convergence(ctx: RunContext):
         title=f"profile convergence at t={t:g}",
         logy=bool(np.all(curve.estimates > 0.0)),
     )
-    resolved = {
-        "n_list": n_list, "t": t, "replicas": replicas,
-        "profiles": resolved_profiles,
-    }
-    return resolved, rows, results, [], plot
+    return rows, results, [], plot
 
 
 def _run_qsd_profile(ctx: RunContext):
-    n_list = _n_list_param(ctx.params)
-    burn_in = _float_param(ctx.params, "burn_in", positive=True)
-    n_samples = _int_param(ctx.params, "n_samples", minimum=40)
-    spacing = _float_param(ctx.params, "spacing", positive=True)
+    n_samples = ctx.params["n_samples"]
     curve = qsd_profile_experiment(
-        ctx.chain, n_list, burn_in, n_samples, spacing, ctx.seed()
+        ctx.chain, ctx.params["n_list"], ctx.params["burn_in"], n_samples,
+        ctx.params["spacing"], ctx.seed(),
     )
     rows = [
         _row(experiment="qsd_profile", N=int(n), estimate=e, se=s,
@@ -437,25 +478,15 @@ def _run_qsd_profile(ctx: RunContext):
         title="stationary profile vs quasi-stationary distribution",
         logy=bool(np.all(curve.estimates > 0.0)),
     )
-    resolved = {
-        "n_list": n_list, "burn_in": burn_in, "n_samples": n_samples,
-        "spacing": spacing,
-    }
-    return resolved, rows, results, [], plot
+    return rows, results, [], plot
 
 
 def _run_product_moment(ctx: RunContext):
-    raw_sites = _param(ctx.params, "sites")
-    if (not isinstance(raw_sites, list) or not raw_sites
-            or not all(isinstance(s, str) for s in raw_sites)):
-        raise _fail("parameters.sites must be a nonempty list of site names")
-    n_particles = _int_param(ctx.params, "n_particles", minimum=2)
-    burn_in = _float_param(ctx.params, "burn_in", positive=True)
-    n_samples = _int_param(ctx.params, "n_samples", minimum=40)
-    spacing = _float_param(ctx.params, "spacing", positive=True)
+    n_particles = ctx.params["n_particles"]
+    n_samples = ctx.params["n_samples"]
     est = product_moment_experiment(
-        ctx.chain, list(raw_sites), n_particles, burn_in, n_samples, spacing,
-        ctx.seed(),
+        ctx.chain, ctx.params["sites"], n_particles, ctx.params["burn_in"],
+        n_samples, ctx.params["spacing"], ctx.seed(),
     )
     x = est.sites[0]
     y = est.sites[1] if len(est.sites) > 1 else ""
@@ -481,26 +512,12 @@ def _run_product_moment(ctx: RunContext):
         ylabel="stationary product moment",
         title="product moment vs quasi-stationary reference",
     )
-    resolved = {
-        "sites": list(raw_sites), "n_particles": n_particles,
-        "burn_in": burn_in, "n_samples": n_samples, "spacing": spacing,
-    }
-    return resolved, rows, results, [], plot
+    return rows, results, [], plot
 
 
 def _run_overlap(ctx: RunContext):
-    if "n_list" in ctx.params:
-        n_values = _n_list_param(ctx.params)
-    else:
-        n_values = [_int_param(ctx.params, "n_particles", minimum=2)]
-    if "t_grid" in ctx.params:
-        raw = _param(ctx.params, "t_grid")
-        if not isinstance(raw, list) or not raw:
-            raise _fail("parameters.t_grid must be a nonempty list")
-        t_values = [float(v) for v in raw]
-    else:
-        t_values = [_float_param(ctx.params, "t", nonnegative=True)]
-    replicas = _int_param(ctx.params, "replicas", minimum=2)
+    n_values, t_values = ctx.params["n_list"], ctx.params["t_grid"]
+    replicas = ctx.params["replicas"]
     rows = []
     checks = []
     cell_results = []
@@ -561,8 +578,7 @@ def _run_overlap(ctx: RunContext):
         title="influence-set overlap vs bound",
     )
     results = {"cells": cell_results}
-    resolved = {"replicas": replicas, "n_list": n_values, "t_grid": t_values}
-    return resolved, rows, checks_to_results(results, checks), checks, plot
+    return rows, results, checks, plot
 
 
 _RUNNERS = {
@@ -614,6 +630,12 @@ def _out_dir(cli_out: str | None, cfg: dict) -> Path:
     return Path(".")
 
 
+def _master_seed(value: Any, where: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or not 0 <= value < 2**64:
+        raise ConfigError(f"{where} must be an integer in [0, 2^64)")
+    return value
+
+
 def run(
     config_path: str | os.PathLike,
     kind: str | None = None,
@@ -626,31 +648,31 @@ def run(
     known = {"kind", "chain", "master_seed", "output_dir", "parameters"}
     unknown = set(cfg) - known
     if unknown:
-        raise _fail(f"unknown config field(s): {sorted(unknown)}")
+        raise ConfigError(f"unknown config field(s): {sorted(unknown)}")
     cfg_kind = cfg.get("kind")
     if cfg_kind is not None and kind is not None and cfg_kind != kind:
-        raise _fail(f"config kind {cfg_kind!r} conflicts with subcommand {kind!r}")
+        raise ConfigError(f"config kind {cfg_kind!r} conflicts with subcommand {kind!r}")
     resolved_kind = kind or cfg_kind
     if resolved_kind not in EXPERIMENT_KINDS:
-        raise _fail(f"kind must be one of {EXPERIMENT_KINDS}")
+        raise ConfigError(f"kind must be one of {EXPERIMENT_KINDS}")
 
-    master_seed = cfg.get("master_seed", 0)
-    if isinstance(master_seed, bool) or not isinstance(master_seed, int):
-        raise _fail("master_seed must be an integer")
+    master_seed = _master_seed(cfg.get("master_seed", 0), "master_seed")
     if seed is not None:
-        master_seed = seed
+        master_seed = _master_seed(seed, "--seed")
     params = cfg.get("parameters", {})
     if not isinstance(params, dict):
-        raise _fail("parameters must be an object")
+        raise ConfigError("parameters must be an object")
 
     chain, chain_echo = _resolve_chain(cfg, Path(os.fspath(config_path)).parent)
     ctx = RunContext(
         chain=chain,
-        params=params,
+        params=resolve_params(resolved_kind, params, chain),
         master_seed=master_seed,
         threads=threads if threads is not None else default_threads(),
     )
-    resolved_params, rows, results, checks, plot = _RUNNERS[resolved_kind](ctx)
+    rows, results, checks, plot = _RUNNERS[resolved_kind](ctx)
+    if checks:
+        results["checks_passed"] = all(c["passed"] for c in checks)
 
     out_path = _out_dir(out, cfg)
     out_path.mkdir(parents=True, exist_ok=True)
@@ -664,7 +686,7 @@ def run(
         "kind": resolved_kind,
         "chain": chain_echo,
         "master_seed": master_seed,
-        "parameters": _jsonable(resolved_params),
+        "parameters": _jsonable(ctx.params),
         "results": _jsonable(results),
         "checks": _jsonable(checks),
         "status": status,
@@ -726,13 +748,7 @@ def main(argv: list[str] | None = None) -> int:
             threads=args.threads,
             seed=args.seed,
         )
-    except (ConfigError, ChainValidationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FvqsdError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (FvqsdError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

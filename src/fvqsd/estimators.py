@@ -22,7 +22,7 @@ from .measures import (
     tv_distance,
 )
 from .parallel import map_replicas
-from .seeding import ReplicaSeed
+from .seeding import ReplicaSeed, as_replica_seed
 from .semigroup import QsdSolution, conditioned_law, qsd
 from .simulator import (
     configuration_from_profile,
@@ -95,10 +95,6 @@ def _resolve_site(chain: AbsorbingChain, site: int | str) -> int:
     return site
 
 
-def _resolve_seed(seed: ReplicaSeed | int) -> ReplicaSeed:
-    return seed if isinstance(seed, ReplicaSeed) else ReplicaSeed(int(seed))
-
-
 @dataclass(frozen=True)
 class CorrelationEstimate:
     site_x: str
@@ -132,7 +128,7 @@ def correlation_experiment(
         raise ValueError("replicas must be at least 2")
     ix = _resolve_site(chain, x)
     iy = _resolve_site(chain, y)
-    seed = _resolve_seed(seed)
+    seed = as_replica_seed(seed)
     xi0 = np.asarray(xi0)
     n_particles = xi0.size
     tables = transition_tables(chain)
@@ -201,7 +197,7 @@ def convergence_experiment(
         raise ValueError("replicas must be at least 2")
     if not profiles:
         raise ValueError("need at least one profile")
-    seed = _resolve_seed(seed)
+    seed = as_replica_seed(seed)
     profiles = [check_distribution(p, chain.n) for p in profiles]
     n_arr = np.asarray(n_list, dtype=np.int64)
     tables = transition_tables(chain)
@@ -251,7 +247,7 @@ def qsd_profile_experiment(
     """
     if solution is None:
         solution = qsd(chain)
-    seed = _resolve_seed(seed)
+    seed = as_replica_seed(seed)
     n_arr = np.asarray(n_list, dtype=np.int64)
     estimates = np.empty(n_arr.size)
     std_errors = np.empty(n_arr.size)

@@ -28,7 +28,7 @@ from numpy.typing import ArrayLike, NDArray
 from . import _kernels
 from .chain import AbsorbingChain
 from .parallel import map_replicas
-from .seeding import ReplicaSeed
+from .seeding import ReplicaSeed, as_replica_seed
 from .simulator import validate_configuration
 
 __all__ = [
@@ -39,8 +39,6 @@ __all__ = [
     "evolve",
     "influence_matrix",
     "influence_sets",
-    "overlap_probability",
-    "mean_influence_size",
     "influence_experiment",
     "save_marks",
     "load_marks",
@@ -179,9 +177,7 @@ def sample_marks(
     horizon = float(horizon)
     if not np.isfinite(horizon) or horizon < 0.0:
         raise ValueError("horizon must be finite and nonnegative")
-    if isinstance(seed, int):
-        seed = ReplicaSeed(seed)
-    gen = seed.generator()
+    gen = as_replica_seed(seed).generator()
     n = chain.n
 
     internal_times, internal_particle = _marked_times(
@@ -351,8 +347,7 @@ def influence_experiment(
     """
     if replicas < 2:
         raise ValueError("replicas must be at least 2")
-    if isinstance(seed, int):
-        seed = ReplicaSeed(seed)
+    seed = as_replica_seed(seed)
     master = seed.master_seed
     base = seed.replica_index
     roots = np.array([0, 1], dtype=np.int64)
@@ -387,32 +382,6 @@ def influence_experiment(
         replicas=replicas,
     )
     return size_est, overlap_est
-
-
-def overlap_probability(
-    chain: AbsorbingChain,
-    n_particles: int,
-    t: float,
-    replicas: int,
-    seed: ReplicaSeed | int,
-    threads: int = 1,
-) -> OverlapEstimate:
-    """Frequency of the influence sets of labels 0 and 1 intersecting."""
-    _, overlap = influence_experiment(chain, n_particles, t, replicas, seed, threads)
-    return overlap
-
-
-def mean_influence_size(
-    chain: AbsorbingChain,
-    n_particles: int,
-    t: float,
-    replicas: int,
-    seed: ReplicaSeed | int,
-    threads: int = 1,
-) -> InfluenceSizeEstimate:
-    """Sample mean of |influence set| for label 0 over fresh realizations."""
-    size, _ = influence_experiment(chain, n_particles, t, replicas, seed, threads)
-    return size
 
 
 def save_marks(marks: MarkRealization, path_or_file) -> None:

@@ -6,11 +6,12 @@ replicas are scheduled across threads.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["ReplicaSeed"]
+__all__ = ["ReplicaSeed", "as_replica_seed"]
 
 
 @dataclass(frozen=True)
@@ -39,3 +40,11 @@ class ReplicaSeed:
         # Philox is counter-based: cheap to construct per replica and
         # streams derived from distinct spawn keys never collide.
         return np.random.Generator(np.random.Philox(self.seed_sequence()))
+
+
+def as_replica_seed(seed: ReplicaSeed | int) -> ReplicaSeed:
+    """``seed`` itself, or replica 0 of the stream keyed by an integer seed
+    (a Python or numpy integer)."""
+    if isinstance(seed, ReplicaSeed):
+        return seed
+    return ReplicaSeed(operator.index(seed))

@@ -18,7 +18,7 @@ from . import _kernels
 from .chain import AbsorbingChain
 from .errors import UnsortedTimesError
 from .measures import check_distribution, empirical_measure
-from .seeding import ReplicaSeed
+from .seeding import ReplicaSeed, as_replica_seed
 
 __all__ = [
     "TransitionTables",
@@ -102,12 +102,6 @@ def configuration_from_profile(
     return np.repeat(np.arange(p.size, dtype=np.int64), counts)
 
 
-def _resolve_seed(seed: ReplicaSeed | int) -> ReplicaSeed:
-    if isinstance(seed, ReplicaSeed):
-        return seed
-    return ReplicaSeed(int(seed))
-
-
 def simulate(
     chain: AbsorbingChain,
     xi0: ArrayLike,
@@ -126,7 +120,7 @@ def simulate(
         raise ValueError("time must be finite and nonnegative")
     if tables is None:
         tables = transition_tables(chain)
-    gen = _resolve_seed(seed).generator()
+    gen = as_replica_seed(seed).generator()
     out = pos.copy()
     _kernels.run_events(gen, out, tables.site_rate, tables.cum_move, t)
     return out
@@ -154,7 +148,7 @@ def simulate_trajectory(
         raise UnsortedTimesError("record_times must be sorted and start >= 0")
     if tables is None:
         tables = transition_tables(chain)
-    gen = _resolve_seed(seed).generator()
+    gen = as_replica_seed(seed).generator()
     out = np.empty((times.size, pos.size), dtype=np.int64)
     work = pos.copy()
     _kernels.run_recorded(gen, work, tables.site_rate, tables.cum_move, times, out)

@@ -1,13 +1,21 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
+import math
+import re
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fvqsd.cli import main, run
+from fvqsd.cli import EXPERIMENT_KINDS, PARAMETERS, main, run
 from fvqsd.errors import ConfigError
 
 from _oracles import GOLD_ALPHA, GOLD_NU
@@ -120,6 +128,140 @@ class TestConfigValidation:
             parameters={"initial": "uniform", "t_grid": [0.5, 1.0, 1.5]},
         )
         assert main(["semigroup", "--config", str(cfg)]) == 1
+
+
+OVERLAP = {"n_particles": 5, "t": 0.3, "replicas": 4}
+OVERLAP_GRID = {"n_particles": 5, "t_grid": [0.3], "replicas": 4}
+CORRELATION = {"n_particles": 5, "replicas": 4, "t": 0.5, "x": "1", "y": "2"}
+SIMULATE = {"n_particles": 4, "replicas": 2, "record_times": [0.5]}
+MOMENT = {"sites": ["1", "2"], "n_particles": 4, "burn_in": 0.2,
+          "n_samples": 40, "spacing": 0.01}
+
+# id: (kind, parameters, master_seed, extra argv)
+MALFORMED = {
+    "overlap-t_grid-text": ("overlap", dict(OVERLAP_GRID, t_grid=["abc"]), 0, []),
+    "overlap-t_grid-negative": ("overlap", dict(OVERLAP_GRID, t_grid=[-1.0]), 0, []),
+    "simulate-record_times-text": ("simulate", dict(SIMULATE, record_times=["abc"]), 0, []),
+    "simulate-record_times-tie": ("simulate", dict(SIMULATE, record_times=[0.5, 0.5]), 0, []),
+    "correlation-t-nan": ("correlation", dict(CORRELATION, t=math.nan), 0, []),
+    "correlation-t-inf": ("correlation", dict(CORRELATION, t=math.inf), 0, []),
+    "correlation-t-huge-int": ("correlation", dict(CORRELATION, t=10**400), 0, []),
+    "correlation-bound_override-bool":
+        ("correlation", dict(CORRELATION, bound_override=True), 0, []),
+    "correlation-unknown-name": ("correlation", dict(CORRELATION, replicaz=3), 0, []),
+    "product_moment-duplicate-sites": ("product_moment", dict(MOMENT, sites=["1", "1"]), 0, []),
+    "product_moment-unknown-site": ("product_moment", dict(MOMENT, sites=["1", "9"]), 0, []),
+    "simulate-initial-weight-object": ("simulate", dict(SIMULATE, initial=[{}, 1]), 0, []),
+    "master_seed-negative": ("qsd", {}, -1, []),
+    "master_seed-2^64": ("qsd", {}, 2**64, []),
+    "seed-flag-negative-correlation": ("correlation", CORRELATION, 0, ["--seed", "-1"]),
+    "seed-flag-negative-qsd": ("qsd", {}, 0, ["--seed", "-1"]),
+    "seed-flag-2^64": ("qsd", {}, 0, ["--seed", str(2**64)]),
+    "overlap-n_list-and-n_particles": ("overlap", dict(OVERLAP, n_list=[5, 6]), 0, []),
+    "overlap-t_grid-and-t": ("overlap", dict(OVERLAP, t_grid=[0.1]), 0, []),
+}
+
+
+@pytest.mark.parametrize("kind, params, master_seed, extra", MALFORMED.values(),
+                         ids=list(MALFORMED))
+def test_malformed_input_exits_one_with_one_line(
+        tmp_path, capsys, kind, params, master_seed, extra):
+    cfg = write_config(tmp_path, kind=kind, chain=GOLDEN,
+                       master_seed=master_seed, parameters=params)
+    out = tmp_path / "out"
+    assert main([kind, "--config", str(cfg), "--out", str(out)] + extra) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1, err
+    assert not out.exists()
+
+
+def test_docs_list_each_kinds_parameters():
+    text = (Path(__file__).parents[1] / "docs" / "config.md").read_text()
+    sections = re.split(r"^### `(\w+)`$", text, flags=re.M)
+    documented = {}
+    for kind, body in zip(sections[1::2], sections[2::2]):
+        first_cells = [line.split("|")[1] for line in body.split("\n## ")[0].splitlines()
+                       if line.startswith("| `")]
+        documented[kind] = {n for cell in first_cells for n in re.findall(r"`(\w+)`", cell)}
+    declared = {kind: {n for p in table for n in p.names}
+                for kind, table in PARAMETERS.items()}
+    assert documented == declared
+
+
+# In-range values per parameter name, and values that are wrong for every
+# name.  Sizes stay small (N <= 20, replicas <= 20, times <= 1,
+# n_samples <= 60) because no cap on the simulated events exists yet.
+_SITE = st.sampled_from(["1", "2"])
+_TIME = st.floats(0.01, 1.0)
+_TIMES = st.lists(_TIME, min_size=1, max_size=6, unique=True).map(sorted)
+_COUNT = st.integers(2, 20)
+_PROFILE = st.sampled_from(["uniform", "1", "2", [0.5, 0.5], [1, 0]])
+_VALUES = {
+    "tol": st.floats(1e-12, 1e-3),
+    "max_iter": st.integers(1, 10**4),
+    "initial": _PROFILE,
+    "t_grid": _TIMES,
+    "record_times": _TIMES,
+    "n_particles": _COUNT,
+    "replicas": _COUNT,
+    "t": _TIME,
+    "x": _SITE,
+    "y": _SITE,
+    "bound_override": st.floats(-1.0, 1.0),
+    "n_list": st.lists(_COUNT, min_size=1, max_size=3, unique=True).map(sorted),
+    "profiles": st.lists(_PROFILE, min_size=1, max_size=3),
+    "burn_in": _TIME,
+    "n_samples": st.integers(40, 60),
+    "spacing": _TIME,
+    "sites": st.lists(_SITE, min_size=1, max_size=2, unique=True),
+}
+_WRONG = st.one_of(
+    st.none(), st.booleans(), st.text(max_size=3), st.just([]),
+    st.sampled_from([math.nan, math.inf, -math.inf, -1, -0.5, 0, 1]),
+    st.lists(st.sampled_from([math.nan, -1.0, 0.5, 3, "1", "3", None]),
+             min_size=1, max_size=3),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=1),
+)
+_VALID_SEED = st.integers(0, 2**64 - 1)
+
+
+@st.composite
+def _configs(draw):
+    """A config of a random kind with every parameter given in one of its
+    forms; now and then a parameter is left out, given a wrong value or in
+    both forms, an unknown name is added, or a seed is out of range."""
+    def rarely():
+        return draw(st.integers(0, 9)) == 9
+
+    kind = draw(st.sampled_from(EXPERIMENT_KINDS))
+    params = {}
+    for p in PARAMETERS[kind]:
+        names = p.names if rarely() else [draw(st.sampled_from(p.names))]
+        for name in names:
+            if not rarely():
+                params[name] = draw(_WRONG if rarely() else _VALUES[name])
+    if rarely():
+        params[draw(st.sampled_from(sorted(_VALUES) + ["replicaz"]))] = draw(_WRONG)
+    master_seed = draw(_WRONG | st.sampled_from([-1, 2**64]) if rarely() else _VALID_SEED)
+    seed_flag = draw(st.sampled_from([-1, 2**64]) | _VALID_SEED) if rarely() else None
+    return kind, params, master_seed, seed_flag
+
+
+@settings(max_examples=150, deadline=None)
+@given(_configs())
+def test_fuzzed_configs_never_raise(config):
+    kind, params, master_seed, seed_flag = config
+    extra = [] if seed_flag is None else ["--seed", str(seed_flag)]
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = write_config(Path(tmp), kind=kind, chain=GOLDEN,
+                           master_seed=master_seed, parameters=params)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main([kind, "--config", str(cfg), "--out", tmp,
+                         "--threads", "1"] + extra)
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert len(err.getvalue().splitlines()) == 1, err.getvalue()
 
 
 class TestValidateCommand:

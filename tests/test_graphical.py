@@ -74,6 +74,15 @@ class TestSampleMarks:
         np.testing.assert_array_equal(a.internal_times, b.internal_times)
         np.testing.assert_array_equal(a.voter_fields, b.voter_fields)
 
+    @pytest.mark.parametrize("seed", [12, np.int64(12), np.uint64(12)])
+    def test_integer_seed_is_replica_zero(self, golden_chain, seed):
+        a = sample_marks(golden_chain, 6, 2.0, seed)
+        b = sample_marks(golden_chain, 6, 2.0, ReplicaSeed(12))
+        np.testing.assert_array_equal(a.internal_times, b.internal_times)
+        np.testing.assert_array_equal(a.voter_targets, b.voter_targets)
+        assert influence_experiment(golden_chain, 6, 0.5, 4, seed) == \
+            influence_experiment(golden_chain, 6, 0.5, 4, ReplicaSeed(12))
+
     def test_times_distinct_and_in_range(self, golden_chain):
         marks = sample_marks(golden_chain, 20, 5.0, 3)
         times = np.concatenate([marks.internal_times, marks.voter_times])
