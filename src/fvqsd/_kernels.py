@@ -1,20 +1,11 @@
-"""Hot inner loops, compiled with numba when it is installed and not disabled.
+"""Hot inner loops of the two stochastic engines, in plain Python over numpy.
 
-Each kernel is written once as a plain function in the numba-compatible
-subset.  At import time the kernels are wrapped by
-@njit(cache=True, nogil=True) exactly when the environment variable
-FVQSD_DISABLE_JIT does not disable them (values "1", "true", "yes") and numba
-imports; numba is the optional ``jit`` extra (``pip install -e .[jit]``).
-Otherwise the pure Python/numpy versions run, and USING_JIT is False.  Both
-paths draw randomness exclusively through np.random.Generator methods, whose
-bit streams are identical under numba and plain numpy, so the two paths
-produce identical trajectories, not merely equal in distribution.
+The event-driven dynamics live in one loop, ``_run``; ``run_events`` and
+``run_recorded`` are its two entry points.  Randomness is drawn only through
+np.random.Generator methods, one draw at a time and in a fixed order, so a
+seeded generator reproduces a trajectory bit for bit.
 """
 from __future__ import annotations
-
-import os
-
-import numpy as np
 
 __all__ = [
     "USING_JIT",
@@ -24,20 +15,9 @@ __all__ = [
     "influence_matrix_kernel",
 ]
 
-USING_JIT = os.environ.get("FVQSD_DISABLE_JIT", "").strip() not in ("1", "true", "yes")
-
-if USING_JIT:
-    try:
-        from numba import njit as _njit
-    except ImportError:  # numba is the optional [jit] extra; run the numpy fallback
-        USING_JIT = False
-
-if USING_JIT:
-    def _jit(fn):
-        return _njit(cache=True, nogil=True)(fn)
-else:
-    def _jit(fn):
-        return fn
+# Kernels are never compiled.  The name stays because benchmark reports
+# record it as the backend that ran.
+USING_JIT = False
 
 
 def _pick_particle(gen, positions, site_rate, total):
@@ -62,28 +42,33 @@ def _pick_move(gen, cum_move, x, n_states):
     return -1
 
 
-def run_events(gen, positions, site_rate, cum_move, horizon):
-    """Drive the interacting-particle dynamics over [0, horizon].
-
-    positions is modified in place.  Each particle at site x waits an
-    exponential time at rate site_rate[x]; the chosen particle either does
-    an internal jump (rows of cum_move hold the cumulative split) or, on an
-    absorption attempt, adopts the position of a uniformly chosen other
-    particle.  Returns the number of events applied.
-    """
+def _run(gen, positions, site_rate, cum_move, record_times, out):
+    # The event loop behind run_events and run_recorded; returns the number
+    # of events applied.  A clock that rings after one or more record times
+    # first snapshots them; its event is applied only if a record time at
+    # or after it remains.  out=None keeps no snapshots.
     n_particles = len(positions)
     n_states = cum_move.shape[0]
+    n_rec = len(record_times)
+    if n_rec == 0:
+        return 0
     total = 0.0
-    for k in range(n_particles):
-        total += site_rate[positions[k]]
+    for x in positions:
+        total += site_rate[x]
     t = 0.0
+    rec = 0
+    t_rec = record_times[0]
     n_events = 0
-    while True:
-        if total <= 0.0:
-            break
+    while total > 0.0:
         dt = gen.exponential(1.0) / total
-        if t + dt > horizon:
-            break
+        if t + dt > t_rec:
+            while rec < n_rec and record_times[rec] < t + dt:
+                if out is not None:
+                    out[rec] = positions
+                rec += 1
+            if rec == n_rec:
+                break
+            t_rec = record_times[rec]
         t += dt
         i = _pick_particle(gen, positions, site_rate, total)
         x = positions[i]
@@ -97,7 +82,21 @@ def run_events(gen, positions, site_rate, cum_move, horizon):
         positions[i] = y
         total += site_rate[y] - site_rate[x]
         n_events += 1
+    if out is not None:
+        out[rec:] = positions
     return n_events
+
+
+def run_events(gen, positions, site_rate, cum_move, horizon):
+    """Drive the interacting-particle dynamics over [0, horizon].
+
+    positions is modified in place.  Each particle at site x waits an
+    exponential time at rate site_rate[x]; the chosen particle either does
+    an internal jump (rows of cum_move hold the cumulative split) or, on an
+    absorption attempt, adopts the position of a uniformly chosen other
+    particle.  Returns the number of events applied.
+    """
+    return _run(gen, positions, site_rate, cum_move, (horizon,), None)
 
 
 def run_recorded(gen, positions, site_rate, cum_move, record_times, out):
@@ -105,42 +104,10 @@ def run_recorded(gen, positions, site_rate, cum_move, record_times, out):
 
     out has shape (len(record_times), n_particles).  Snapshots are
     right-continuous: a record time equal to an event time sees the
-    post-event configuration.
+    post-event configuration.  positions ends at the last record time and
+    is returned.
     """
-    n_particles = len(positions)
-    n_states = cum_move.shape[0]
-    n_rec = len(record_times)
-    total = 0.0
-    for k in range(n_particles):
-        total += site_rate[positions[k]]
-    t = 0.0
-    rec = 0
-    while rec < n_rec:
-        if total <= 0.0:
-            break
-        dt = gen.exponential(1.0) / total
-        while rec < n_rec and record_times[rec] < t + dt:
-            for k in range(n_particles):
-                out[rec, k] = positions[k]
-            rec += 1
-        if rec >= n_rec:
-            break
-        t += dt
-        i = _pick_particle(gen, positions, site_rate, total)
-        x = positions[i]
-        y = _pick_move(gen, cum_move, x, n_states)
-        if y < 0:
-            while True:
-                j = gen.integers(0, n_particles)
-                if j != i:
-                    break
-            y = positions[j]
-        positions[i] = y
-        total += site_rate[y] - site_rate[x]
-    while rec < n_rec:
-        for k in range(n_particles):
-            out[rec, k] = positions[k]
-        rec += 1
+    _run(gen, positions, site_rate, cum_move, record_times, out)
     return positions
 
 
@@ -194,13 +161,3 @@ def influence_matrix_kernel(
             if out[r, voter_particle[e]]:
                 out[r, voter_targets[e]] = True
     return out
-
-
-# Helpers must be wrapped before the kernels that call them so the jitted
-# kernels resolve jitted callees at compile time.
-_pick_particle = _jit(_pick_particle)
-_pick_move = _jit(_pick_move)
-run_events = _jit(run_events)
-run_recorded = _jit(run_recorded)
-apply_marks = _jit(apply_marks)
-influence_matrix_kernel = _jit(influence_matrix_kernel)

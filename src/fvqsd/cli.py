@@ -36,7 +36,7 @@ from .estimators import (
 )
 from .graphical import influence_experiment
 from .measures import check_distribution, empirical_measure
-from .parallel import default_threads, map_replicas
+from .parallel import map_replicas
 from .seeding import ReplicaSeed
 from .semigroup import decay_rate_estimate, qsd
 from .simulator import (
@@ -640,7 +640,7 @@ def run(
     config_path: str | os.PathLike,
     kind: str | None = None,
     out: str | None = None,
-    threads: int | None = None,
+    threads: int = 1,
     seed: int | None = None,
 ) -> int:
     """Run one experiment config; returns the process exit code."""
@@ -668,7 +668,7 @@ def run(
         chain=chain,
         params=resolve_params(resolved_kind, params, chain),
         master_seed=master_seed,
-        threads=threads if threads is not None else default_threads(),
+        threads=threads,
     )
     rows, results, checks, plot = _RUNNERS[resolved_kind](ctx)
     if checks:
@@ -729,7 +729,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(kind, help=f"run a {kind} experiment config")
         p.add_argument("--config", required=True, help="experiment config JSON")
         p.add_argument("--out", help="output directory")
-        p.add_argument("--threads", type=int, help="worker thread count")
+        p.add_argument("--threads", type=int, default=1,
+                       help="worker thread count (default 1)")
         p.add_argument("--seed", type=int, help="override master_seed")
     v = sub.add_parser("validate", help="validate a chain JSON file")
     v.add_argument("--config", required=True, help="chain JSON to validate")

@@ -113,18 +113,6 @@ class MarkRealization:
     def n_events(self) -> int:
         return self.event_kind.size
 
-    def internal_events_of(self, i: int) -> tuple[NDArray, NDArray]:
-        mask = self.internal_particle == i
-        return self.internal_times[mask], self.internal_maps[mask]
-
-    def voter_events_of(self, i: int) -> tuple[NDArray, NDArray, NDArray]:
-        mask = self.voter_particle == i
-        return (
-            self.voter_times[mask],
-            self.voter_targets[mask],
-            self.voter_fields[mask],
-        )
-
 
 def _marked_times(
     gen: np.random.Generator, rate: float, n_particles: int, horizon: float

@@ -1,23 +1,18 @@
 """Replica fan-out with deterministic merge order.
 
 Results come back indexed by replica, never by completion order, so the
-thread count cannot change any downstream reduction.  Worker functions are
-expected to spend their time in nogil kernels; with the JIT disabled they
-still run correctly, just without parallel speedup.
+thread count cannot change any downstream reduction.  The kernels are plain
+Python and hold the GIL, so more than one thread gives the same bytes but
+no speedup; the CLI defaults to one.
 """
 from __future__ import annotations
 
-import os
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, TypeVar
 
 T = TypeVar("T")
 
-__all__ = ["map_replicas", "default_threads"]
-
-
-def default_threads() -> int:
-    return os.cpu_count() or 1
+__all__ = ["map_replicas"]
 
 
 def map_replicas(fn: Callable[[int], T], replicas: int, threads: int = 1) -> list[T]:
