@@ -1,4 +1,7 @@
-"""Hot inner loops of the two stochastic engines, in plain Python over numpy.
+"""Hot inner loops of the two stochastic engines, in plain Python.
+
+The loops copy their numpy inputs into Python lists once per call, because
+indexing a list is several times cheaper than reading a numpy scalar.
 
 The event-driven dynamics live in one loop, ``_run``; ``run_events`` and
 ``run_recorded`` are its two entry points.  Randomness is drawn only through
@@ -6,6 +9,8 @@ np.random.Generator methods, one draw at a time and in a fixed order, so a
 seeded generator reproduces a trajectory bit for bit.
 """
 from __future__ import annotations
+
+import numpy as np
 
 __all__ = [
     "USING_JIT",
@@ -20,70 +25,77 @@ __all__ = [
 USING_JIT = False
 
 
-def _pick_particle(gen, positions, site_rate, total):
-    # Linear scan over cumulative site rates; clamp to the last particle so
-    # a rounding overshoot of total cannot fall off the end.
-    u = gen.random() * total
-    acc = 0.0
-    last = len(positions) - 1
-    for k in range(last):
-        acc += site_rate[positions[k]]
-        if u < acc:
-            return k
-    return last
-
-
-def _pick_move(gen, cum_move, x, n_states):
-    # Returns the internal target index, or -1 for an absorption attempt.
-    u = gen.random()
-    for j in range(n_states):
-        if u < cum_move[x, j]:
-            return j
-    return -1
-
-
 def _run(gen, positions, site_rate, cum_move, record_times, out):
     # The event loop behind run_events and run_recorded; returns the number
     # of events applied.  A clock that rings after one or more record times
     # first snapshots them; its event is applied only if a record time at
     # or after it remains.  out=None keeps no snapshots.
     n_particles = len(positions)
-    n_states = cum_move.shape[0]
     n_rec = len(record_times)
     if n_rec == 0:
         return 0
+    pos = positions.tolist()
+    rate_of = site_rate.tolist()
+    move_rows = cum_move.tolist()
+    times = np.asarray(record_times).tolist()
+    # rates[k] is particle k's rate; cum receives its running sums.
+    rates = site_rate[positions]
+    head = rates[:-1]
+    cum = np.empty(head.size)
     total = 0.0
-    for x in positions:
-        total += site_rate[x]
+    for x in pos:
+        total += rate_of[x]
     t = 0.0
     rec = 0
-    t_rec = record_times[0]
+    t_rec = times[0]
     n_events = 0
     while total > 0.0:
         dt = gen.exponential(1.0) / total
         if t + dt > t_rec:
-            while rec < n_rec and record_times[rec] < t + dt:
+            while rec < n_rec and times[rec] < t + dt:
                 if out is not None:
-                    out[rec] = positions
+                    out[rec] = pos
                 rec += 1
             if rec == n_rec:
                 break
-            t_rec = record_times[rec]
+            t_rec = times[rec]
         t += dt
-        i = _pick_particle(gen, positions, site_rate, total)
-        x = positions[i]
-        y = _pick_move(gen, cum_move, x, n_states)
+        # The moving particle is the first k with u < rates[0] + ... +
+        # rates[k], or the last particle when there is none, so a rounding
+        # overshoot of total cannot fall off the end.  add.accumulate adds
+        # left to right, as a running `acc += rates[k]` does, and
+        # searchsorted(..., "right") returns exactly that k, or N-1: the
+        # pick is bit for bit the sequential scan's.  np.sum (pairwise), a
+        # Fenwick tree or per-site grouping would round differently, move
+        # every random stream and require regenerating
+        # tests/expected_results.json.
+        u = gen.random() * total
+        np.add.accumulate(head, out=cum)
+        i = int(cum.searchsorted(u, "right"))
+        x = pos[i]
+        # Scan the row in order: transition_tables sets the last positive
+        # target of a row without absorption to 2.0, so rows are not
+        # sorted, and a bisection could turn u close to 1 into an
+        # absorption.
+        u = gen.random()
+        y = -1
+        for j, c in enumerate(move_rows[x]):
+            if u < c:
+                y = j
+                break
         if y < 0:
             while True:
                 j = gen.integers(0, n_particles)
                 if j != i:
                     break
-            y = positions[j]
-        positions[i] = y
-        total += site_rate[y] - site_rate[x]
+            y = pos[j]
+        pos[i] = y
+        rates[i] = rate_of[y]
+        total += rate_of[y] - rate_of[x]
         n_events += 1
     if out is not None:
-        out[rec:] = positions
+        out[rec:] = pos
+    positions[:] = pos
     return n_events
 
 
@@ -127,14 +139,17 @@ def apply_marks(
     a neighbor-copy attempt: it fires only where the sampled indicator
     field is set at the particle's current site.
     """
-    for e in range(len(event_kind)):
-        i = event_particle[e]
-        idx = event_index[e]
-        if event_kind[e] == 0:
-            positions[i] = internal_maps[idx, positions[i]]
-        else:
-            if voter_fields[idx, positions[i]]:
-                positions[i] = positions[voter_targets[idx]]
+    pos = positions.tolist()
+    maps = internal_maps.tolist()
+    targets = voter_targets.tolist()
+    fields = voter_fields.tolist()
+    for kind, i, idx in zip(event_kind.tolist(), event_particle.tolist(),
+                            event_index.tolist()):
+        if kind == 0:
+            pos[i] = maps[idx][pos[i]]
+        elif fields[idx][pos[i]]:
+            pos[i] = pos[targets[idx]]
+    positions[:] = pos
     return positions
 
 
@@ -150,14 +165,16 @@ def influence_matrix_kernel(
     the copied label, whether or not the attempt fires at runtime.  Events
     before t_start are ignored.
     """
-    n_events = len(voter_times)
-    for r in range(len(roots)):
-        for k in range(n_particles):
-            out[r, k] = False
-        out[r, roots[r]] = True
-        for e in range(n_events - 1, -1, -1):
-            if voter_times[e] < t_start:
-                break
-            if out[r, voter_particle[e]]:
-                out[r, voter_targets[e]] = True
+    # The backward scan stops at the first event before t_start, so it
+    # covers exactly the events from the first one at or after t_start.
+    first = int(np.searchsorted(voter_times, t_start, "left"))
+    events = list(zip(voter_particle[first:].tolist()[::-1],
+                      voter_targets[first:].tolist()[::-1]))
+    for r, root in enumerate(roots.tolist()):
+        member = [False] * n_particles
+        member[root] = True
+        for particle, target in events:
+            if member[particle]:
+                member[target] = True
+        out[r] = member
     return out

@@ -77,12 +77,18 @@ class Param:
         return (self.name,) if self.scalar is None else (self.name, self.scalar[0])
 
 
+# Positions and counts are int64, so no integer parameter may exceed this.
+_INT64_MAX = 2**63 - 1
+
+
 def _integer(minimum: int) -> Converter:
     def convert(value: Any, where: str, chain: AbsorbingChain) -> int:
         if isinstance(value, bool) or not isinstance(value, int):
             raise ConfigError(f"{where} must be an integer")
         if value < minimum:
             raise ConfigError(f"{where} must be at least {minimum}")
+        if value > _INT64_MAX:
+            raise ConfigError(f"{where} must be at most 2^63 - 1")
         return value
     return convert
 
@@ -644,6 +650,8 @@ def run(
     seed: int | None = None,
 ) -> int:
     """Run one experiment config; returns the process exit code."""
+    if threads < 1:
+        raise ConfigError(f"--threads must be at least 1, got {threads}")
     cfg = load_config(config_path)
     known = {"kind", "chain", "master_seed", "output_dir", "parameters"}
     unknown = set(cfg) - known

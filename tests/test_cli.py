@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -15,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fvqsd
 from fvqsd.cli import EXPERIMENT_KINDS, PARAMETERS, main, run
 from fvqsd.errors import ConfigError
 
@@ -159,6 +161,9 @@ MALFORMED = {
     "seed-flag-2^64": ("qsd", {}, 0, ["--seed", str(2**64)]),
     "overlap-n_list-and-n_particles": ("overlap", dict(OVERLAP, n_list=[5, 6]), 0, []),
     "overlap-t_grid-and-t": ("overlap", dict(OVERLAP, t_grid=[0.1]), 0, []),
+    "threads-flag-zero": ("correlation", CORRELATION, 0, ["--threads", "0"]),
+    "threads-flag-negative": ("correlation", CORRELATION, 0, ["--threads", "-3"]),
+    "simulate-n_particles-2^64": ("simulate", dict(SIMULATE, n_particles=2**64), 0, []),
 }
 
 
@@ -393,10 +398,16 @@ class TestSubprocessEntry:
             tmp_path, kind="qsd", chain="golden.json", parameters={},
         )
         out = tmp_path / "out"
+        # The child imports fvqsd from where this process did: pytest's
+        # pythonpath setting does not reach a subprocess.
+        package_root = str(Path(fvqsd.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [package_root, env.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "fvqsd", "qsd", "--config", str(cfg),
              "--out", str(out)],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=env,
         )
         assert proc.returncode == 0, proc.stderr
         assert (out / "summary.json").exists()

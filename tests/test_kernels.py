@@ -12,7 +12,14 @@ import hashlib
 import numpy as np
 import pytest
 
-from fvqsd import _kernels, sample_marks, simulate, simulate_trajectory, transition_tables
+from fvqsd import (
+    _kernels,
+    sample_marks,
+    simulate,
+    simulate_trajectory,
+    transition_tables,
+    validate_chain,
+)
 from fvqsd.graphical import evolve
 from fvqsd.seeding import ReplicaSeed
 
@@ -59,3 +66,234 @@ def test_run_events_is_run_recorded_at_the_horizon(three_site_chain, n, horizon)
     np.testing.assert_array_equal(a, b)
     np.testing.assert_array_equal(out[0], a)
     assert gen_a.random() == gen_b.random()
+
+
+# Reference loops: sequential scans that index the numpy inputs element by
+# element.  The kernels must match them bit for bit.
+def _reference_pick_particle(gen, positions, site_rate, total):
+    u = gen.random() * total
+    acc = 0.0
+    last = len(positions) - 1
+    for k in range(last):
+        acc += site_rate[positions[k]]
+        if u < acc:
+            return k
+    return last
+
+
+def _reference_pick_move(gen, cum_move, x, n_states):
+    u = gen.random()
+    for j in range(n_states):
+        if u < cum_move[x, j]:
+            return j
+    return -1
+
+
+def _reference_run(gen, positions, site_rate, cum_move, record_times, out):
+    n_particles = len(positions)
+    n_states = cum_move.shape[0]
+    n_rec = len(record_times)
+    if n_rec == 0:
+        return 0
+    total = 0.0
+    for x in positions:
+        total += site_rate[x]
+    t = 0.0
+    rec = 0
+    t_rec = record_times[0]
+    n_events = 0
+    while total > 0.0:
+        dt = gen.exponential(1.0) / total
+        if t + dt > t_rec:
+            while rec < n_rec and record_times[rec] < t + dt:
+                if out is not None:
+                    out[rec] = positions
+                rec += 1
+            if rec == n_rec:
+                break
+            t_rec = record_times[rec]
+        t += dt
+        i = _reference_pick_particle(gen, positions, site_rate, total)
+        x = positions[i]
+        y = _reference_pick_move(gen, cum_move, x, n_states)
+        if y < 0:
+            while True:
+                j = gen.integers(0, n_particles)
+                if j != i:
+                    break
+            y = positions[j]
+        positions[i] = y
+        total += site_rate[y] - site_rate[x]
+        n_events += 1
+    if out is not None:
+        out[rec:] = positions
+    return n_events
+
+
+def _reference_apply_marks(positions, event_kind, event_particle, event_index,
+                           internal_maps, voter_targets, voter_fields):
+    for e in range(len(event_kind)):
+        i = event_particle[e]
+        idx = event_index[e]
+        if event_kind[e] == 0:
+            positions[i] = internal_maps[idx, positions[i]]
+        else:
+            if voter_fields[idx, positions[i]]:
+                positions[i] = positions[voter_targets[idx]]
+    return positions
+
+
+def _reference_influence_matrix(roots, n_particles, voter_times, voter_particle,
+                                voter_targets, t_start, out):
+    n_events = len(voter_times)
+    for r in range(len(roots)):
+        for k in range(n_particles):
+            out[r, k] = False
+        out[r, roots[r]] = True
+        for e in range(n_events - 1, -1, -1):
+            if voter_times[e] < t_start:
+                break
+            if out[r, voter_particle[e]]:
+                out[r, voter_targets[e]] = True
+    return out
+
+
+# Sites b and d have no absorption, so their move-table rows carry the forced
+# 2.0 entry; uneven rates make the prefix sums round.
+FIVE_SITE = validate_chain({
+    "states": ["a", "b", "c", "d", "e"],
+    "rates": [
+        [0.0, 1.1, 0.0, 0.0, 0.4],
+        [0.3, 0.0, 0.7, 0.0, 0.0],
+        [0.0, 0.9, 0.0, 1.7, 0.0],
+        [0.0, 0.0, 0.6, 0.0, 0.1],
+        [0.5, 0.0, 0.0, 0.8, 0.0],
+    ],
+    "absorption": [0.7, 0.0, 0.3, 0.0, 0.25],
+})
+
+RECORD_TIMES = {
+    "zero": [0.0],
+    "short": [0.3],
+    "long": [2.0],
+    "ties": [0.1, 0.1, 0.5, 0.5 + 1e-15, 1.0],
+}
+
+
+@pytest.fixture(params=["golden", "three_site", "five_site"])
+def oracle_chain(request):
+    if request.param == "five_site":
+        return FIVE_SITE
+    return request.getfixturevalue(f"{request.param}_chain")
+
+
+def test_five_site_move_rows_are_not_sorted():
+    # Row b's forced 2.0 precedes its zero tail, so the move pick must scan
+    # that row in order.
+    cum_move = transition_tables(FIVE_SITE).cum_move
+    assert cum_move[1, 2] == 2.0 and cum_move[3, 4] == 2.0
+    assert np.any(np.diff(cum_move[1]) < 0)
+
+
+@pytest.mark.parametrize("times", RECORD_TIMES.values(), ids=list(RECORD_TIMES))
+@pytest.mark.parametrize("n", [2, 3, 10, 41, 160, 1000])
+def test_event_loop_matches_reference(oracle_chain, n, times):
+    tables = transition_tables(oracle_chain)
+    start = np.arange(n, dtype=np.int64) % oracle_chain.n
+    record_times = np.array(times)
+    seed = 1000 * oracle_chain.n + n
+
+    gen_ref = np.random.default_rng(seed)
+    ref = start.copy()
+    ref_out = np.full((len(times), n), -1, dtype=np.int64)
+    ref_events = _reference_run(gen_ref, ref, tables.site_rate,
+                                tables.cum_move, record_times, ref_out)
+
+    gen = np.random.default_rng(seed)
+    pos = start.copy()
+    out = np.full((len(times), n), -1, dtype=np.int64)
+    assert _kernels.run_recorded(gen, pos, tables.site_rate, tables.cum_move,
+                                 record_times, out) is pos
+    np.testing.assert_array_equal(pos, ref)
+    np.testing.assert_array_equal(out, ref_out)
+
+    gen_events = np.random.default_rng(seed)
+    final = start.copy()
+    assert _kernels.run_events(gen_events, final, tables.site_rate,
+                               tables.cum_move, times[-1]) == ref_events
+    np.testing.assert_array_equal(final, ref)
+
+    next_draw = gen_ref.random()
+    assert gen.random() == next_draw
+    assert gen_events.random() == next_draw
+
+
+class _ScriptedGenerator:
+    """Replays given draws through the np.random.Generator methods the
+    event loop calls."""
+
+    def __init__(self, exponentials, uniforms, integers):
+        self._exponentials = list(exponentials)
+        self._uniforms = list(uniforms)
+        self._integers = list(integers)
+
+    def exponential(self, scale):
+        return self._exponentials.pop(0) * scale
+
+    def random(self):
+        return self._uniforms.pop(0)
+
+    def integers(self, low, high):
+        return np.int64(self._integers.pop(0))
+
+
+@pytest.mark.parametrize("n", [2, 10, 41, 160])
+def test_particle_pick_at_prefix_sum_boundaries(n):
+    # One event, with the pick's uniform placed on and one or two ulps
+    # around each running sum of the rates: a pick that rounds its sums in
+    # another order, or breaks ties the other way, chooses another particle.
+    tables = transition_tables(FIVE_SITE)
+    start = np.random.default_rng(n).permutation(np.arange(n) % FIVE_SITE.n)
+    acc, bounds = 0.0, []
+    for x in start:
+        acc += tables.site_rate[x]
+        bounds.append(acc)
+    total = bounds[-1]
+    draws = {1.0 - 2.0**-53}
+    for bound in bounds[:-1]:
+        r = bound / total
+        below, above = np.nextafter(r, 0.0), np.nextafter(r, 1.0)
+        draws.update((r, below, above, np.nextafter(below, 0.0),
+                      np.nextafter(above, 1.0)))
+    for r in sorted(draws):
+        # A tiny first wait applies one event; the second ends the run.
+        script = ([1e-12, 1e12], [r, 0.999], [0, 1, n - 1])
+        ref = start.copy()
+        _reference_run(_ScriptedGenerator(*script), ref, tables.site_rate,
+                       tables.cum_move, (1.0,), None)
+        pos = start.copy()
+        _kernels.run_events(_ScriptedGenerator(*script), pos, tables.site_rate,
+                            tables.cum_move, 1.0)
+        np.testing.assert_array_equal(pos, ref, err_msg=f"r={r!r}")
+
+
+@pytest.mark.parametrize("n", [2, 10, 41, 160])
+def test_mark_kernels_match_reference(oracle_chain, n):
+    marks = sample_marks(oracle_chain, n_particles=n, horizon=1.5, seed=n)
+    start = np.arange(n, dtype=np.int64) % oracle_chain.n
+    args = (marks.event_kind, marks.event_particle, marks.event_index,
+            marks.internal_maps, marks.voter_targets, marks.voter_fields)
+    pos = start.copy()
+    assert _kernels.apply_marks(pos, *args) is pos
+    np.testing.assert_array_equal(pos, _reference_apply_marks(start.copy(), *args))
+
+    roots = np.arange(n, dtype=np.int64)[::-1].copy()
+    times = marks.voter_times
+    starts = [0.0] + ([times[times.size // 2], times[0], times[-1]] if times.size else [])
+    for t_start in starts:
+        voter = (times, marks.voter_particle, marks.voter_targets, t_start)
+        out = np.ones((n, n), dtype=np.bool_)
+        assert _kernels.influence_matrix_kernel(roots, n, *voter, out) is out
+        ref = _reference_influence_matrix(roots, n, *voter,
+                                          np.ones((n, n), dtype=np.bool_))
+        np.testing.assert_array_equal(out, ref)
