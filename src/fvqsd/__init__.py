@@ -51,12 +51,9 @@ from .graphical import (
     evolve,
     influence_experiment,
     influence_matrix,
-    influence_sets,
-    load_marks,
     sample_marks,
-    save_marks,
 )
-from .measures import check_distribution, empirical_measure, l2_distance, tv_distance
+from .measures import check_distribution, empirical_measure, tv_distance
 from .seeding import ReplicaSeed
 from .semigroup import (
     DecayFit,
@@ -117,13 +114,9 @@ __all__ = [
     "evolve",
     "influence_experiment",
     "influence_matrix",
-    "influence_sets",
-    "load_marks",
     "sample_marks",
-    "save_marks",
     "check_distribution",
     "empirical_measure",
-    "l2_distance",
     "tv_distance",
     "ReplicaSeed",
     "DecayFit",

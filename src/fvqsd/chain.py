@@ -21,6 +21,7 @@ from numpy.typing import ArrayLike, NDArray
 from .errors import (
     ChainFormatError,
     DimensionMismatchError,
+    FvqsdError,
     NegativeRateError,
     NoAbsorptionError,
     NotIrreducibleError,
@@ -227,17 +228,25 @@ def _all_reachable(adjacency: NDArray[np.bool_], start: int) -> bool:
     return bool(seen.all())
 
 
-def load_chain(path: str | os.PathLike) -> AbsorbingChain:
-    """Read a chain from a JSON file and validate it."""
+def read_json(path: str | os.PathLike, error: type[FvqsdError]) -> object:
+    """Parse a UTF-8 JSON file.  Content that does not decode (bad syntax,
+    bad UTF-8, nesting too deep, an integer literal too long) raises
+    ``error`` with a one-line message."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            spec = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as exc:
-            raise ChainFormatError(
+            raise error(
                 f"{os.fspath(path)}: invalid JSON at line {exc.lineno}, "
                 f"column {exc.colno}: {exc.msg}"
             ) from exc
-    return validate_chain(spec)
+        except (ValueError, RecursionError) as exc:
+            raise error(f"{os.fspath(path)}: invalid JSON: {exc}") from exc
+
+
+def load_chain(path: str | os.PathLike) -> AbsorbingChain:
+    """Read a chain from a JSON file and validate it."""
+    return validate_chain(read_json(path, ChainFormatError))
 
 
 def transient_vector(

@@ -25,7 +25,13 @@ from typing import Any, Callable
 import numpy as np
 
 from . import svgplot
-from .chain import AbsorbingChain, inflow_dominance, load_chain, validate_chain
+from .chain import (
+    AbsorbingChain,
+    inflow_dominance,
+    load_chain,
+    read_json,
+    validate_chain,
+)
 from .errors import ChainValidationError, ConfigError, FvqsdError
 from .estimators import (
     convergence_experiment,
@@ -235,14 +241,7 @@ def resolve_params(kind: str, params: dict, chain: AbsorbingChain) -> dict:
 
 
 def load_config(path: str | os.PathLike) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            cfg = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(
-                f"{os.fspath(path)}: invalid JSON at line {exc.lineno}, "
-                f"column {exc.colno}: {exc.msg}"
-            ) from exc
+    cfg = read_json(path, ConfigError)
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
     return cfg
@@ -273,7 +272,6 @@ class RunContext:
     chain: AbsorbingChain
     params: dict
     master_seed: int
-    threads: int
 
     def seed(self, replica_base: int = 0) -> ReplicaSeed:
         return ReplicaSeed(self.master_seed, replica_base)
@@ -323,7 +321,6 @@ def _run_semigroup(ctx: RunContext):
     sol = qsd(ctx.chain)
     fit = decay_rate_estimate(ctx.chain, mu, np.asarray(ctx.params["t_grid"]),
                               solution=sol)
-    sol = sol.with_theta(fit.theta)
     rows = [
         _row(experiment="semigroup", t=float(t), estimate=float(d),
              seed=ctx.master_seed)
@@ -362,7 +359,7 @@ def _run_simulate(ctx: RunContext):
         traj = simulate_trajectory(chain, xi0, times, ReplicaSeed(master, r), tables)
         return np.stack([empirical_measure(row, chain.n) for row in traj])
 
-    stacked = np.stack(map_replicas(one, replicas, ctx.threads))
+    stacked = np.stack(map_replicas(one, replicas))
     means = stacked.mean(axis=0)
     if replicas > 1:
         ses = stacked.std(axis=0, ddof=1) / np.sqrt(replicas)
@@ -398,9 +395,7 @@ def _run_correlation(ctx: RunContext):
     t, x, y = ctx.params["t"], ctx.params["x"], ctx.params["y"]
     profile = _profile(ctx.params["initial"], ctx.chain, "parameters.initial")
     xi0 = configuration_from_profile(profile, n_particles, ctx.chain.states)
-    est = correlation_experiment(
-        ctx.chain, xi0, t, x, y, replicas, ctx.seed(), ctx.threads
-    )
+    est = correlation_experiment(ctx.chain, xi0, t, x, y, replicas, ctx.seed())
     bound = ctx.params.get("bound_override", est.bound)
     rows = [_row(
         experiment="correlation", N=n_particles, t=t, x=x, y=y,
@@ -436,8 +431,7 @@ def _run_convergence(ctx: RunContext):
     else:
         profiles = [_profile(p, ctx.chain, "parameters.profiles") for p in specs]
     curve = convergence_experiment(
-        ctx.chain, profiles, t, ctx.params["n_list"], replicas, ctx.seed(),
-        ctx.threads,
+        ctx.chain, profiles, t, ctx.params["n_list"], replicas, ctx.seed()
     )
     rows = [
         _row(experiment="convergence", N=int(n), t=t, estimate=e, se=s,
@@ -531,8 +525,7 @@ def _run_overlap(ctx: RunContext):
     for n_particles in n_values:
         for t in t_values:
             size, overlap = influence_experiment(
-                ctx.chain, n_particles, t, replicas,
-                ctx.seed(cell * replicas), ctx.threads,
+                ctx.chain, n_particles, t, replicas, ctx.seed(cell * replicas)
             )
             cell += 1
             rows.append(_row(
@@ -649,7 +642,11 @@ def run(
     threads: int = 1,
     seed: int | None = None,
 ) -> int:
-    """Run one experiment config; returns the process exit code."""
+    """Run one experiment config; returns the process exit code.
+
+    ``threads`` must be at least 1 and changes nothing: replicas run in one
+    thread, in index order.
+    """
     if threads < 1:
         raise ConfigError(f"--threads must be at least 1, got {threads}")
     cfg = load_config(config_path)
@@ -676,7 +673,6 @@ def run(
         chain=chain,
         params=resolve_params(resolved_kind, params, chain),
         master_seed=master_seed,
-        threads=threads,
     )
     rows, results, checks, plot = _RUNNERS[resolved_kind](ctx)
     if checks:
@@ -738,7 +734,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="experiment config JSON")
         p.add_argument("--out", help="output directory")
         p.add_argument("--threads", type=int, default=1,
-                       help="worker thread count (default 1)")
+                       help="accepted, at least 1; replicas run in one thread")
         p.add_argument("--seed", type=int, help="override master_seed")
     v = sub.add_parser("validate", help="validate a chain JSON file")
     v.add_argument("--config", required=True, help="chain JSON to validate")

@@ -4,8 +4,8 @@ Covariance of empirical-measure coordinates against the mean-field bound,
 convergence of the particle profile to the conditioned law, stationary
 profiles against the quasi-stationary distribution, and stationary product
 moments.  Replica streams are derived from (master_seed, replica_index),
-and reductions run over arrays ordered by replica index, so estimates are
-bit-stable across thread counts.
+and reductions run over arrays ordered by replica index, so estimates
+depend only on the seed.
 """
 from __future__ import annotations
 
@@ -15,12 +15,7 @@ import numpy as np
 from numpy.typing import ArrayLike, NDArray
 
 from .chain import AbsorbingChain
-from .measures import (
-    check_distribution,
-    empirical_measure,
-    l2_distance,
-    tv_distance,
-)
+from .measures import check_distribution, empirical_measure, tv_distance
 from .parallel import map_replicas
 from .seeding import ReplicaSeed, as_replica_seed
 from .semigroup import QsdSolution, conditioned_law, qsd
@@ -35,11 +30,7 @@ __all__ = [
     "CorrelationEstimate",
     "ConvergenceCurve",
     "ProductMomentEstimate",
-    "empirical_measure",
-    "tv_distance",
-    "l2_distance",
     "extreme_profiles",
-    "configuration_from_profile",
     "covariance_bound",
     "correlation_experiment",
     "convergence_experiment",
@@ -115,7 +106,6 @@ def correlation_experiment(
     y: int | str,
     replicas: int,
     seed: ReplicaSeed | int,
-    threads: int = 1,
 ) -> CorrelationEstimate:
     """Plug-in covariance of (m_x, m_y) at time t over independent replicas.
 
@@ -139,7 +129,7 @@ def correlation_experiment(
         m = empirical_measure(pos, chain.n)
         return float(m[ix]), float(m[iy])
 
-    pairs = np.array(map_replicas(one, replicas, threads))
+    pairs = np.array(map_replicas(one, replicas))
     mx, my = pairs[:, 0], pairs[:, 1]
     centered = (mx - mx.mean()) * (my - my.mean())
     covariance = float(centered.mean())
@@ -160,7 +150,6 @@ def correlation_experiment(
 class ConvergenceCurve:
     """Estimates indexed by particle count, N strictly increasing."""
 
-    label: str
     n_values: NDArray[np.int64]
     estimates: NDArray[np.float64]
     std_errors: NDArray[np.float64]
@@ -183,7 +172,6 @@ def convergence_experiment(
     n_list: list[int],
     replicas: int,
     seed: ReplicaSeed | int,
-    threads: int = 1,
 ) -> ConvergenceCurve:
     """Worst-profile mean distance between m(xi_t) and the conditioned law.
 
@@ -218,17 +206,12 @@ def convergence_experiment(
                 pos = simulate(chain, xi0, t, ReplicaSeed(master, cell_base + r), tables)
                 return tv_distance(empirical_measure(pos, chain.n), target)
 
-            dists = np.array(map_replicas(one, replicas, threads))
+            dists = np.array(map_replicas(one, replicas))
             mean = float(dists.mean())
             if mean > best[0]:
                 best = (mean, float(dists.std(ddof=1) / np.sqrt(replicas)))
         estimates[k], std_errors[k] = best
-    return ConvergenceCurve(
-        label="profile_vs_conditioned_law",
-        n_values=n_arr,
-        estimates=estimates,
-        std_errors=std_errors,
-    )
+    return ConvergenceCurve(n_arr, estimates, std_errors)
 
 
 def qsd_profile_experiment(
@@ -263,12 +246,7 @@ def qsd_profile_experiment(
         dists = np.array([tv_distance(m, solution.nu) for m in samples])
         estimates[k] = dists.mean()
         std_errors[k] = batch_means_se(dists)
-    return ConvergenceCurve(
-        label="stationary_profile_vs_qsd",
-        n_values=n_arr,
-        estimates=estimates,
-        std_errors=std_errors,
-    )
+    return ConvergenceCurve(n_arr, estimates, std_errors)
 
 
 @dataclass(frozen=True)

@@ -18,9 +18,7 @@ is computable by a backward scan over copy events alone.
 """
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
-from typing import BinaryIO
 
 import numpy as np
 from numpy.typing import ArrayLike, NDArray
@@ -38,13 +36,8 @@ __all__ = [
     "sample_marks",
     "evolve",
     "influence_matrix",
-    "influence_sets",
     "influence_experiment",
-    "save_marks",
-    "load_marks",
 ]
-
-_MAGIC = b"FVQSDMK1"
 
 
 @dataclass(frozen=True, eq=False)
@@ -290,14 +283,6 @@ def influence_matrix(
     return out
 
 
-def influence_sets(
-    marks: MarkRealization, window: float | None = None
-) -> list[frozenset[int]]:
-    """Influence sets per label, as frozensets of particle labels."""
-    matrix = influence_matrix(marks, window)
-    return [frozenset(np.flatnonzero(row).tolist()) for row in matrix]
-
-
 @dataclass(frozen=True)
 class OverlapEstimate:
     probability: float
@@ -322,7 +307,6 @@ def influence_experiment(
     t: float,
     replicas: int,
     seed: ReplicaSeed | int,
-    threads: int = 1,
 ) -> tuple[InfluenceSizeEstimate, OverlapEstimate]:
     """Monte Carlo check data for the two influence-set bounds.
 
@@ -347,7 +331,7 @@ def influence_experiment(
         overlap = bool(np.any(rows[0] & rows[1]))
         return size, overlap
 
-    results = map_replicas(one, replicas, threads)
+    results = map_replicas(one, replicas)
     sizes = np.array([s for s, _ in results], dtype=np.float64)
     overlaps = np.array([o for _, o in results], dtype=np.float64)
 
@@ -370,78 +354,3 @@ def influence_experiment(
         replicas=replicas,
     )
     return size_est, overlap_est
-
-
-def save_marks(marks: MarkRealization, path_or_file) -> None:
-    """Binary dump for replay: versioned magic, sizes, little-endian arrays."""
-    own = isinstance(path_or_file, (str, bytes)) or hasattr(path_or_file, "__fspath__")
-    fh: BinaryIO = open(path_or_file, "wb") if own else path_or_file
-    try:
-        fh.write(_MAGIC)
-        fh.write(
-            struct.pack(
-                "<dQQQQ",
-                marks.horizon,
-                marks.n_particles,
-                marks.n_states,
-                marks.internal_times.size,
-                marks.voter_times.size,
-            )
-        )
-        for arr, dtype in (
-            (marks.internal_times, "<f8"),
-            (marks.internal_particle, "<i8"),
-            (marks.internal_maps, "<i8"),
-            (marks.voter_times, "<f8"),
-            (marks.voter_particle, "<i8"),
-            (marks.voter_targets, "<i8"),
-            (marks.voter_fields, "u1"),
-        ):
-            fh.write(np.ascontiguousarray(arr, dtype=dtype).tobytes())
-    finally:
-        if own:
-            fh.close()
-
-
-def load_marks(path_or_file) -> MarkRealization:
-    own = isinstance(path_or_file, (str, bytes)) or hasattr(path_or_file, "__fspath__")
-    fh: BinaryIO = open(path_or_file, "rb") if own else path_or_file
-    try:
-        magic = fh.read(len(_MAGIC))
-        if magic != _MAGIC:
-            raise ValueError(f"not a mark dump (bad magic {magic!r})")
-        header = fh.read(struct.calcsize("<dQQQQ"))
-        horizon, n_particles, n_states, ei, ev = struct.unpack("<dQQQQ", header)
-
-        def read_array(count: int, dtype: str, shape) -> np.ndarray:
-            raw = fh.read(count * np.dtype(dtype).itemsize)
-            arr = np.frombuffer(raw, dtype=dtype).copy()
-            if arr.size != count:
-                raise ValueError("truncated mark dump")
-            return arr.reshape(shape)
-
-        internal_times = read_array(ei, "<f8", (ei,))
-        internal_particle = read_array(ei, "<i8", (ei,))
-        internal_maps = read_array(ei * n_states, "<i8", (ei, n_states))
-        voter_times = read_array(ev, "<f8", (ev,))
-        voter_particle = read_array(ev, "<i8", (ev,))
-        voter_targets = read_array(ev, "<i8", (ev,))
-        voter_fields = read_array(ev * n_states, "u1", (ev, n_states)).astype(bool)
-        trailing = fh.read(1)
-        if trailing:
-            raise ValueError("trailing bytes after mark dump payload")
-    finally:
-        if own:
-            fh.close()
-    return MarkRealization(
-        horizon=float(horizon),
-        n_particles=int(n_particles),
-        n_states=int(n_states),
-        internal_times=internal_times,
-        internal_particle=internal_particle,
-        internal_maps=internal_maps.astype(np.int64),
-        voter_times=voter_times,
-        voter_particle=voter_particle.astype(np.int64),
-        voter_targets=voter_targets.astype(np.int64),
-        voter_fields=voter_fields,
-    )

@@ -9,7 +9,6 @@ from .errors import DimensionMismatchError
 __all__ = [
     "check_distribution",
     "tv_distance",
-    "l2_distance",
     "empirical_measure",
 ]
 
@@ -48,14 +47,6 @@ def tv_distance(p: ArrayLike, q: ArrayLike) -> float:
     if a.shape != b.shape:
         raise DimensionMismatchError(f"shape mismatch: {a.shape} vs {b.shape}")
     return float(np.sum(np.abs(a - b)))
-
-
-def l2_distance(p: ArrayLike, q: ArrayLike) -> float:
-    a = np.asarray(p, dtype=np.float64)
-    b = np.asarray(q, dtype=np.float64)
-    if a.shape != b.shape:
-        raise DimensionMismatchError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return float(np.sqrt(np.sum((a - b) ** 2)))
 
 
 def empirical_measure(positions: ArrayLike, n_states: int) -> NDArray[np.float64]:

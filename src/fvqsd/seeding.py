@@ -1,8 +1,8 @@
 """Deterministic per-replica random streams.
 
 Every Monte Carlo replica owns an independent counter-based stream derived
-purely from (master_seed, replica_index), so results do not depend on how
-replicas are scheduled across threads.
+purely from (master_seed, replica_index), so a replica's draws do not
+depend on which replicas ran before it.
 """
 from __future__ import annotations
 

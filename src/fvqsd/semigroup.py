@@ -8,7 +8,7 @@ lean on.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import ArrayLike, NDArray
@@ -119,10 +119,6 @@ class QsdSolution:
     residual: float
     iterations: int
     converged: bool
-    theta_estimate: float | None = None
-
-    def with_theta(self, theta: float) -> "QsdSolution":
-        return replace(self, theta_estimate=theta)
 
 
 def qsd(

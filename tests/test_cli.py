@@ -180,6 +180,34 @@ def test_malformed_input_exits_one_with_one_line(
     assert not out.exists()
 
 
+# File contents that json cannot decode: bytes that are not UTF-8, arrays
+# nested deeper than the recursion limit, an integer literal longer than
+# the interpreter's digit limit.
+UNDECODABLE = {
+    "not-utf8": b'{"kind": "qsd", "master_seed": "\xff"}',
+    "deep-array": b"[" * 200_000 + b"]" * 200_000,
+    "long-integer": b'{"master_seed": ' + b"9" * 5000 + b"}",
+}
+
+
+@pytest.mark.parametrize("entry", ["config", "chain-of-config", "validate"])
+@pytest.mark.parametrize("content", UNDECODABLE.values(), ids=list(UNDECODABLE))
+def test_undecodable_json_exits_one_with_one_line(tmp_path, capsys, content, entry):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    out = tmp_path / "out"
+    if entry == "validate":
+        argv = ["validate", "--config", str(bad)]
+    else:
+        cfg = bad if entry == "config" else write_config(tmp_path, kind="qsd",
+                                                         chain="bad.json")
+        argv = ["qsd", "--config", str(cfg), "--out", str(out)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "bad.json: invalid JSON" in err, err
+    assert not out.exists()
+
+
 def test_docs_list_each_kinds_parameters():
     text = (Path(__file__).parents[1] / "docs" / "config.md").read_text()
     sections = re.split(r"^### `(\w+)`$", text, flags=re.M)

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import io
 import itertools
 
 import numpy as np
@@ -13,15 +12,18 @@ from fvqsd import (
     evolve,
     influence_experiment,
     influence_matrix,
-    influence_sets,
-    load_marks,
     sample_marks,
-    save_marks,
     simulate,
     transition_tables,
 )
 
 from _oracles import occupancy_law
+
+
+def influence_sets(marks, window=None):
+    """The rows of the influence matrix, as sets of labels."""
+    return [frozenset(np.flatnonzero(row).tolist())
+            for row in influence_matrix(marks, window)]
 
 
 def ref_influence(marks, root, t_start=0.0):
@@ -301,50 +303,3 @@ class TestInfluenceExperiment:
         assert 0.0 <= overlap.ci_low <= overlap.probability <= overlap.ci_high <= 1.0
         assert size.bound == pytest.approx(np.exp(0.25))
         assert overlap.bound == pytest.approx((np.exp(0.5) - 1.0) / 40.0)
-
-    def test_threads_equivalent(self, golden_chain):
-        a = influence_experiment(golden_chain, 21, 0.25, replicas=60, seed=9)
-        b = influence_experiment(golden_chain, 21, 0.25, replicas=60, seed=9,
-                                 threads=3)
-        assert a == b
-
-
-class TestPersistence:
-    def test_roundtrip_bitwise(self, golden_chain, tmp_path):
-        marks = sample_marks(golden_chain, 7, 2.5, 123)
-        path = tmp_path / "marks.bin"
-        save_marks(marks, path)
-        back = load_marks(path)
-        for name in (
-            "internal_times", "internal_particle", "internal_maps",
-            "voter_times", "voter_particle", "voter_targets", "voter_fields",
-        ):
-            np.testing.assert_array_equal(getattr(marks, name), getattr(back, name))
-        assert back.horizon == marks.horizon
-        assert back.n_particles == marks.n_particles
-        # Replay agrees exactly.
-        xi0 = np.zeros(7, dtype=np.int64)
-        np.testing.assert_array_equal(evolve(xi0, marks), evolve(xi0, back))
-
-    def test_file_object(self, golden_chain):
-        marks = sample_marks(golden_chain, 3, 1.0, 5)
-        buf = io.BytesIO()
-        save_marks(marks, buf)
-        buf.seek(0)
-        back = load_marks(buf)
-        np.testing.assert_array_equal(back.voter_targets, marks.voter_targets)
-
-    def test_bad_magic(self, tmp_path):
-        path = tmp_path / "junk.bin"
-        path.write_bytes(b"NOTMARKS" + b"\x00" * 48)
-        with pytest.raises(ValueError, match="magic"):
-            load_marks(path)
-
-    def test_trailing_bytes(self, golden_chain, tmp_path):
-        marks = sample_marks(golden_chain, 3, 1.0, 5)
-        path = tmp_path / "padded.bin"
-        with open(path, "wb") as fh:
-            save_marks(marks, fh)
-            fh.write(b"xx")
-        with pytest.raises(ValueError):
-            load_marks(path)

@@ -109,13 +109,6 @@ class TestQsd:
         with pytest.raises(ValueError):
             sol.nu[0] = 0.9
 
-    def test_with_theta(self, golden_chain):
-        sol = qsd(golden_chain)
-        assert sol.theta_estimate is None
-        sol2 = sol.with_theta(2.2)
-        assert sol2.theta_estimate == 2.2
-        assert sol2.alpha == sol.alpha
-
     def test_bad_arguments(self, golden_chain):
         with pytest.raises(ValueError):
             qsd(golden_chain, tol=0.0)
