@@ -27,6 +27,7 @@ from .errors import (
     NoAbsorptionError,
     NormalizationDriftError,
     NotIrreducibleError,
+    QsdNotConvergedError,
     RateBoundError,
     StepTooLargeError,
     SurvivalUnderflowError,
@@ -94,6 +95,7 @@ __all__ = [
     "NoAbsorptionError",
     "NormalizationDriftError",
     "NotIrreducibleError",
+    "QsdNotConvergedError",
     "RateBoundError",
     "StepTooLargeError",
     "SurvivalUnderflowError",

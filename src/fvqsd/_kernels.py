@@ -7,6 +7,10 @@ The event-driven dynamics live in one loop, ``_run``; ``run_events`` and
 ``run_recorded`` are its two entry points.  Randomness is drawn only through
 np.random.Generator methods, one draw at a time and in a fixed order, so a
 seeded generator reproduces a trajectory bit for bit.
+
+The graphical engine draws nothing here: ``apply_marks`` replays a mark
+realization by merging its two time-sorted streams, and
+``influence_matrix_kernel`` scans the copy stream backward.
 """
 from __future__ import annotations
 
@@ -73,9 +77,9 @@ def _run(gen, positions, site_rate, cum_move, record_times, out):
         np.add.accumulate(head, out=cum)
         i = int(cum.searchsorted(u, "right"))
         x = pos[i]
-        # Scan the row in order: transition_tables sets the last positive
-        # target of a row without absorption to 2.0, so rows are not
-        # sorted, and a bisection could turn u close to 1 into an
+        # Scan the row in order: AbsorbingChain.move_table sets the last
+        # positive target of a row without absorption to 2.0, so rows are
+        # not sorted, and a bisection could turn u close to 1 into an
         # absorption.
         u = gen.random()
         y = -1
@@ -125,30 +129,44 @@ def run_recorded(gen, positions, site_rate, cum_move, record_times, out):
 
 def apply_marks(
     positions,
-    event_kind,
-    event_particle,
-    event_index,
+    internal_times,
+    internal_particle,
     internal_maps,
+    voter_times,
+    voter_particle,
     voter_targets,
     voter_fields,
 ):
     """Replay a mark realization over an initial configuration in place.
 
-    Events arrive pre-merged in time order.  Kind 0 is an internal jump:
-    the particle's site is pushed through its sampled full map.  Kind 1 is
-    a neighbor-copy attempt: it fires only where the sampled indicator
-    field is set at the particle's current site.
+    The internal and copy streams are each sorted by time; the replay
+    merges them in time order.  An internal event pushes the particle's
+    site through its sampled full map.  A copy event is a neighbor-copy
+    attempt: it fires only where the sampled indicator field is set at the
+    particle's current site.  On equal times the internal event goes first
+    (sampled realizations have distinct times; only a hand-built one can
+    tie).
     """
     pos = positions.tolist()
     maps = internal_maps.tolist()
     targets = voter_targets.tolist()
     fields = voter_fields.tolist()
-    for kind, i, idx in zip(event_kind.tolist(), event_particle.tolist(),
-                            event_index.tolist()):
-        if kind == 0:
-            pos[i] = maps[idx][pos[i]]
-        elif fields[idx][pos[i]]:
-            pos[i] = pos[targets[idx]]
+    movers = internal_particle.tolist()
+    copiers = voter_particle.tolist()
+    # An inf past each stream's end sends the merge to the other stream.
+    t_int = internal_times.tolist() + [np.inf]
+    t_cp = voter_times.tolist() + [np.inf]
+    a = b = 0
+    for _ in range(len(movers) + len(copiers)):
+        if t_int[a] <= t_cp[b]:
+            i = movers[a]
+            pos[i] = maps[a][pos[i]]
+            a += 1
+        else:
+            i = copiers[b]
+            if fields[b][pos[i]]:
+                pos[i] = pos[targets[b]]
+            b += 1
     positions[:] = pos
     return positions
 

@@ -97,11 +97,17 @@ class AbsorbingChain:
         return float(self.absorption.max())
 
     @cached_property
-    def max_internal_rate(self) -> float:
-        """Largest total internal jump rate over sites."""
+    def jump_rates(self) -> NDArray[np.float64]:
+        """Off-diagonal jump rates q(x, y), with a zero diagonal."""
         off = self.rates.copy()
         np.fill_diagonal(off, 0.0)
-        return float(off.sum(axis=1).max()) if self.n > 1 else 0.0
+        off.flags.writeable = False
+        return off
+
+    @cached_property
+    def max_internal_rate(self) -> float:
+        """Largest total internal jump rate over sites."""
+        return float(self.jump_rates.sum(axis=1).max()) if self.n > 1 else 0.0
 
     @cached_property
     def jump_kernel(self) -> NDArray[np.float64]:
@@ -115,11 +121,49 @@ class AbsorbingChain:
         if qbar == 0.0:
             p = np.eye(self.n)
         else:
-            p = self.rates / qbar
-            np.fill_diagonal(p, 0.0)
+            p = self.jump_rates / qbar
             np.fill_diagonal(p, np.maximum(0.0, 1.0 - p.sum(axis=1)))
         p.flags.writeable = False
         return p
+
+    @cached_property
+    def move_table(self) -> NDArray[np.float64]:
+        """Cumulative split of an event at each site, for the event loop.
+
+        Row x holds the cumulative probability of each internal target given
+        an event at site x; a draw beyond the last entry is an absorption
+        attempt.  Rows of sites with zero absorption have their last
+        positive target's entry forced to 2.0, so rounding in the cumulative
+        sum can never manufacture an absorption event there.  Forced rows
+        are no longer sorted.
+        """
+        off = self.jump_rates
+        site_rate = self.site_rates
+        table = np.zeros((self.n, self.n))
+        for x in range(self.n):
+            if site_rate[x] > 0.0:
+                table[x] = np.cumsum(off[x]) / site_rate[x]
+                if self.absorption[x] == 0.0:
+                    positive = np.flatnonzero(off[x] > 0.0)
+                    if positive.size:
+                        table[x, positive[-1]] = 2.0
+        table.flags.writeable = False
+        return table
+
+    @cached_property
+    def cum_jump_kernel(self) -> NDArray[np.float64]:
+        """Row-wise cumulative :attr:`jump_kernel`, for inverse-CDF draws.
+
+        Every entry from a row's last positive target on is forced to 2.0:
+        a rounding deficit in the cumulative row cannot push a draw past
+        that target, and the row stays sorted for searchsorted.
+        """
+        table = np.cumsum(self.jump_kernel, axis=1)
+        for x in range(self.n):
+            positive = np.flatnonzero(self.jump_kernel[x] > 0.0)
+            table[x, positive[-1]:] = 2.0
+        table.flags.writeable = False
+        return table
 
     def index(self, name: str) -> int:
         try:
@@ -317,7 +361,7 @@ def inflow_dominance(chain: AbsorbingChain) -> InflowDominance:
     if chain.n == 1:
         guaranteed = 0.0
     else:
-        off = chain.rates.copy()
+        off = chain.jump_rates.copy()
         # Exclude the diagonal from the per-column minimum.
         np.fill_diagonal(off, np.inf)
         guaranteed = float(off.min(axis=0).sum())

@@ -45,11 +45,7 @@ from .measures import check_distribution, empirical_measure
 from .parallel import map_replicas
 from .seeding import ReplicaSeed
 from .semigroup import decay_rate_estimate, qsd
-from .simulator import (
-    configuration_from_profile,
-    simulate_trajectory,
-    transition_tables,
-)
+from .simulator import configuration_from_profile, simulate_trajectory
 
 CSV_COLUMNS = (
     "experiment", "N", "t", "x", "y", "estimate", "se", "bound",
@@ -255,11 +251,9 @@ def _resolve_chain(cfg: dict, config_dir: Path) -> tuple[AbsorbingChain, dict]:
         chain = validate_chain(spec)
     else:
         raise ConfigError("chain must be a file path or an inline chain object")
-    off = chain.rates.copy()
-    np.fill_diagonal(off, 0.0)
     echo = {
         "states": list(chain.states),
-        "rates": [[float(v) for v in row] for row in off],
+        "rates": [[float(v) for v in row] for row in chain.jump_rates],
         "absorption": [float(v) for v in chain.absorption],
     }
     return chain, echo
@@ -352,11 +346,10 @@ def _run_simulate(ctx: RunContext):
     profile = _profile(ctx.params["initial"], ctx.chain, "parameters.initial")
     chain = ctx.chain
     xi0 = configuration_from_profile(profile, n_particles, chain.states)
-    tables = transition_tables(chain)
     master = ctx.master_seed
 
     def one(r: int) -> np.ndarray:
-        traj = simulate_trajectory(chain, xi0, times, ReplicaSeed(master, r), tables)
+        traj = simulate_trajectory(chain, xi0, times, ReplicaSeed(master, r))
         return np.stack([empirical_measure(row, chain.n) for row in traj])
 
     stacked = np.stack(map_replicas(one, replicas))

@@ -49,6 +49,11 @@ class DistanceUnderflowError(FvqsdError):
     """A distance is too close to zero for a meaningful log-scale fit."""
 
 
+class QsdNotConvergedError(FvqsdError):
+    """A QSD solve stopped at its iteration cap; its result must not feed
+    later steps."""
+
+
 class UnsortedTimesError(FvqsdError, ValueError):
     pass
 

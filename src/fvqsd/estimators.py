@@ -19,12 +19,7 @@ from .measures import check_distribution, empirical_measure, tv_distance
 from .parallel import map_replicas
 from .seeding import ReplicaSeed, as_replica_seed
 from .semigroup import QsdSolution, conditioned_law, qsd
-from .simulator import (
-    configuration_from_profile,
-    simulate,
-    stationary_sampler,
-    transition_tables,
-)
+from .simulator import configuration_from_profile, simulate, stationary_sampler
 
 __all__ = [
     "CorrelationEstimate",
@@ -121,11 +116,10 @@ def correlation_experiment(
     seed = as_replica_seed(seed)
     xi0 = np.asarray(xi0)
     n_particles = xi0.size
-    tables = transition_tables(chain)
     master, base = seed.master_seed, seed.replica_index
 
     def one(r: int) -> tuple[float, float]:
-        pos = simulate(chain, xi0, t, ReplicaSeed(master, base + r), tables)
+        pos = simulate(chain, xi0, t, ReplicaSeed(master, base + r))
         m = empirical_measure(pos, chain.n)
         return float(m[ix]), float(m[iy])
 
@@ -188,7 +182,6 @@ def convergence_experiment(
     seed = as_replica_seed(seed)
     profiles = [check_distribution(p, chain.n) for p in profiles]
     n_arr = np.asarray(n_list, dtype=np.int64)
-    tables = transition_tables(chain)
     master, base = seed.master_seed, seed.replica_index
 
     estimates = np.empty(n_arr.size)
@@ -203,7 +196,7 @@ def convergence_experiment(
             cell += 1
 
             def one(r: int) -> float:
-                pos = simulate(chain, xi0, t, ReplicaSeed(master, cell_base + r), tables)
+                pos = simulate(chain, xi0, t, ReplicaSeed(master, cell_base + r))
                 return tv_distance(empirical_measure(pos, chain.n), target)
 
             dists = np.array(map_replicas(one, replicas))
@@ -226,10 +219,12 @@ def qsd_profile_experiment(
     """Stationary mean of ||m - nu||_TV per particle count.
 
     One long trajectory per N; batch-means standard errors since the
-    samples are autocorrelated.
+    samples are autocorrelated.  A QSD solution that did not converge,
+    passed or computed, raises QsdNotConvergedError.
     """
     if solution is None:
         solution = qsd(chain)
+    solution.require_converged()
     seed = as_replica_seed(seed)
     n_arr = np.asarray(n_list, dtype=np.int64)
     estimates = np.empty(n_arr.size)
@@ -270,7 +265,9 @@ def product_moment_experiment(
     solution: QsdSolution | None = None,
 ) -> ProductMomentEstimate:
     """Stationary mean of the product of m over a site subset, with the
-    matching product of quasi-stationary weights as reference."""
+    matching product of quasi-stationary weights as reference.  A QSD
+    solution that did not converge, passed or computed, raises
+    QsdNotConvergedError."""
     if not sites:
         raise ValueError("need at least one site")
     idx = [_resolve_site(chain, s) for s in sites]
@@ -278,6 +275,7 @@ def product_moment_experiment(
         raise ValueError("sites must be distinct")
     if solution is None:
         solution = qsd(chain)
+    solution.require_converged()
     samples = stationary_sampler(
         chain, n_particles, burn_in, n_samples, spacing, seed
     )

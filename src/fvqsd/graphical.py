@@ -11,14 +11,15 @@ Poisson processes is sampled up front, per particle:
   probability absorption(x) / max absorption — the particle copies
   particle j's position only where its current site's indicator is set.
 
-Evolution is then a deterministic replay of the merged event list, so the
-same realization can drive every initial configuration at once (coupling),
-and the set of labels that could possibly affect a particle by the horizon
-is computable by a backward scan over copy events alone.
+A realization is just these two time-sorted streams.  Evolution is a
+deterministic replay that merges them in time order, so the same
+realization can drive every initial configuration at once (coupling), and
+the set of labels that could possibly affect a particle by the horizon is
+computable by a backward scan over the copy stream alone.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import ArrayLike, NDArray
@@ -44,11 +45,12 @@ __all__ = [
 class MarkRealization:
     """One realization of all event marks on [0, horizon].
 
-    Event arrays are flat and time-sorted; `*_particle` says whose event
-    each entry is.  `internal_maps[e]` is the sampled full map (F[x] is the
-    destination of site x); `voter_fields[e]` the sampled indicator field.
-    The merged replay order is precomputed once so repeated evolutions are
-    cheap.
+    Two event streams, internal and copy, each flat and sorted by time;
+    ``*_particle`` says whose event each entry is.  ``internal_maps[e]`` is
+    the sampled full map (F[x] is the destination of site x);
+    ``voter_fields[e]`` the sampled indicator field.  The replay and the
+    influence scan both rely on the time order, so a stream whose times
+    decrease or are not finite is rejected.
     """
 
     horizon: float
@@ -61,9 +63,6 @@ class MarkRealization:
     voter_particle: NDArray[np.int64]
     voter_targets: NDArray[np.int64]
     voter_fields: NDArray[np.bool_]
-    event_kind: NDArray[np.int8] = field(init=False, repr=False)
-    event_particle: NDArray[np.int64] = field(init=False, repr=False)
-    event_index: NDArray[np.int64] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         ei = self.internal_times.size
@@ -79,24 +78,13 @@ class MarkRealization:
             or self.voter_fields.shape != (ev, self.n_states)
         ):
             raise ValueError("voter mark arrays have inconsistent shapes")
-        times = np.concatenate([self.internal_times, self.voter_times])
-        kinds = np.concatenate(
-            [np.zeros(ei, dtype=np.int8), np.ones(ev, dtype=np.int8)]
-        )
-        particles = np.concatenate([self.internal_particle, self.voter_particle])
-        index = np.concatenate(
-            [np.arange(ei, dtype=np.int64), np.arange(ev, dtype=np.int64)]
-        )
-        # Times are distinct by construction; the extra lexsort keys are a
-        # deterministic tie-break should a hand-built realization collide.
-        order = np.lexsort((kinds, particles, times))
-        object.__setattr__(self, "event_kind", kinds[order])
-        object.__setattr__(self, "event_particle", particles[order])
-        object.__setattr__(self, "event_index", index[order])
+        for kind, times in (("internal", self.internal_times),
+                            ("voter", self.voter_times)):
+            if not (np.all(np.isfinite(times)) and np.all(times[1:] >= times[:-1])):
+                raise ValueError(f"{kind} mark times must be finite and sorted")
         for name in (
             "internal_times", "internal_particle", "internal_maps",
             "voter_times", "voter_particle", "voter_targets", "voter_fields",
-            "event_kind", "event_particle", "event_index",
         ):
             arr = getattr(self, name)
             if arr.flags.writeable:
@@ -104,7 +92,7 @@ class MarkRealization:
 
     @property
     def n_events(self) -> int:
-        return self.event_kind.size
+        return self.internal_times.size + self.voter_times.size
 
 
 def _marked_times(
@@ -119,24 +107,22 @@ def _marked_times(
     return times, particles
 
 
-def _dedupe_times(
-    gen: np.random.Generator,
-    internal_times: NDArray[np.float64],
-    voter_times: NDArray[np.float64],
-    horizon: float,
-) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
-    # Exact collisions have probability ~ E^2 * ulp; redraw until clean so
-    # downstream ordering is unambiguous.
-    ei = internal_times.size
-    both = np.concatenate([internal_times, voter_times])
-    while both.size:
-        _, first_pos, counts = np.unique(both, return_index=True, return_counts=True)
-        if not np.any(counts > 1):
-            break
-        dupes = np.ones(both.size, dtype=bool)
-        dupes[first_pos] = False
-        both[dupes] = gen.random(int(dupes.sum())) * horizon
-    return both[:ei], both[ei:]
+def _distinct_time_order(
+    gen: np.random.Generator, times: NDArray[np.float64], horizon: float
+) -> NDArray[np.int64]:
+    # The stable time order of ``times``, after redrawing in place every
+    # repeat of an earlier entry until all times are distinct, so the
+    # replay order is unambiguous.  Exact collisions have probability
+    # ~ E^2 * ulp.  A stable sort puts a time's first occurrence first among
+    # its equals; the repeats after it are redrawn in ascending index order.
+    order = np.argsort(times, kind="stable")
+    while True:
+        repeat = times[order[1:]] == times[order[:-1]]
+        if not repeat.any():
+            return order
+        redo = np.sort(order[1:][repeat])
+        times[redo] = gen.random(redo.size) * horizon
+        order = np.argsort(times, kind="stable")
 
 
 def sample_marks(
@@ -165,13 +151,7 @@ def sample_marks(
         gen, chain.max_internal_rate, n_particles, horizon
     )
     ei = internal_times.size
-    cum_kernel = np.cumsum(chain.jump_kernel, axis=1)
-    # Force everything from the last positive target per row above 1: a
-    # rounding deficit in the cumulative row cannot push a draw past it,
-    # and the row stays sorted for searchsorted.
-    for x in range(n):
-        positive = np.flatnonzero(chain.jump_kernel[x] > 0.0)
-        cum_kernel[x, positive[-1]:] = 2.0
+    cum_kernel = chain.cum_jump_kernel
     draws = gen.random((ei, n))
     internal_maps = np.empty((ei, n), dtype=np.int64)
     for x in range(n):
@@ -193,19 +173,18 @@ def sample_marks(
         fire_prob = np.zeros(n)
     voter_fields = gen.random((ev, n)) < fire_prob
 
-    internal_times, voter_times = _dedupe_times(
-        gen, internal_times, voter_times, horizon
-    )
-    internal_order = np.argsort(internal_times)
-    voter_order = np.argsort(voter_times)
+    times = np.concatenate([internal_times, voter_times])
+    order = _distinct_time_order(gen, times, horizon)
+    internal_order = order[order < ei]
+    voter_order = order[order >= ei] - ei
     return MarkRealization(
         horizon=horizon,
         n_particles=int(n_particles),
         n_states=n,
-        internal_times=internal_times[internal_order],
+        internal_times=times[internal_order],
         internal_particle=internal_particle[internal_order],
         internal_maps=internal_maps[internal_order],
-        voter_times=voter_times[voter_order],
+        voter_times=times[ei:][voter_order],
         voter_particle=voter_particle[voter_order],
         voter_targets=voter_targets[voter_order],
         voter_fields=voter_fields[voter_order],
@@ -228,10 +207,11 @@ def evolve(xi0: ArrayLike, marks: MarkRealization) -> NDArray[np.int64]:
     out = pos.copy()
     _kernels.apply_marks(
         out,
-        marks.event_kind,
-        marks.event_particle,
-        marks.event_index,
+        marks.internal_times,
+        marks.internal_particle,
         marks.internal_maps,
+        marks.voter_times,
+        marks.voter_particle,
         marks.voter_targets,
         marks.voter_fields,
     )

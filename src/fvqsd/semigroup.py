@@ -17,6 +17,7 @@ from .chain import AbsorbingChain, transient_vector
 from .errors import (
     DistanceUnderflowError,
     NormalizationDriftError,
+    QsdNotConvergedError,
     StepTooLargeError,
     SurvivalUnderflowError,
     UnsortedTimesError,
@@ -120,6 +121,15 @@ class QsdSolution:
     iterations: int
     converged: bool
 
+    def require_converged(self) -> QsdSolution:
+        """This solution, or QsdNotConvergedError if the solve hit its cap."""
+        if not self.converged:
+            raise QsdNotConvergedError(
+                f"QSD power iteration did not converge in {self.iterations} "
+                f"iterations (residual {self.residual:.2e})"
+            )
+        return self
+
 
 def qsd(
     chain: AbsorbingChain, tol: float = 1e-12, max_iter: int = 10**6
@@ -207,6 +217,8 @@ def decay_rate_estimate(
     given increasing time grid (at least 4 points) and returns the
     sign-flipped slope together with the intercept and R^2.  Distances at
     the numerical floor raise DistanceUnderflowError; shrink the grid.
+    A QSD solution that did not converge, passed or computed, raises
+    QsdNotConvergedError.
     """
     times = np.asarray(t_grid, dtype=np.float64)
     if times.ndim != 1 or times.size < 4:
@@ -217,7 +229,7 @@ def decay_rate_estimate(
         raise UnsortedTimesError("t_grid must be strictly increasing")
     if solution is None:
         solution = qsd(chain)
-    nu = solution.nu
+    nu = solution.require_converged().nu
     distances = np.array(
         [tv_distance(conditioned_law(chain, mu, t), nu) for t in times]
     )

@@ -33,35 +33,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TransitionTables:
-    """Per-site event tables consumed by the kernels.
-
-    cum_move row x holds the cumulative probability of each internal
-    target given an event at site x; a draw beyond the last entry is an
-    absorption attempt.  Rows for sites with zero absorption have their
-    last positive target's entry forced above 1, so rounding in the
-    cumulative sum can never manufacture an absorption event there.
-    """
+    """The per-site event tables the event loop reads: ``site_rate`` is
+    :attr:`AbsorbingChain.site_rates` and ``cum_move`` is
+    :attr:`AbsorbingChain.move_table`."""
 
     site_rate: NDArray[np.float64]
     cum_move: NDArray[np.float64]
 
 
 def transition_tables(chain: AbsorbingChain) -> TransitionTables:
-    n = chain.n
-    off = chain.rates.copy()
-    np.fill_diagonal(off, 0.0)
-    site_rate = chain.site_rates.copy()
-    cum_move = np.zeros((n, n))
-    for x in range(n):
-        if site_rate[x] > 0.0:
-            cum_move[x] = np.cumsum(off[x]) / site_rate[x]
-            if chain.absorption[x] == 0.0:
-                positive = np.flatnonzero(off[x] > 0.0)
-                if positive.size:
-                    cum_move[x, positive[-1]] = 2.0
-    site_rate.flags.writeable = False
-    cum_move.flags.writeable = False
-    return TransitionTables(site_rate=site_rate, cum_move=cum_move)
+    return TransitionTables(chain.site_rates, chain.move_table)
 
 
 def validate_configuration(xi0: ArrayLike, n_states: int) -> NDArray[np.int64]:
@@ -107,22 +88,15 @@ def simulate(
     xi0: ArrayLike,
     t: float,
     seed: ReplicaSeed | int,
-    tables: TransitionTables | None = None,
 ) -> NDArray[np.int64]:
-    """One sample of the configuration at time ``t`` started from ``xi0``.
-
-    Passing precomputed ``tables`` skips rebuilding the per-site event
-    tables; experiments looping over replicas use that.
-    """
+    """One sample of the configuration at time ``t`` started from ``xi0``."""
     pos = validate_configuration(xi0, chain.n)
     t = float(t)
     if not np.isfinite(t) or t < 0.0:
         raise ValueError("time must be finite and nonnegative")
-    if tables is None:
-        tables = transition_tables(chain)
     gen = as_replica_seed(seed).generator()
     out = pos.copy()
-    _kernels.run_events(gen, out, tables.site_rate, tables.cum_move, t)
+    _kernels.run_events(gen, out, chain.site_rates, chain.move_table, t)
     return out
 
 
@@ -131,7 +105,6 @@ def simulate_trajectory(
     xi0: ArrayLike,
     record_times: ArrayLike,
     seed: ReplicaSeed | int,
-    tables: TransitionTables | None = None,
 ) -> NDArray[np.int64]:
     """Snapshots of one realization at the given times.
 
@@ -146,12 +119,10 @@ def simulate_trajectory(
         raise UnsortedTimesError("record_times must be finite")
     if times[0] < 0.0 or np.any(np.diff(times) < 0.0):
         raise UnsortedTimesError("record_times must be sorted and start >= 0")
-    if tables is None:
-        tables = transition_tables(chain)
     gen = as_replica_seed(seed).generator()
     out = np.empty((times.size, pos.size), dtype=np.int64)
     work = pos.copy()
-    _kernels.run_recorded(gen, work, tables.site_rate, tables.cum_move, times, out)
+    _kernels.run_recorded(gen, work, chain.site_rates, chain.move_table, times, out)
     return out
 
 

@@ -94,3 +94,21 @@ def occupancy_moments(law: np.ndarray, n_particles: int) -> tuple[float, float]:
     k = np.arange(n_particles + 1)
     m = k / n_particles
     return float(law @ m), float(law @ m**2)
+
+
+def influence_size_generator(n_particles: int, c_rate: float) -> np.ndarray:
+    """Exact generator of the size of one label's backward influence set.
+
+    Scanning copy events backward from the horizon, each of the k current
+    members has copy events at rate C, and each names a uniform target
+    among the other N - 1 labels; a target outside the set adds it.  So
+    the size is the pure birth chain on 1..N (index k - 1) with rate
+    k * C * (N - k) / (N - 1), started at 1.
+    """
+    n = n_particles
+    g = np.zeros((n, n))
+    for k in range(1, n):
+        rate = k * c_rate * (n - k) / (n - 1)
+        g[k - 1, k] = rate
+        g[k - 1, k - 1] = -rate
+    return g

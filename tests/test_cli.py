@@ -124,6 +124,21 @@ class TestConfigValidation:
         cfg = write_config(tmp_path, kind="qsd", chain=bad, parameters={})
         assert main(["qsd", "--config", str(cfg)]) == 1
 
+    def test_semigroup_unconverged_qsd(self, tmp_path, chain_file, capsys,
+                                       monkeypatch):
+        # `qsd` reports a capped solve; `semigroup` must not fit against it.
+        monkeypatch.setattr(fvqsd.cli, "qsd",
+                            lambda chain: fvqsd.qsd(chain, max_iter=2))
+        cfg = write_config(
+            tmp_path, kind="semigroup", chain="golden.json",
+            parameters={"initial": "1", "t_grid": [0.5, 1.0, 1.5, 2.0]},
+        )
+        out = tmp_path / "out"
+        assert main(["semigroup", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: QSD") and len(err.splitlines()) == 1, err
+        assert not out.exists()
+
     def test_semigroup_short_grid(self, tmp_path, chain_file, capsys):
         cfg = write_config(
             tmp_path, kind="semigroup", chain="golden.json",

@@ -19,6 +19,8 @@ from fvqsd import (
     qsd_profile_experiment,
     tv_distance,
 )
+from fvqsd import estimators
+from fvqsd.errors import QsdNotConvergedError
 
 from _oracles import GOLD_NU
 
@@ -234,6 +236,26 @@ class TestQsdProfileExperiment:
         rhs = transient.estimates[0] + semigroup_worst
         slack = 3.0 * (stationary.std_errors[0] + transient.std_errors[0])
         assert lhs <= rhs + slack
+
+
+class TestUnconvergedQsd:
+    def test_passed_solution_raises(self, golden_chain):
+        sol = qsd(golden_chain, max_iter=2)
+        with pytest.raises(QsdNotConvergedError):
+            qsd_profile_experiment(golden_chain, [10], 1.0, 40, 0.5, seed=1,
+                                   solution=sol)
+        with pytest.raises(QsdNotConvergedError):
+            product_moment_experiment(golden_chain, ["1"], 10, 1.0, 40, 0.5,
+                                      seed=1, solution=sol)
+
+    def test_computed_solution_raises(self, golden_chain, monkeypatch):
+        monkeypatch.setattr(estimators, "qsd",
+                            lambda chain: qsd(chain, max_iter=2))
+        with pytest.raises(QsdNotConvergedError):
+            qsd_profile_experiment(golden_chain, [10], 1.0, 40, 0.5, seed=1)
+        with pytest.raises(QsdNotConvergedError):
+            product_moment_experiment(golden_chain, ["1"], 10, 1.0, 40, 0.5,
+                                      seed=1)
 
 
 class TestProductMoment:

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -14,10 +16,11 @@ from fvqsd import (
     influence_matrix,
     sample_marks,
     simulate,
-    transition_tables,
 )
+from fvqsd import graphical
 
-from _oracles import occupancy_law
+import _pilots
+from _oracles import influence_size_generator, occupancy_law, series_expm
 
 
 def influence_sets(marks, window=None):
@@ -137,6 +140,47 @@ class TestSampleMarks:
         marks = sample_marks(golden_chain, 4, 6.0, 2)
         assert (marks.voter_targets != marks.voter_particle).all()
 
+    def test_collisions_are_redrawn(self, golden_chain, monkeypatch):
+        # Times floored to multiples of 0.25 collide; every repeat after a
+        # time's first occurrence is redrawn.  The digest pins the redraws
+        # and the resulting order.
+        marked_times = graphical._marked_times
+
+        def floored(gen, rate, n_particles, horizon):
+            times, particles = marked_times(gen, rate, n_particles, horizon)
+            return np.floor(times * 4.0) / 4.0, particles
+
+        monkeypatch.setattr(graphical, "_marked_times", floored)
+        digest = hashlib.md5()
+        redrawn = 0
+        for r in range(20):
+            marks = sample_marks(golden_chain, 6, 2.0, ReplicaSeed(99, r))
+            times = np.concatenate([marks.internal_times, marks.voter_times])
+            assert np.unique(times).size == times.size
+            redrawn += int(np.count_nonzero(times % 0.25))
+            for arr in (marks.internal_times, marks.internal_particle,
+                        marks.internal_maps, marks.voter_times,
+                        marks.voter_particle, marks.voter_targets,
+                        marks.voter_fields):
+                digest.update(np.ascontiguousarray(arr).tobytes())
+        assert redrawn > 0
+        assert digest.hexdigest() == "7f08a4fa618d10393a1bf7c5b4517fce"
+
+    @pytest.mark.parametrize("stream", ["internal", "voter"])
+    def test_unsorted_stream_rejected(self, stream):
+        # The replay and the influence scan read each stream in time
+        # order: copy events (0.7, 0 -> 1) then (0.3, 1 -> 2) would give
+        # root 0 the set {0, 1} instead of {0, 1, 2}.
+        internal = [(0.2, 0, [1, 0]), (0.6, 1, [1, 0])]
+        voter = [(0.3, 1, 2, [True, False]), (0.7, 0, 1, [True, False])]
+        hand_marks(3, internal=internal, voter=voter)
+        if stream == "internal":
+            internal = internal[::-1]
+        else:
+            voter = voter[::-1]
+        with pytest.raises(ValueError, match="sorted"):
+            hand_marks(3, internal=internal, voter=voter)
+
     def test_zero_absorption_no_voter_events(self):
         chain = AbsorbingChain(
             states=("1", "2"),
@@ -181,6 +225,15 @@ class TestEvolve:
         )
         np.testing.assert_array_equal(evolve([1, 1], marks2), [0, 1])
 
+    def test_tie_replays_internal_event_first(self):
+        # Only a hand-built realization can tie.  Internal first: the map
+        # moves particle 0 to site 0, where the copy then fires.
+        marks = hand_marks(
+            internal=[(0.5, 0, [0, 0])],
+            voter=[(0.5, 0, 1, [True, False])],
+        )
+        np.testing.assert_array_equal(evolve([1, 1], marks), [1, 1])
+
     def test_size_mismatch(self, golden_chain):
         marks = sample_marks(golden_chain, 4, 1.0, 0)
         with pytest.raises(ValueError):
@@ -190,12 +243,11 @@ class TestEvolve:
         # The two samplers are independent implementations of the same
         # process; compare site-0 count laws and the exact reference.
         n, t, reps = 3, 0.5, 4000
-        tables = transition_tables(golden_chain)
         xi0 = np.zeros(n, dtype=np.int64)
         law_sim = np.zeros(n + 1)
         law_marks = np.zeros(n + 1)
         for r in range(reps):
-            pos = simulate(golden_chain, xi0, t, ReplicaSeed(42, r), tables)
+            pos = simulate(golden_chain, xi0, t, ReplicaSeed(42, r))
             law_sim[int((pos == 0).sum())] += 1
             marks = sample_marks(golden_chain, n, t, ReplicaSeed(77777, r))
             law_marks[int((evolve(xi0, marks) == 0).sum())] += 1
@@ -303,3 +355,50 @@ class TestInfluenceExperiment:
         assert 0.0 <= overlap.ci_low <= overlap.probability <= overlap.ci_high <= 1.0
         assert size.bound == pytest.approx(np.exp(0.25))
         assert overlap.bound == pytest.approx((np.exp(0.5) - 1.0) / 40.0)
+
+
+def exact_influence_size_law(n_particles, c_rate, t):
+    """Exact law of |I_t| over sizes 1..N."""
+    return series_expm(influence_size_generator(n_particles, c_rate), t)[0]
+
+
+class TestInfluenceSizeOracle:
+    @pytest.mark.parametrize("n", [11, 41, 101, 201])
+    def test_exact_mean_within_bound(self, n):
+        sizes = np.arange(1, n + 1)
+        for t in (0.1, 0.25, 0.5, 1.0, 2.0, 3.0):
+            law = exact_influence_size_law(n, 1.0, t)
+            assert law.sum() == pytest.approx(1.0, abs=1e-12)
+            assert law @ sizes <= np.exp(t)
+
+    def test_exact_mean_values(self):
+        sizes = {n: np.arange(1, n + 1) for n in (101, 201)}
+        expected = {(101, 0.25): 1.28316, (101, 0.5): 1.64387,
+                    (201, 0.25): 1.28359, (201, 0.5): 1.64628}
+        for (n, t), value in expected.items():
+            mean = exact_influence_size_law(n, 1.0, t) @ sizes[n]
+            assert mean == pytest.approx(value, abs=5e-6)
+
+    def test_recorded_pilot_sizes_match_exact(self):
+        # The criterion-06 pilot record, against the exact mean.
+        with open(_pilots.RESULTS_PATH) as fh:
+            cells = json.load(fh)["influence_bounds"]["cells"]
+        assert len(cells) == 4
+        for cell in cells:
+            n = cell["N"]
+            exact = exact_influence_size_law(n, 1.0, cell["t"]) @ np.arange(1, n + 1)
+            assert abs(cell["mean_size"] - exact) <= 3.0 * cell["size_se"], cell
+
+    def test_sampled_law_chi_square(self, golden_chain):
+        # 20k realizations on the golden chain (C = 1), N = 5, t = 1.
+        # Chi-square with 4 degrees of freedom; 18.47 is its 0.999 quantile.
+        n, t, reps = 5, 1.0, 20000
+        roots = np.array([0])
+        counts = np.zeros(n)
+        for r in range(reps):
+            marks = sample_marks(golden_chain, n, t, ReplicaSeed(4242, r))
+            counts[int(influence_matrix(marks, roots=roots)[0].sum()) - 1] += 1
+        expected = reps * exact_influence_size_law(n, 1.0, t)
+        assert expected.min() > 5.0
+        chi2 = float(((counts - expected) ** 2 / expected).sum())
+        assert chi2 < 18.47, (chi2, counts, expected)

@@ -34,7 +34,7 @@ def test_workload_digest(golden_chain):
     digest.update(traj.tobytes())
     marks = sample_marks(golden_chain, n_particles=30, horizon=1.5, seed=13)
     for arr in (marks.internal_times, marks.internal_maps, marks.voter_times,
-                marks.voter_targets, marks.voter_fields, marks.event_kind):
+                marks.voter_targets, marks.voter_fields, _merged_events(marks)[0]):
         digest.update(np.ascontiguousarray(arr).tobytes())
     digest.update(evolve(np.zeros(30, dtype=np.int64), marks).tobytes())
     assert digest.hexdigest() == "b58e8715dca9686b0c8db9c1fbf55534"
@@ -128,6 +128,20 @@ def _reference_run(gen, positions, site_rate, cum_move, record_times, out):
     if out is not None:
         out[rec:] = positions
     return n_events
+
+
+def _merged_events(marks):
+    """(kind, particle, index) of every event in time order, kind 0 for an
+    internal event and 1 for a copy event; ties break by particle, then
+    kind."""
+    ei, ev = marks.internal_times.size, marks.voter_times.size
+    times = np.concatenate([marks.internal_times, marks.voter_times])
+    kinds = np.concatenate([np.zeros(ei, dtype=np.int8), np.ones(ev, dtype=np.int8)])
+    particles = np.concatenate([marks.internal_particle, marks.voter_particle])
+    index = np.concatenate([np.arange(ei, dtype=np.int64),
+                            np.arange(ev, dtype=np.int64)])
+    order = np.lexsort((kinds, particles, times))
+    return kinds[order], particles[order], index[order]
 
 
 def _reference_apply_marks(positions, event_kind, event_particle, event_index,
@@ -281,11 +295,15 @@ def test_particle_pick_at_prefix_sum_boundaries(n):
 def test_mark_kernels_match_reference(oracle_chain, n):
     marks = sample_marks(oracle_chain, n_particles=n, horizon=1.5, seed=n)
     start = np.arange(n, dtype=np.int64) % oracle_chain.n
-    args = (marks.event_kind, marks.event_particle, marks.event_index,
-            marks.internal_maps, marks.voter_targets, marks.voter_fields)
     pos = start.copy()
-    assert _kernels.apply_marks(pos, *args) is pos
-    np.testing.assert_array_equal(pos, _reference_apply_marks(start.copy(), *args))
+    assert _kernels.apply_marks(
+        pos, marks.internal_times, marks.internal_particle, marks.internal_maps,
+        marks.voter_times, marks.voter_particle, marks.voter_targets,
+        marks.voter_fields) is pos
+    ref = _reference_apply_marks(start.copy(), *_merged_events(marks),
+                                 marks.internal_maps, marks.voter_targets,
+                                 marks.voter_fields)
+    np.testing.assert_array_equal(pos, ref)
 
     roots = np.arange(n, dtype=np.int64)[::-1].copy()
     times = marks.voter_times

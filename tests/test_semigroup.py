@@ -14,6 +14,7 @@ from fvqsd import (
 from fvqsd.errors import (
     DistanceUnderflowError,
     NormalizationDriftError,
+    QsdNotConvergedError,
     StepTooLargeError,
     SurvivalUnderflowError,
     UnsortedTimesError,
@@ -194,6 +195,11 @@ class TestDecayRateEstimate:
         sol = qsd(golden_chain)
         fit = decay_rate_estimate(golden_chain, [1.0, 0.0], [0.5, 1.0, 1.5, 2.0], sol)
         assert fit.times.size == 4
+
+    def test_unconverged_solution_raises(self, golden_chain):
+        sol = qsd(golden_chain, max_iter=2)
+        with pytest.raises(QsdNotConvergedError, match="did not converge"):
+            decay_rate_estimate(golden_chain, [1.0, 0.0], [0.5, 1.0, 1.5, 2.0], sol)
 
     def test_underflow_at_qsd(self, golden_chain):
         with pytest.raises(DistanceUnderflowError):

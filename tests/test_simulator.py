@@ -113,12 +113,11 @@ class TestSimulate:
         # occupation frequencies of particles 0/1 (and 2/3) agree within
         # Monte Carlo error.  Particles 0 and 3 start on different sites,
         # so their frequencies must differ instead.
-        tables = transition_tables(golden_chain)
         xi0 = np.array([0, 0, 1, 1])
         r = 4000
         hits = np.zeros(4)
         for k in range(r):
-            pos = simulate(golden_chain, xi0, 1.0, ReplicaSeed(31, k), tables)
+            pos = simulate(golden_chain, xi0, 1.0, ReplicaSeed(31, k))
             hits += pos == 0
         p = hits / r
         se = np.sqrt(2 * 0.25 / r)
@@ -130,12 +129,11 @@ class TestSimulate:
         # Exact master equation for the collapsed site-0 count is the
         # independent reference for the event-driven sampler.
         n, t, replicas = 3, 1.0, 10000
-        tables = transition_tables(golden_chain)
         xi0 = np.zeros(n, dtype=np.int64)
         counts = np.zeros(n + 1)
         samples = np.empty(replicas)
         for r in range(replicas):
-            pos = simulate(golden_chain, xi0, t, ReplicaSeed(555, r), tables)
+            pos = simulate(golden_chain, xi0, t, ReplicaSeed(555, r))
             k = int((pos == 0).sum())
             counts[k] += 1
             samples[r] = k / n

@@ -68,3 +68,17 @@ def test_traced_run_records_the_spans_perfbench_reads(tmp_path, tracing):
     for owner, attr, value in before:
         assert getattr(owner, attr) is value, f"{owner!r}.{attr} not restored"
     assert fvqsd.cli._RUNNERS == runners
+
+
+def test_traced_mark_replay_records_its_spans(tracing):
+    # perfbench's influence coupling pass replays marks under the tracer.
+    before = _patched_names(tracing)
+    chain = fvqsd.validate_chain(GOLDEN)
+    with tracing.Tracer().installed(fvqsd) as tracer:
+        marks = fvqsd.graphical.sample_marks(chain, 6, 1.0, 11)
+        fvqsd.graphical.evolve([0, 1, 0, 1, 0, 1], marks)
+    names = {span[1] for span in tracer.spans}
+    assert {"graphical.sample_marks", "graphical.evolve",
+            "kernels.apply_marks"} <= names, names
+    for owner, attr, value in before:
+        assert getattr(owner, attr) is value, f"{owner!r}.{attr} not restored"
