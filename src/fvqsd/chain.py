@@ -253,23 +253,27 @@ def validate_chain(spec: Mapping[str, object]) -> AbsorbingChain:
              "at least one site must have positive absorption rate")
 
     adjacency = off > 0.0
-    if not (_all_reachable(adjacency, 0) and _all_reachable(adjacency.T, 0)):
+    start = np.arange(n) == 0
+    if not (reachable(adjacency, start).all()
+            and reachable(adjacency.T, start).all()):
         raise NotIrreducibleError(
             "live sites must form a single communicating class"
         )
     return AbsorbingChain(states=states, rates=off, absorption=absorption)
 
 
-def _all_reachable(adjacency: NDArray[np.bool_], start: int) -> bool:
-    n = adjacency.shape[0]
-    seen = np.zeros(n, dtype=bool)
-    seen[start] = True
-    frontier = [start]
+def reachable(
+    adjacency: NDArray[np.bool_], start: NDArray[np.bool_]
+) -> NDArray[np.bool_]:
+    """Sites reachable along ``adjacency`` from the sites marked in
+    ``start`` (themselves included)."""
+    seen = start.copy()
+    frontier = list(np.flatnonzero(seen))
     while frontier:
         nxt = adjacency[frontier].any(axis=0) & ~seen
         seen |= nxt
         frontier = list(np.flatnonzero(nxt))
-    return bool(seen.all())
+    return seen
 
 
 def read_json(path: str | os.PathLike, error: type[FvqsdError]) -> object:

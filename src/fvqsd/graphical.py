@@ -82,6 +82,17 @@ class MarkRealization:
                             ("voter", self.voter_times)):
             if not (np.all(np.isfinite(times)) and np.all(times[1:] >= times[:-1])):
                 raise ValueError(f"{kind} mark times must be finite and sorted")
+        labels = np.concatenate(
+            [self.internal_particle, self.voter_particle, self.voter_targets])
+        for what, arr, bound in (("particle and target labels", labels,
+                                  self.n_particles),
+                                 ("internal map sites", self.internal_maps,
+                                  self.n_states)):
+            # Read as unsigned, a negative entry is huge, so one max
+            # catches both ends of [0, bound).
+            wide = arr.astype(np.int64, copy=False).view(np.uint64)
+            if wide.size and np.maximum.reduce(wide, axis=None) >= bound:
+                raise ValueError(f"{what} must lie in [0, {bound})")
         for name in (
             "internal_times", "internal_particle", "internal_maps",
             "voter_times", "voter_particle", "voter_targets", "voter_fields",

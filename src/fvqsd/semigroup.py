@@ -13,9 +13,10 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import ArrayLike, NDArray
 
-from .chain import AbsorbingChain, transient_vector
+from .chain import AbsorbingChain, reachable, transient_vector
 from .errors import (
     DistanceUnderflowError,
+    NoAbsorptionError,
     NormalizationDriftError,
     QsdNotConvergedError,
     StepTooLargeError,
@@ -125,8 +126,8 @@ class QsdSolution:
         """This solution, or QsdNotConvergedError if the solve hit its cap."""
         if not self.converged:
             raise QsdNotConvergedError(
-                f"QSD power iteration did not converge in {self.iterations} "
-                f"iterations (residual {self.residual:.2e})"
+                f"QSD Green-matrix iteration did not converge in "
+                f"{self.iterations} iterations (residual {self.residual:.2e})"
             )
         return self
 
@@ -134,44 +135,44 @@ class QsdSolution:
 def qsd(
     chain: AbsorbingChain, tol: float = 1e-12, max_iter: int = 10**6
 ) -> QsdSolution:
-    """Quasi-stationary distribution by power iteration.
+    """Quasi-stationary distribution by iteration on the Green matrix.
 
-    Iterates left multiplication by M = I + h Q with h = 0.5/max|q(x,x)|,
-    renormalizing to unit 1-norm each step.  M is entrywise nonnegative, so
-    the iteration converges to the dominant left eigenvector from the
-    strictly positive uniform start.  Stops when successive iterates differ
-    by less than ``tol`` in sup norm and the eigen-residual is at most
-    ``tol``; hitting ``max_iter`` first returns the best iterate with
-    ``converged=False`` rather than raising.  The eigenvalue of Q is
-    recovered from the Rayleigh quotient of M as (rho - 1)/h.
+    Iterates left multiplication by G = (-Q)^-1, renormalizing to unit
+    1-norm each step.  G is entrywise positive for a validated chain and
+    shares the dominant left eigenvector of Q (its eigenvalue is -1/alpha),
+    so the iteration converges from the uniform start at the ratio of the
+    two slowest decay rates, whatever the fast rates of the chain.  Stops
+    when successive iterates differ by less than ``tol`` in sup norm and
+    the eigen-residual max|v Q - alpha v| is at most ``tol``; hitting
+    ``max_iter`` first returns the best iterate with ``converged=False``
+    rather than raising.  The eigenvalue is alpha = -(v . absorption) /
+    sum(v), the eigen-equation summed over sites.  A chain (built
+    directly, unvalidated) with a site that cannot reach absorption has a
+    singular -Q and raises NoAbsorptionError, a ValueError.
     """
     if not (tol > 0.0):
         raise ValueError("tol must be positive")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
-    n = chain.n
-    max_rate = float(chain.site_rates.max())
-    if max_rate == 0.0:
-        # No motion and no absorption cannot pass validation; still, the
-        # uniform vector is trivially invariant.
-        nu = np.full(n, 1.0 / n)
-        return QsdSolution(nu=nu, alpha=0.0, residual=0.0, iterations=0,
-                           converged=True)
-    h = 0.5 / max_rate
-    m = np.eye(n) + h * chain.rates
+    stuck = ~reachable(chain.jump_rates.T > 0.0, chain.absorption > 0.0)
+    if stuck.any():
+        names = [chain.states[x] for x in np.flatnonzero(stuck)]
+        raise NoAbsorptionError(
+            f"-Q is singular: sites {names} cannot reach absorption"
+        )
+    green = np.linalg.inv(-chain.rates)
 
     def residual_of(vec: NDArray[np.float64]) -> tuple[float, float]:
-        rho = float((vec @ m) @ vec / (vec @ vec))
-        alpha = (rho - 1.0) / h
+        alpha = -float(vec @ chain.absorption) / float(vec.sum())
         res = float(np.max(np.abs(vec @ chain.rates - alpha * vec)))
         return res, alpha
 
-    v = np.full(n, 1.0 / n)
+    v = np.full(chain.n, 1.0 / chain.n)
     iterations = 0
     converged = False
     while iterations < max_iter:
-        w = v @ m
-        w = w / w.sum()
+        w = v @ green
+        w /= w.sum()
         iterations += 1
         if np.max(np.abs(w - v)) < tol:
             v = w
@@ -182,7 +183,6 @@ def qsd(
         else:
             v = w
     res, alpha = residual_of(v)
-    v = v.copy()
     v.flags.writeable = False
     return QsdSolution(
         nu=v,

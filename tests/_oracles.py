@@ -81,6 +81,17 @@ def occupancy_generator(chain, n_particles: int) -> np.ndarray:
     return g
 
 
+def occupancy_stationary_law(chain, n_particles: int) -> np.ndarray:
+    """Stationary law of the site-0 count: the null vector of the
+    occupancy generator, normalized to unit sum, by a dense least-squares
+    solve of pi G = 0 with the row sum appended as one more equation."""
+    g = occupancy_generator(chain, n_particles)
+    system = np.vstack([g.T, np.ones(n_particles + 1)])
+    rhs = np.zeros(n_particles + 2)
+    rhs[-1] = 1.0
+    return np.linalg.lstsq(system, rhs, rcond=None)[0]
+
+
 def occupancy_law(chain, n_particles: int, k0: int, t: float) -> np.ndarray:
     """Law of the site-0 count at time t, started from exactly k0 there."""
     g = occupancy_generator(chain, n_particles)

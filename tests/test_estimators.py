@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,7 +24,8 @@ from fvqsd import (
 from fvqsd import estimators
 from fvqsd.errors import QsdNotConvergedError
 
-from _oracles import GOLD_NU
+import _pilots
+from _oracles import GOLD_NU, occupancy_generator, occupancy_stationary_law
 
 
 def weights(min_size=1, max_size=8):
@@ -282,3 +285,45 @@ class TestProductMoment:
         assert est.reference == pytest.approx(float(GOLD_NU[0] * GOLD_NU[1]), abs=1e-9)
         assert abs(est.estimate - est.reference) < 0.07
         assert est.sites == ("1", "2")
+
+
+class TestStationaryCountOracle:
+    """Criterion 08 against the exact stationary law of the site-0 count.
+
+    On the golden chain the particle system collapses to the count chain
+    of ``_oracles.occupancy_generator``; with k particles at site 0,
+    ||m - nu|| = 2 |k/N - nu(0)| and m(0) m(1) = (k/N)(1 - k/N).
+    """
+
+    @staticmethod
+    def exact(golden_chain, n):
+        law = occupancy_stationary_law(golden_chain, n)
+        m0 = np.arange(n + 1) / n
+        return law, float(law @ (2.0 * np.abs(m0 - GOLD_NU[0]))), float(
+            law @ (m0 * (1.0 - m0)))
+
+    def test_law_is_stationary(self, golden_chain):
+        for n in (10, 40, 160):
+            law, _, _ = self.exact(golden_chain, n)
+            assert law.sum() == pytest.approx(1.0, abs=1e-12)
+            assert law.min() > -1e-15
+            g = occupancy_generator(golden_chain, n)
+            assert np.abs(law @ g).max() < 1e-12
+
+    def test_exact_values(self, golden_chain):
+        distances = [self.exact(golden_chain, n)[1] for n in (10, 40, 160)]
+        np.testing.assert_allclose(distances, [0.2678, 0.1332, 0.0663],
+                                   atol=5e-5)
+        assert self.exact(golden_chain, 160)[2] == pytest.approx(
+            0.234367, abs=5e-7)
+
+    def test_recorded_pilot_within_3_se(self, golden_chain):
+        with open(_pilots.RESULTS_PATH) as fh:
+            record = json.load(fh)["stationary_profiles"]
+        for n, value, se in zip(record["n_list"], record["distances"],
+                                record["std_errors"]):
+            exact = self.exact(golden_chain, n)[1]
+            assert abs(value - exact) <= 3.0 * se, (n, value, exact, se)
+        exact = self.exact(golden_chain, record["n_list"][-1])[2]
+        gap = abs(record["product_moment"] - exact)
+        assert gap <= 3.0 * record["product_se"], (record, exact)

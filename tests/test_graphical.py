@@ -181,6 +181,21 @@ class TestSampleMarks:
         with pytest.raises(ValueError, match="sorted"):
             hand_marks(3, internal=internal, voter=voter)
 
+    def test_negative_target_rejected(self):
+        # A negative label would be read as label N - 1 by the kernels.
+        with pytest.raises(ValueError, match=r"labels must lie in \[0, 3\)"):
+            hand_marks(3, voter=[(0.5, 0, -1, [True, False])])
+
+    def test_particle_equal_to_n_rejected(self):
+        with pytest.raises(ValueError, match=r"labels must lie in \[0, 3\)"):
+            hand_marks(3, internal=[(0.5, 3, [1, 0])])
+        with pytest.raises(ValueError, match=r"labels must lie in \[0, 3\)"):
+            hand_marks(3, voter=[(0.5, 3, 0, [True, False])])
+
+    def test_map_entry_equal_to_n_states_rejected(self):
+        with pytest.raises(ValueError, match=r"map sites must lie in \[0, 2\)"):
+            hand_marks(3, internal=[(0.5, 0, [1, 2])])
+
     def test_zero_absorption_no_voter_events(self):
         chain = AbsorbingChain(
             states=("1", "2"),

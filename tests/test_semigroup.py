@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,9 @@ from fvqsd import (
     forward_ode,
     qsd,
     tv_distance,
+    validate_chain,
 )
+from fvqsd.cli import main
 from fvqsd.errors import (
     DistanceUnderflowError,
     NormalizationDriftError,
@@ -115,6 +119,77 @@ class TestQsd:
             qsd(golden_chain, tol=0.0)
         with pytest.raises(ValueError):
             qsd(golden_chain, max_iter=0)
+
+
+def bottleneck_spec(fast: float) -> dict:
+    """3 sites; a<->b at ``fast``, the links a<->c, b<->c and the
+    absorption at c all at 1e-2, so the decay rate is ~3e-3 whatever the
+    fast rate."""
+    s = 1e-2
+    return {
+        "states": ["a", "b", "c"],
+        "rates": [[0.0, fast, s], [fast, 0.0, s], [s, s, 0.0]],
+        "absorption": [0.0, 0.0, s],
+    }
+
+
+class TestStiffQsd:
+    @pytest.mark.parametrize("fast", [1.0, 1e2, 1e3, 1e4])
+    def test_iterations_flat_in_fast_rate(self, fast):
+        chain = validate_chain(bottleneck_spec(fast))
+        sol = qsd(chain)
+        alpha_ref, nu_ref = dominant_left_eigenpair(chain.rates)
+        assert sol.converged
+        assert sol.iterations <= 25
+        assert np.abs(sol.nu - nu_ref).sum() <= 1e-8
+        assert abs(sol.alpha - alpha_ref) <= 1e-9 * abs(alpha_ref)
+
+    @pytest.mark.parametrize("fast", [1e5, 1e6])
+    def test_roundoff_floor_reported_unconverged(self, fast):
+        # An absolute 1e-12 residual of v Q is below roundoff at these
+        # rates, so the default tol cannot be met and must not be claimed.
+        chain = validate_chain(bottleneck_spec(fast))
+        sol = qsd(chain, max_iter=200)
+        assert not sol.converged
+        assert sol.iterations == 200
+        assert sol.residual > 1e-12
+        _, nu_ref = dominant_left_eigenpair(chain.rates)
+        assert np.abs(sol.nu - nu_ref).sum() <= 1e-8
+
+    def test_semigroup_kind_on_stiff_chain(self, tmp_path):
+        spec = bottleneck_spec(1e3)
+        rates = validate_chain(spec).rates
+        alpha_ref, nu_ref = dominant_left_eigenpair(rates)
+        # Half a relaxation time apart, as perfbench's `exact` workload.
+        second = np.sort(np.linalg.eigvals(rates).real)[-2]
+        t_grid = [k * 0.5 / (alpha_ref - second) for k in range(1, 5)]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "kind": "semigroup", "chain": spec,
+            "parameters": {"initial": "a", "t_grid": t_grid},
+        }))
+        out = tmp_path / "out"
+        assert main(["semigroup", "--config", str(cfg), "--out", str(out)]) == 0
+        results = json.loads((out / "summary.json").read_text())["results"]
+        assert np.abs(np.array(results["nu"]) - nu_ref).sum() <= 1e-8
+        assert results["alpha"] == pytest.approx(alpha_ref, rel=1e-9)
+
+    def test_singular_minus_q_raises(self):
+        # Direct construction skips validation; site c is closed and
+        # never absorbed, so -Q is singular.
+        chain = AbsorbingChain(
+            states=("a", "b", "c"),
+            rates=[[0.0, 1.0, 1.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]],
+            absorption=[0.0, 1.0, 0.0],
+        )
+        with pytest.raises(ValueError, match=r"^-Q is singular: sites \['c'\]"):
+            qsd(chain)
+        no_absorption = AbsorbingChain(
+            states=("1", "2"), rates=[[0.0, 1.0], [1.0, 0.0]],
+            absorption=[0.0, 0.0],
+        )
+        with pytest.raises(ValueError, match="cannot reach absorption"):
+            qsd(no_absorption)
 
 
 class TestForwardOde:
