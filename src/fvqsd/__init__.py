@@ -23,6 +23,7 @@ from .errors import (
     DimensionMismatchError,
     DistanceUnderflowError,
     FvqsdError,
+    HorizonOverflowError,
     NegativeRateError,
     NoAbsorptionError,
     NormalizationDriftError,
@@ -91,6 +92,7 @@ __all__ = [
     "DimensionMismatchError",
     "DistanceUnderflowError",
     "FvqsdError",
+    "HorizonOverflowError",
     "NegativeRateError",
     "NoAbsorptionError",
     "NormalizationDriftError",

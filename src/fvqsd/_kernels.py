@@ -172,7 +172,7 @@ def apply_marks(
 
 
 def influence_matrix_kernel(
-    roots, n_particles, voter_times, voter_particle, voter_targets, t_start, out
+    roots, n_particles, voter_particle, voter_targets, out
 ):
     """Membership matrix of backward influence sets.
 
@@ -180,14 +180,10 @@ def influence_matrix_kernel(
     labels whose initial coordinate can affect particle roots[r] at the
     horizon.  Voter arrays are sorted by time ascending; the scan walks
     them backward and, whenever a current member has a copy attempt, adds
-    the copied label, whether or not the attempt fires at runtime.  Events
-    before t_start are ignored.
+    the copied label, whether or not the attempt fires at runtime.
     """
-    # The backward scan stops at the first event before t_start, so it
-    # covers exactly the events from the first one at or after t_start.
-    first = int(np.searchsorted(voter_times, t_start, "left"))
-    events = list(zip(voter_particle[first:].tolist()[::-1],
-                      voter_targets[first:].tolist()[::-1]))
+    events = list(zip(voter_particle.tolist()[::-1],
+                      voter_targets.tolist()[::-1]))
     for r, root in enumerate(roots.tolist()):
         member = [False] * n_particles
         member[root] = True

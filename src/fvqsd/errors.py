@@ -33,6 +33,10 @@ class NoAbsorptionError(ChainValidationError):
     pass
 
 
+class HorizonOverflowError(FvqsdError, ValueError):
+    """A time horizon times the chain's largest rate is not a finite double."""
+
+
 class SurvivalUnderflowError(FvqsdError):
     """Survival probability too small to condition on reliably."""
 

@@ -229,30 +229,17 @@ def evolve(xi0: ArrayLike, marks: MarkRealization) -> NDArray[np.int64]:
     return out
 
 
-def _window_start(marks: MarkRealization, window: float | None) -> float:
-    if window is None:
-        return 0.0
-    window = float(window)
-    if not (0.0 <= window <= marks.horizon):
-        raise ValueError("window must lie within [0, horizon]")
-    return marks.horizon - window
-
-
 def influence_matrix(
-    marks: MarkRealization,
-    window: float | None = None,
-    roots: ArrayLike | None = None,
+    marks: MarkRealization, roots: ArrayLike | None = None
 ) -> NDArray[np.bool_]:
     """Backward influence sets as a boolean membership matrix.
 
-    Row r collects the labels whose position at the window start could
-    affect particle roots[r] at the horizon: scanning copy events backward
-    from the horizon, every event of a current member adds its target
-    label, whether or not the indicator field would fire.  ``window``
-    restricts the scan to the trailing part of [0, horizon]; default is
-    the whole window.  ``roots`` defaults to all labels.
+    Row r collects the labels whose initial position could affect particle
+    roots[r] at the horizon: scanning copy events backward from the
+    horizon, every event of a current member adds its target label,
+    whether or not the indicator field would fire.  ``roots`` defaults to
+    all labels.
     """
-    t_start = _window_start(marks, window)
     if roots is None:
         roots_arr = np.arange(marks.n_particles, dtype=np.int64)
     else:
@@ -265,10 +252,8 @@ def influence_matrix(
     _kernels.influence_matrix_kernel(
         roots_arr,
         marks.n_particles,
-        marks.voter_times,
         marks.voter_particle,
         marks.voter_targets,
-        t_start,
         out,
     )
     return out

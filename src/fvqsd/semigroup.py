@@ -1,8 +1,9 @@
 """Conditioned evolution, quasi-stationary distribution, decay-rate fit.
 
-Two independent routes to the conditioned law are provided on purpose: a
-normalized uniformization of the killed flow (`conditioned_law`) and a
-Runge-Kutta integration of the nonlinear forward equation (`forward_ode`).
+Two independent routes to the conditioned law are provided on purpose: the
+normalized matrix exponential of the killed flow (`conditioned_law`, by
+scaling and squaring in `chain.transient_vector`) and a Runge-Kutta
+integration of the nonlinear forward equation (`forward_ode`).
 They agree only if both are right, which is what the cross-validation tests
 lean on.
 """
@@ -46,12 +47,12 @@ DISTANCE_FLOOR = 1e-12
 
 
 def conditioned_law(
-    chain: AbsorbingChain, mu: ArrayLike, t: float, tol: float = 1e-12
+    chain: AbsorbingChain, mu: ArrayLike, t: float
 ) -> NDArray[np.float64]:
     """Law at time ``t`` of the killed chain started from ``mu``,
     conditioned on survival: the transient vector normalized to unit sum.
     """
-    w = transient_vector(chain, mu, t, tol)
+    w = transient_vector(chain, mu, t)
     survival = float(w.sum())
     if survival <= SURVIVAL_FLOOR:
         raise SurvivalUnderflowError(
@@ -143,9 +144,11 @@ def qsd(
     so the iteration converges from the uniform start at the ratio of the
     two slowest decay rates, whatever the fast rates of the chain.  Stops
     when successive iterates differ by less than ``tol`` in sup norm and
-    the eigen-residual max|v Q - alpha v| is at most ``tol``; hitting
-    ``max_iter`` first returns the best iterate with ``converged=False``
-    rather than raising.  The eigenvalue is alpha = -(v . absorption) /
+    the eigen-residual max|v Q - alpha v| is at most ``tol``.  Hitting
+    ``max_iter`` first, or a settled step whose residual stops improving
+    on the best seen (the roundoff floor of a chain whose rates span many
+    decades), returns the last iterate with ``converged=False`` rather
+    than raising.  The eigenvalue is alpha = -(v . absorption) /
     sum(v), the eigen-equation summed over sites.  A chain (built
     directly, unvalidated) with a site that cannot reach absorption has a
     singular -Q and raises NoAbsorptionError, a ValueError.
@@ -170,6 +173,7 @@ def qsd(
     v = np.full(chain.n, 1.0 / chain.n)
     iterations = 0
     converged = False
+    best = np.inf
     while iterations < max_iter:
         w = v @ green
         w /= w.sum()
@@ -180,6 +184,11 @@ def qsd(
             if res <= tol:
                 converged = True
                 break
+            # The step is settled but the residual no longer falls: it
+            # sits at roundoff, and more iterations only cycle.
+            if res >= best:
+                break
+            best = res
         else:
             v = w
     res, alpha = residual_of(v)

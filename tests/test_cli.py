@@ -179,6 +179,8 @@ MALFORMED = {
     "threads-flag-zero": ("correlation", CORRELATION, 0, ["--threads", "0"]),
     "threads-flag-negative": ("correlation", CORRELATION, 0, ["--threads", "-3"]),
     "simulate-n_particles-2^64": ("simulate", dict(SIMULATE, n_particles=2**64), 0, []),
+    "semigroup-t_grid-1e308": ("semigroup", {"initial": "1",
+                                             "t_grid": [1.0, 2.0, 3.0, 1e308]}, 0, []),
 }
 
 

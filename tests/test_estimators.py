@@ -25,7 +25,14 @@ from fvqsd import estimators
 from fvqsd.errors import QsdNotConvergedError
 
 import _pilots
-from _oracles import GOLD_NU, occupancy_generator, occupancy_stationary_law
+from _oracles import (
+    GOLD_NU,
+    occupancy_generator,
+    occupancy_law,
+    occupancy_moments,
+    occupancy_stationary_law,
+    series_expm,
+)
 
 
 def weights(min_size=1, max_size=8):
@@ -327,3 +334,69 @@ class TestStationaryCountOracle:
         exact = self.exact(golden_chain, record["n_list"][-1])[2]
         gap = abs(record["product_moment"] - exact)
         assert gap <= 3.0 * record["product_se"], (record, exact)
+
+
+
+class TestTransientCountOracle:
+    """Criteria 05 and 07 against the exact law of the site-0 count at t.
+
+    On a 2-site chain m(1) = 1 - m(0), so criterion 05's cross covariance
+    is -Var(m_0) and its same-site covariance +Var(m_0).  With k particles
+    at site 0, criterion 07's distance to the conditioned law tau is
+    2 |k/N - tau(0)|, and tau comes from ``_oracles.series_expm``; nothing
+    here calls the package's propagator.
+    """
+
+    CHAINS = {"golden": _pilots.golden_chain, "symmetric": _pilots.symmetric_chain}
+
+    @staticmethod
+    def variance(chain, n, k0, t):
+        mean, second = occupancy_moments(occupancy_law(chain, n, k0, t), n)
+        return second - mean**2
+
+    @staticmethod
+    def distance(chain, n, k0, t):
+        w = np.array([k0 / n, 1.0 - k0 / n]) @ series_expm(chain.rates, t)
+        m0 = np.arange(n + 1) / n
+        law = occupancy_law(chain, n, k0, t)
+        return float(law @ (2.0 * np.abs(m0 - w[0] / w.sum())))
+
+    def correlation_cells(self):
+        """(recorded cell, chain, exact Var(m_0)) over criterion 05's grid."""
+        with open(_pilots.RESULTS_PATH) as fh:
+            cells = json.load(fh)["correlation_grid"]["cells"]
+        assert len(cells) == 24
+        for cell in cells:
+            chain = self.CHAINS[cell["chain"]]()
+            n = cell["N"]
+            # The balanced start puts an odd N's leftover particle on
+            # site "1", index 0.
+            yield cell, chain, self.variance(chain, n, n - n // 2, cell["t"])
+
+    def test_exact_covariance_within_bound(self):
+        for cell, chain, var in self.correlation_cells():
+            bound = covariance_bound(chain, cell["N"], cell["t"],
+                                     same_site=cell["x"] == cell["y"])
+            assert 0.0 < var <= bound, (cell, var, bound)
+
+    def test_recorded_covariances_within_3_se(self):
+        for cell, _, var in self.correlation_cells():
+            exact = var if cell["x"] == cell["y"] else -var
+            assert abs(cell["covariance"] - exact) <= 3.0 * cell["se"], (
+                cell, exact)
+
+    def test_recorded_convergence_curve_within_3_se(self):
+        chain = _pilots.golden_chain()
+        t = _pilots.CONVERGENCE["t"]
+        with open(_pilots.RESULTS_PATH) as fh:
+            record = json.load(fh)["convergence_curve"]
+        exact = []
+        for n in record["n_list"]:
+            # extreme_profiles(2): both point masses, then the balanced
+            # profile (every N here is even).
+            exact.append(max(self.distance(chain, n, k0, t)
+                             for k0 in (n, 0, n // 2)))
+        np.testing.assert_allclose(exact, [0.2878, 0.1417, 0.0707], atol=5e-5)
+        for value, se, want in zip(record["estimates"], record["std_errors"],
+                                   exact):
+            assert abs(value - want) <= 3.0 * se, (value, want, se)

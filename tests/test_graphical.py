@@ -23,18 +23,16 @@ import _pilots
 from _oracles import influence_size_generator, occupancy_law, series_expm
 
 
-def influence_sets(marks, window=None):
+def influence_sets(marks):
     """The rows of the influence matrix, as sets of labels."""
     return [frozenset(np.flatnonzero(row).tolist())
-            for row in influence_matrix(marks, window)]
+            for row in influence_matrix(marks)]
 
 
-def ref_influence(marks, root, t_start=0.0):
+def ref_influence(marks, root):
     # Straight-line reference for the backward membership scan.
     member = {int(root)}
     for e in range(marks.voter_times.size - 1, -1, -1):
-        if marks.voter_times[e] < t_start:
-            break
         if int(marks.voter_particle[e]) in member:
             member.add(int(marks.voter_targets[e]))
     return frozenset(member)
@@ -288,19 +286,6 @@ class TestInfluence:
         marks = sample_marks(chain, 5, 2.0, 0)
         assert influence_sets(marks) == [frozenset({i}) for i in range(5)]
 
-    def test_window_zero_singleton(self, golden_chain):
-        marks = sample_marks(golden_chain, 6, 2.0, 1)
-        assert influence_sets(marks, window=0.0) == [
-            frozenset({i}) for i in range(6)
-        ]
-
-    def test_window_monotone(self, golden_chain):
-        marks = sample_marks(golden_chain, 10, 3.0, 8)
-        small = influence_sets(marks, window=1.0)
-        large = influence_sets(marks, window=3.0)
-        for s, l in zip(small, large):
-            assert s <= l
-
     def test_matches_reference_scan(self, golden_chain):
         for r in range(30):
             marks = sample_marks(golden_chain, 6, 2.0, ReplicaSeed(64, r))
@@ -322,11 +307,6 @@ class TestInfluence:
         np.testing.assert_array_equal(sub[1], full[5])
         with pytest.raises(ValueError):
             influence_matrix(marks, roots=np.array([11]))
-
-    def test_window_validation(self, golden_chain):
-        marks = sample_marks(golden_chain, 4, 1.0, 0)
-        with pytest.raises(ValueError):
-            influence_matrix(marks, window=2.0)
 
 
 class TestCoupling:

@@ -157,16 +157,14 @@ def _reference_apply_marks(positions, event_kind, event_particle, event_index,
     return positions
 
 
-def _reference_influence_matrix(roots, n_particles, voter_times, voter_particle,
-                                voter_targets, t_start, out):
-    n_events = len(voter_times)
+def _reference_influence_matrix(roots, n_particles, voter_particle,
+                                voter_targets, out):
+    n_events = len(voter_particle)
     for r in range(len(roots)):
         for k in range(n_particles):
             out[r, k] = False
         out[r, roots[r]] = True
         for e in range(n_events - 1, -1, -1):
-            if voter_times[e] < t_start:
-                break
             if out[r, voter_particle[e]]:
                 out[r, voter_targets[e]] = True
     return out
@@ -306,12 +304,9 @@ def test_mark_kernels_match_reference(oracle_chain, n):
     np.testing.assert_array_equal(pos, ref)
 
     roots = np.arange(n, dtype=np.int64)[::-1].copy()
-    times = marks.voter_times
-    starts = [0.0] + ([times[times.size // 2], times[0], times[-1]] if times.size else [])
-    for t_start in starts:
-        voter = (times, marks.voter_particle, marks.voter_targets, t_start)
-        out = np.ones((n, n), dtype=np.bool_)
-        assert _kernels.influence_matrix_kernel(roots, n, *voter, out) is out
-        ref = _reference_influence_matrix(roots, n, *voter,
-                                          np.ones((n, n), dtype=np.bool_))
-        np.testing.assert_array_equal(out, ref)
+    voter = (marks.voter_particle, marks.voter_targets)
+    out = np.ones((n, n), dtype=np.bool_)
+    assert _kernels.influence_matrix_kernel(roots, n, *voter, out) is out
+    ref = _reference_influence_matrix(roots, n, *voter,
+                                      np.ones((n, n), dtype=np.bool_))
+    np.testing.assert_array_equal(out, ref)

@@ -82,3 +82,15 @@ def test_traced_mark_replay_records_its_spans(tracing):
             "kernels.apply_marks"} <= names, names
     for owner, attr, value in before:
         assert getattr(owner, attr) is value, f"{owner!r}.{attr} not restored"
+
+
+def test_traced_conditioned_law_records_the_propagator(tracing):
+    # perfbench's `exact` workload times the propagator under its old name.
+    before = _patched_names(tracing)
+    chain = fvqsd.validate_chain(GOLDEN)
+    with tracing.Tracer().installed(fvqsd) as tracer:
+        fvqsd.semigroup.conditioned_law(chain, [0.5, 0.5], 0.5)
+    names = {span[1] for span in tracer.spans}
+    assert {"semigroup.conditioned_law", "chain.transient_vector"} <= names, names
+    for owner, attr, value in before:
+        assert getattr(owner, attr) is value, f"{owner!r}.{attr} not restored"
