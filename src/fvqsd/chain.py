@@ -311,6 +311,13 @@ def transient_vector(
     product is nonnegative, so the result is too, and the cost grows with
     log(rt), not rt.  The sum of the result is the survival probability.
     A horizon whose rt is not a finite double raises HorizonOverflowError.
+
+    Rounding in the one-step matrix is compounded by the squarings, so
+    the relative error of the entries grows like rt * eps: against a
+    40-digit expm it is about 1e-16 at rt = 0.5, 1e-12 at rt = 5e3 and
+    2.5e-10 at rt = 1e6.  Normalizing to the conditioned law cancels
+    most of it on a mildly stiff chain, but not all: 3e-11 at rt = 1e6
+    on a chain whose rates span six decades.
     """
     mu = check_distribution(initial, chain.n)
     t = float(t)
