@@ -69,6 +69,7 @@ from .simulator import (
     TransitionTables,
     configuration_from_profile,
     simulate,
+    simulate_counts,
     simulate_trajectory,
     stationary_sampler,
     transition_tables,
@@ -134,6 +135,7 @@ __all__ = [
     "simulate",
     "validate_configuration",
     "simulate_trajectory",
+    "simulate_counts",
     "stationary_sampler",
     "transition_tables",
     "__version__",

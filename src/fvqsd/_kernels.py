@@ -3,10 +3,12 @@
 The loops copy their numpy inputs into Python lists once per call, because
 indexing a list is several times cheaper than reading a numpy scalar.
 
-The event-driven dynamics live in one loop, ``_run``; ``run_events`` and
-``run_recorded`` are its two entry points.  Randomness is drawn only through
-np.random.Generator methods, one draw at a time and in a fixed order, so a
-seeded generator reproduces a trajectory bit for bit.
+The labelled event-driven dynamics live in one loop, ``_run``; ``run_events``
+and ``run_recorded`` are its two entry points.  ``run_counts`` runs the same
+dynamics on site counts alone, for a block of replicas in lockstep, with
+one numpy call per step instead of one Python iteration per replica.
+Randomness is drawn only through np.random.Generator methods in a fixed
+order, so a seeded generator reproduces its trajectories bit for bit.
 
 The graphical engine draws nothing here: ``apply_marks`` replays a mark
 realization by merging its two time-sorted streams, and
@@ -20,6 +22,7 @@ __all__ = [
     "USING_JIT",
     "run_events",
     "run_recorded",
+    "run_counts",
     "apply_marks",
     "influence_matrix_kernel",
 ]
@@ -125,6 +128,90 @@ def run_recorded(gen, positions, site_rate, cum_move, record_times, out):
     """
     _run(gen, positions, site_rate, cum_move, record_times, out)
     return positions
+
+
+def _running_sums(rows):
+    # Prefix sums down axis 0, in place.  Each column is added left to
+    # right, as np.cumsum does, but one vector add per row is several times
+    # faster than np.cumsum(axis=0) when there are few rows.
+    for j in range(1, len(rows)):
+        rows[j] += rows[j - 1]
+    return rows
+
+
+def run_counts(gen, counts, site_rate, cum_move, record_times, out):
+    """Exact site-count dynamics of a block of replicas, stepped in lockstep.
+
+    counts has shape (replicas, n_sites) and is modified in place; out has
+    shape (replicas, len(record_times), n_sites).  The particles are
+    exchangeable, so the counts are a Markov chain of their own.  Each step
+    gives every live replica one event: a site x chosen with probability
+    proportional to c_x * site_rate[x], then a move by the first u < row[j]
+    rule of cum_move, as in ``_run``.  An absorption attempt revives the
+    particle onto a uniformly chosen other particle, drawn with an integer
+    in [0, N - 1) from c - e_x; a revival onto its own site is an event that
+    leaves the counts unchanged.
+
+    Between record times the replicas still live are those whose next
+    event falls at or before the record time.  An event drawn past it is
+    dropped and the clock restarts there, which the memoryless holding time
+    makes exact.  Snapshots are right-continuous.  Returns the number of
+    events applied.
+    """
+    n_reps, n_sites = counts.shape
+    n_particles = int(counts[0].sum())
+    rate = site_rate[:, None]
+    # The first j with u < row[j] is also the first j where the row's
+    # running max exceeds u, and the running max is sorted, so the move is
+    # the number of its entries <= u; n_sites means an absorption attempt.
+    # Column x of move_rows is the running max of row x.
+    move_rows = np.maximum.accumulate(cum_move, axis=1).T.copy()
+    # Site-major counts (exact in float64), so each step's arithmetic runs
+    # along replicas.  c holds the live replicas: state itself until the
+    # first one stops, then a compressed copy whose rows go back to state
+    # as they stop.
+    state = np.ascontiguousarray(counts.T, dtype=np.float64)
+    start = 0.0
+    n_events = 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for k, horizon in enumerate(np.asarray(record_times).tolist()):
+            live = np.arange(n_reps)
+            c = state
+            t = np.full(n_reps, start)
+            while True:
+                # The last running sum is the total, and u * total < total
+                # for every u < 1, so the first running sum above u is never
+                # an empty site's.  A replica with total 0 has no events.
+                cum = _running_sums(c * rate)
+                t_next = t + gen.exponential(1.0, live.size) / cum[-1]
+                fire = t_next <= horizon
+                if not fire.all():
+                    state[:, live[~fire]] = c[:, ~fire]
+                    if not fire.any():
+                        break
+                    live = live[fire]
+                    c = c.compress(fire, axis=1)
+                    cum = cum.compress(fire, axis=1)
+                    t_next = t_next[fire]
+                t = t_next
+                n_live = live.size
+                u = gen.random(n_live) * cum[-1]
+                x = (cum <= u).sum(axis=0)
+                y = (move_rows.take(x, axis=1) <= gen.random(n_live)).sum(axis=0)
+                kill = y == n_sites
+                if kill.any():
+                    donors = c.compress(kill, axis=1)
+                    donors[x[kill], np.arange(donors.shape[1])] -= 1.0
+                    j = gen.integers(0, n_particles - 1, donors.shape[1])
+                    y[kill] = (_running_sums(donors) <= j).sum(axis=0)
+                replica = np.arange(n_live)
+                c[x, replica] -= 1.0
+                c[y, replica] += 1.0
+                n_events += n_live
+            out[:, k] = state.T
+            start = horizon
+    counts[:] = state.T
+    return n_events
 
 
 def apply_marks(

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -41,11 +42,17 @@ from .estimators import (
     product_moment_experiment,
 )
 from .graphical import influence_experiment
-from .measures import check_distribution, empirical_measure
-from .parallel import map_replicas
+# empirical_measure, map_replicas and simulate_trajectory are unused here but
+# stay importable: perfbench's tracer patches them by attribute.
+from .measures import check_distribution, empirical_measure  # noqa: F401
+from .parallel import map_replicas  # noqa: F401
 from .seeding import ReplicaSeed
 from .semigroup import decay_rate_estimate, qsd
-from .simulator import configuration_from_profile, simulate_trajectory
+from .simulator import (  # noqa: F401
+    configuration_from_profile,
+    simulate_counts,
+    simulate_trajectory,
+)
 
 CSV_COLUMNS = (
     "experiment", "N", "t", "x", "y", "estimate", "se", "bound",
@@ -347,12 +354,7 @@ def _run_simulate(ctx: RunContext):
     chain = ctx.chain
     xi0 = configuration_from_profile(profile, n_particles, chain.states)
     master = ctx.master_seed
-
-    def one(r: int) -> np.ndarray:
-        traj = simulate_trajectory(chain, xi0, times, ReplicaSeed(master, r))
-        return np.stack([empirical_measure(row, chain.n) for row in traj])
-
-    stacked = np.stack(map_replicas(one, replicas))
+    stacked = simulate_counts(chain, xi0, times, replicas, ctx.seed()) / n_particles
     means = stacked.mean(axis=0)
     if replicas > 1:
         ses = stacked.std(axis=0, ddof=1) / np.sqrt(replicas)
@@ -716,7 +718,10 @@ def _validate_command(chain_path: str) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # Built on the first call, not at import, and reused: parse_args leaves
+    # the parser unchanged.
     parser = argparse.ArgumentParser(
         prog="fvqsd",
         description="Absorbing-chain numerics and particle-system experiments",

@@ -16,10 +16,17 @@ from numpy.typing import ArrayLike, NDArray
 
 from .chain import AbsorbingChain
 from .measures import check_distribution, empirical_measure, tv_distance
-from .parallel import map_replicas
+# map_replicas and simulate are unused here but stay importable: perfbench's
+# tracer patches them by attribute.
+from .parallel import map_replicas  # noqa: F401
 from .seeding import ReplicaSeed, as_replica_seed
 from .semigroup import QsdSolution, conditioned_law, qsd
-from .simulator import configuration_from_profile, simulate, stationary_sampler
+from .simulator import (  # noqa: F401
+    configuration_from_profile,
+    simulate,
+    simulate_counts,
+    stationary_sampler,
+)
 
 __all__ = [
     "CorrelationEstimate",
@@ -113,18 +120,9 @@ def correlation_experiment(
         raise ValueError("replicas must be at least 2")
     ix = _resolve_site(chain, x)
     iy = _resolve_site(chain, y)
-    seed = as_replica_seed(seed)
-    xi0 = np.asarray(xi0)
-    n_particles = xi0.size
-    master, base = seed.master_seed, seed.replica_index
-
-    def one(r: int) -> tuple[float, float]:
-        pos = simulate(chain, xi0, t, ReplicaSeed(master, base + r))
-        m = empirical_measure(pos, chain.n)
-        return float(m[ix]), float(m[iy])
-
-    pairs = np.array(map_replicas(one, replicas))
-    mx, my = pairs[:, 0], pairs[:, 1]
+    n_particles = np.asarray(xi0).size
+    m = simulate_counts(chain, xi0, [t], replicas, seed)[:, 0] / n_particles
+    mx, my = m[:, ix], m[:, iy]
     centered = (mx - mx.mean()) * (my - my.mean())
     covariance = float(centered.mean())
     std_error = float(centered.std(ddof=1) / np.sqrt(replicas))
@@ -187,19 +185,15 @@ def convergence_experiment(
     estimates = np.empty(n_arr.size)
     std_errors = np.empty(n_arr.size)
     cell = 0
-    for k, n_particles in enumerate(n_arr):
+    for k, n_particles in enumerate(n_arr.tolist()):
         best = (-np.inf, 0.0)
         for profile in profiles:
-            xi0 = configuration_from_profile(profile, int(n_particles), chain.states)
+            xi0 = configuration_from_profile(profile, n_particles, chain.states)
             target = conditioned_law(chain, empirical_measure(xi0, chain.n), t)
-            cell_base = base + cell * replicas
+            cell_seed = ReplicaSeed(master, base + cell * replicas)
             cell += 1
-
-            def one(r: int) -> float:
-                pos = simulate(chain, xi0, t, ReplicaSeed(master, cell_base + r))
-                return tv_distance(empirical_measure(pos, chain.n), target)
-
-            dists = np.array(map_replicas(one, replicas))
+            counts = simulate_counts(chain, xi0, [t], replicas, cell_seed)[:, 0]
+            dists = np.abs(counts / n_particles - target).sum(axis=1)
             mean = float(dists.mean())
             if mean > best[0]:
                 best = (mean, float(dists.std(ddof=1) / np.sqrt(replicas)))

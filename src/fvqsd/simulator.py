@@ -6,9 +6,14 @@ instantly adopts the position of a uniformly chosen other particle.  The
 event loop is exact (no time discretization): exponential holding times at
 the configuration's total rate, then a rate-proportional pick of particle
 and move.
+
+``simulate`` and ``simulate_trajectory`` follow labelled particles, one
+realization per call.  ``simulate_counts`` follows only the site counts,
+which is all the empirical measure needs, for many replicas at once.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,8 +32,13 @@ __all__ = [
     "configuration_from_profile",
     "simulate",
     "simulate_trajectory",
+    "simulate_counts",
     "stationary_sampler",
 ]
+
+# Replicas per block of simulate_counts: each block is one lockstep run of
+# the count engine on one generator.
+BLOCK_REPLICAS = 1000
 
 
 @dataclass(frozen=True)
@@ -100,6 +110,17 @@ def simulate(
     return out
 
 
+def _record_times(record_times: ArrayLike) -> NDArray[np.float64]:
+    times = np.asarray(record_times, dtype=np.float64)
+    if times.ndim != 1 or times.size == 0:
+        raise UnsortedTimesError("record_times must be a nonempty 1-d array")
+    if not np.all(np.isfinite(times)):
+        raise UnsortedTimesError("record_times must be finite")
+    if times[0] < 0.0 or np.any(np.diff(times) < 0.0):
+        raise UnsortedTimesError("record_times must be sorted and start >= 0")
+    return times
+
+
 def simulate_trajectory(
     chain: AbsorbingChain,
     xi0: ArrayLike,
@@ -112,17 +133,45 @@ def simulate_trajectory(
     nondecreasing and start at or after 0; snapshots are right-continuous.
     """
     pos = validate_configuration(xi0, chain.n)
-    times = np.asarray(record_times, dtype=np.float64)
-    if times.ndim != 1 or times.size == 0:
-        raise UnsortedTimesError("record_times must be a nonempty 1-d array")
-    if not np.all(np.isfinite(times)):
-        raise UnsortedTimesError("record_times must be finite")
-    if times[0] < 0.0 or np.any(np.diff(times) < 0.0):
-        raise UnsortedTimesError("record_times must be sorted and start >= 0")
+    times = _record_times(record_times)
     gen = as_replica_seed(seed).generator()
     out = np.empty((times.size, pos.size), dtype=np.int64)
     work = pos.copy()
     _kernels.run_recorded(gen, work, chain.site_rates, chain.move_table, times, out)
+    return out
+
+
+def simulate_counts(
+    chain: AbsorbingChain,
+    xi0: ArrayLike,
+    record_times: ArrayLike,
+    replicas: int,
+    seed: ReplicaSeed | int,
+) -> NDArray[np.int64]:
+    """Site counts of independent realizations at the given times.
+
+    Returns an int64 array of shape (replicas, len(record_times), n_sites):
+    entry [r, k, x] counts the particles at site x at record_times[k] in
+    replica r.  Times must be nondecreasing and start at or after 0;
+    snapshots are right-continuous.  Replicas run in blocks of
+    ``BLOCK_REPLICAS``, and the block starting at replica b draws from
+    ``ReplicaSeed(master_seed, replica_index + b).generator()``, so the
+    output depends only on the seed and the arguments.
+    """
+    pos = validate_configuration(xi0, chain.n)
+    times = _record_times(record_times)
+    replicas = operator.index(replicas)
+    if replicas < 1:
+        raise ValueError("replicas must be at least 1")
+    seed = as_replica_seed(seed)
+    start = np.bincount(pos, minlength=chain.n)
+    out = np.empty((replicas, times.size, chain.n), dtype=np.int64)
+    for first in range(0, replicas, BLOCK_REPLICAS):
+        block = out[first:first + BLOCK_REPLICAS]
+        counts = np.tile(start, (len(block), 1))
+        gen = ReplicaSeed(seed.master_seed, seed.replica_index + first).generator()
+        _kernels.run_counts(gen, counts, chain.site_rates, chain.move_table,
+                            times, block)
     return out
 
 

@@ -4,7 +4,7 @@ Everything here is deliberately brute force and shares no code with the
 implementations under test: the matrix exponential is a plain truncated
 power series, eigenpairs come from numpy's dense solver, and the small
 interacting system is collapsed to its exact occupancy-count master
-equation.
+equation (site 0's count on 2 sites, the whole count vector on any n).
 """
 from __future__ import annotations
 
@@ -105,6 +105,52 @@ def occupancy_moments(law: np.ndarray, n_particles: int) -> tuple[float, float]:
     k = np.arange(n_particles + 1)
     m = k / n_particles
     return float(law @ m), float(law @ m**2)
+
+
+def count_states(n_sites: int, n_particles: int) -> np.ndarray:
+    """Every way to put N particles on n sites, one count vector per row,
+    sorted lexicographically (site 0's count ascending first)."""
+    if n_sites == 1:
+        return np.array([[n_particles]])
+    rows = [
+        [k, *rest]
+        for k in range(n_particles + 1)
+        for rest in count_states(n_sites - 1, n_particles - k).tolist()
+    ]
+    return np.array(rows)
+
+
+def count_generator(chain, n_particles: int) -> np.ndarray:
+    """Exact generator of the site counts of the particle system, any n.
+
+    The particles are exchangeable, so the count vector c is a Markov chain
+    on the rows of ``count_states``.  A particle at x jumps to y at rate
+    q(x, y), or is absorbed at rate a(x) and revived onto one of the other
+    N - 1 particles, c_y of which sit at y != x.  So c -> c - e_x + e_y at
+    rate c_x q(x, y) + c_x a(x) c_y / (N - 1); a revival onto x itself
+    leaves c unchanged and is not a transition.  For 2 sites this is
+    ``occupancy_generator`` (state k has k particles at site 0).
+    """
+    n = chain.n
+    states = count_states(n, n_particles)
+    index = {tuple(c): i for i, c in enumerate(states.tolist())}
+    q = np.array(chain.rates, dtype=np.float64)
+    np.fill_diagonal(q, 0.0)
+    a = np.asarray(chain.absorption, dtype=np.float64)
+    g = np.zeros((len(states), len(states)))
+    for i, c in enumerate(states):
+        for x in range(n):
+            for y in range(n):
+                if x == y or c[x] == 0:
+                    continue
+                rate = c[x] * q[x, y] + c[x] * a[x] * c[y] / (n_particles - 1)
+                if rate > 0.0:
+                    moved = c.copy()
+                    moved[x] -= 1
+                    moved[y] += 1
+                    g[i, index[tuple(moved.tolist())]] += rate
+        g[i, i] = -g[i].sum()
+    return g
 
 
 def influence_size_generator(n_particles: int, c_rate: float) -> np.ndarray:

@@ -188,6 +188,7 @@ class TestConvergenceExperiment:
             golden_chain, [np.array([0.5, 0.5])], 0.0, [10, 20], 10, seed=1
         )
         np.testing.assert_array_equal(curve.estimates, [0.0, 0.0])
+        np.testing.assert_array_equal(curve.std_errors, [0.0, 0.0])
 
     def test_single_site_degenerate(self, single_site_chain):
         curve = convergence_experiment(

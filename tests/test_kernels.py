@@ -16,6 +16,7 @@ from fvqsd import (
     _kernels,
     sample_marks,
     simulate,
+    simulate_counts,
     simulate_trajectory,
     transition_tables,
     validate_chain,
@@ -38,6 +39,27 @@ def test_workload_digest(golden_chain):
         digest.update(np.ascontiguousarray(arr).tobytes())
     digest.update(evolve(np.zeros(30, dtype=np.int64), marks).tobytes())
     assert digest.hexdigest() == "b58e8715dca9686b0c8db9c1fbf55534"
+
+
+def test_count_workload_digest(golden_chain, three_site_chain):
+    # Count engine: 1500 replicas span two blocks; the snapshots at 0 and
+    # at later times, internal moves and revivals all feed the digest.
+    digest = hashlib.md5()
+    for chain, n in ((golden_chain, 40), (three_site_chain, 11)):
+        xi0 = np.arange(n, dtype=np.int64) % chain.n
+        counts = simulate_counts(chain, xi0, [0.0, 0.5, 2.0], 1500, seed=7)
+        digest.update(counts.tobytes())
+    assert digest.hexdigest() == "374379afb531e5d1e59c9c39cba057e5"
+
+
+def test_run_counts_counts_events(golden_chain):
+    counts = np.tile([40, 0], (3, 1))
+    out = np.empty((3, 1, 2), dtype=np.int64)
+    n_events = _kernels.run_counts(ReplicaSeed(7, 0).generator(), counts,
+                                   golden_chain.site_rates,
+                                   golden_chain.move_table, [2.0], out)
+    np.testing.assert_array_equal(out[:, 0], counts)
+    assert n_events == 361
 
 
 def test_run_events_counts_events(golden_chain):

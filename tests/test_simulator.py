@@ -8,14 +8,24 @@ from fvqsd import (
     configuration_from_profile,
     empirical_measure,
     simulate,
+    simulate_counts,
     simulate_trajectory,
     stationary_sampler,
+    validate_chain,
     transition_tables,
     validate_configuration,
 )
 from fvqsd.errors import UnsortedTimesError
 
-from _oracles import occupancy_generator, occupancy_law, occupancy_moments
+import _pilots
+from _oracles import (
+    count_generator,
+    count_states,
+    occupancy_generator,
+    occupancy_law,
+    occupancy_moments,
+    series_expm,
+)
 
 
 class TestTransitionTables:
@@ -205,6 +215,114 @@ class TestSimulateTrajectory:
         means /= r
         assert means[0] > means[1] > means[2]
         assert means[2] == pytest.approx(0.382, abs=0.05)
+
+
+def _chi_square_quantile_999(dof: int) -> float:
+    # Wilson-Hilferty approximation; 3.0902 is the normal 0.999 quantile.
+    h = 2.0 / (9.0 * dof)
+    return dof * (1.0 - h + 3.0902 * np.sqrt(h)) ** 3
+
+
+class TestSimulateCounts:
+    def test_shape_and_mass(self, three_site_chain):
+        xi0 = np.array([0, 0, 1, 2, 2])
+        counts = simulate_counts(three_site_chain, xi0, [0.0, 0.5, 2.0], 7, 3)
+        assert counts.shape == (7, 3, 3) and counts.dtype == np.int64
+        np.testing.assert_array_equal(counts.sum(axis=2), 5)
+        np.testing.assert_array_equal(counts[:, 0], np.tile([2, 1, 2], (7, 1)))
+
+    def test_reproducible_and_block_keyed(self, golden_chain, monkeypatch):
+        # Block b of a run starting at replica i is keyed by i + b *
+        # BLOCK_REPLICAS, so a run that starts at a later block reproduces
+        # that block of the longer run.
+        from fvqsd import simulator
+
+        monkeypatch.setattr(simulator, "BLOCK_REPLICAS", 4)
+        xi0 = np.zeros(6, dtype=np.int64)
+        a = simulate_counts(golden_chain, xi0, [1.0], 10, ReplicaSeed(9, 0))
+        b = simulate_counts(golden_chain, xi0, [1.0], 10, ReplicaSeed(9, 0))
+        np.testing.assert_array_equal(a, b)
+        tail = simulate_counts(golden_chain, xi0, [1.0], 6, ReplicaSeed(9, 4))
+        np.testing.assert_array_equal(a[4:], tail)
+        assert len({tuple(row) for row in a[:, 0]}) > 1
+
+    def test_single_site_fixed(self, single_site_chain):
+        counts = simulate_counts(single_site_chain, np.zeros(4, dtype=np.int64),
+                                 [1.0, 5.0], 3, 7)
+        np.testing.assert_array_equal(counts, np.full((3, 2, 1), 4))
+
+    def test_rarely_occupied_site_never_goes_negative(self):
+        # Site c empties at rate 100 and fills at rate 0.01, so it is empty
+        # on most steps; a pick or revival onto an empty site would drive
+        # its count below 0.
+        chain = validate_chain({
+            "states": ["a", "b", "c"],
+            "rates": [[0.0, 1.0, 0.0], [1.0, 0.0, 0.01], [0.0, 100.0, 0.0]],
+            "absorption": [1.0, 0.0, 50.0],
+        })
+        xi0 = np.array([0, 1, 2, 2])
+        counts = simulate_counts(chain, xi0, [0.01, 0.5, 3.0], 2000, 5)
+        assert counts.min() == 0
+        np.testing.assert_array_equal(counts.sum(axis=2), 4)
+        assert (counts[:, -1, 2] == 0).mean() > 0.9
+
+    def test_bad_arguments(self, golden_chain):
+        xi0 = np.array([0, 1])
+        for bad in ([], [1.0, 0.5], [-0.5, 1.0], [np.nan]):
+            with pytest.raises(UnsortedTimesError):
+                simulate_counts(golden_chain, xi0, bad, 2, 1)
+        with pytest.raises(ValueError):
+            simulate_counts(golden_chain, xi0, [1.0], 0, 1)
+        with pytest.raises(ValueError):
+            simulate_counts(golden_chain, [0, 2], [1.0], 2, 1)
+
+    def test_count_generator_is_occupancy_generator_on_two_sites(
+        self, golden_chain, symmetric_chain
+    ):
+        for chain in (golden_chain, symmetric_chain):
+            for n in (2, 5, 12):
+                np.testing.assert_allclose(count_generator(chain, n),
+                                           occupancy_generator(chain, n),
+                                           rtol=1e-15, atol=0.0)
+
+    def test_count_generator_rows(self, three_site_chain):
+        g = count_generator(three_site_chain, 40)
+        assert g.shape == (861, 861)
+        np.testing.assert_allclose(g.sum(axis=1), 0.0, atol=1e-12)
+        assert (g - np.diag(np.diag(g))).min() >= 0.0
+
+    @pytest.mark.parametrize("name, n, reps", [
+        ("three_site", 3, 4000), ("three_site", 8, 4000),
+        ("golden", 10, 4000), ("symmetric", 10, 4000),
+    ])
+    def test_law_matches_count_generator(self, name, n, reps, three_site_chain):
+        # Chi-square of the sampled count law at each record time against
+        # the exact law p0 expm(tG); states expected fewer than 5 times are
+        # pooled into one bin.
+        chain = {"three_site": three_site_chain,
+                 "golden": _pilots.golden_chain(),
+                 "symmetric": _pilots.symmetric_chain()}[name]
+        times = [0.25, 0.5, 2.0]
+        xi0 = np.arange(n, dtype=np.int64) % chain.n
+        states = count_states(chain.n, n)
+        index = {tuple(c): i for i, c in enumerate(states.tolist())}
+        p0 = np.zeros(len(states))
+        p0[index[tuple(np.bincount(xi0, minlength=chain.n).tolist())]] = 1.0
+        g = count_generator(chain, n)
+        sampled = simulate_counts(chain, xi0, times, reps, ReplicaSeed(2718, 0))
+        for k, t in enumerate(times):
+            law = p0 @ series_expm(g, t)
+            observed = np.bincount(
+                [index[tuple(c)] for c in sampled[:, k].tolist()],
+                minlength=len(states))
+            expected = reps * law
+            rare = expected < 5.0
+            obs, exp = observed[~rare], expected[~rare]
+            if rare.any():
+                obs = np.append(obs, observed[rare].sum())
+                exp = np.append(exp, expected[rare].sum())
+            chi2 = float(((obs - exp) ** 2 / exp).sum())
+            assert chi2 < _chi_square_quantile_999(obs.size - 1), (t, chi2)
 
 
 class TestStationarySampler:

@@ -3,8 +3,10 @@
 `perfbench/tracing.py` wraps package names by attribute (`map_replicas` in
 three modules, the kernels, `sample_marks`, the CLI's imports and runner
 table).  Deleting or renaming one breaks `perfbench/run.py --trace 1`, so
-this runs two tiny experiments under the tracer and checks the spans it
-relies on.
+this runs two tiny experiments and one labelled simulation under the tracer
+and checks the spans it relies on.  The correlation kind runs the count
+engine, so the `run_events` span comes from `fvqsd.simulate`, the labelled
+loop that perfbench's event probe times.
 """
 from __future__ import annotations
 
@@ -63,6 +65,7 @@ def test_traced_run_records_the_spans_perfbench_reads(tmp_path, tracing):
             argv = [kind, "--config", str(cfg), "--out", str(tmp_path / kind),
                     "--threads", "2"]
             assert fvqsd.cli.main(argv) == 0
+        fvqsd.simulate(fvqsd.validate_chain(GOLDEN), [0, 1, 0, 1], 0.5, 3)
     names = {span[1] for span in tracer.spans}
     assert set(SPANS) <= names, set(SPANS) - names
     for owner, attr, value in before:
