@@ -1,12 +1,13 @@
-"""Hot inner loops of the two stochastic engines, in plain Python.
+"""Hot inner loops of the three stochastic engines, in plain Python and numpy.
 
-The loops copy their numpy inputs into Python lists once per call, because
-indexing a list is several times cheaper than reading a numpy scalar.
+The labelled loops copy their numpy inputs into Python lists once per call,
+because indexing a list is several times cheaper than reading a numpy
+scalar.
 
 The labelled event-driven dynamics live in one loop, ``_run``; ``run_events``
 and ``run_recorded`` are its two entry points.  ``run_counts`` runs the same
-dynamics on site counts alone, for a block of replicas in lockstep, with
-one numpy call per step instead of one Python iteration per replica.
+dynamics on site counts alone, for a block of replicas in lockstep: each
+step is a few numpy calls across the block, not a Python loop per replica.
 Randomness is drawn only through np.random.Generator methods in a fixed
 order, so a seeded generator reproduces its trajectories bit for bit.
 
@@ -142,7 +143,7 @@ def _running_sums(rows):
 def run_counts(gen, counts, site_rate, cum_move, record_times, out):
     """Exact site-count dynamics of a block of replicas, stepped in lockstep.
 
-    counts has shape (replicas, n_sites) and is modified in place; out has
+    counts holds the starting counts, shape (replicas, n_sites); out has
     shape (replicas, len(record_times), n_sites).  The particles are
     exchangeable, so the counts are a Markov chain of their own.  Each step
     gives every live replica one event: a site x chosen with probability
@@ -210,7 +211,6 @@ def run_counts(gen, counts, site_rate, cum_move, record_times, out):
                 n_events += n_live
             out[:, k] = state.T
             start = horizon
-    counts[:] = state.T
     return n_events
 
 

@@ -120,6 +120,8 @@ def correlation_experiment(
         raise ValueError("replicas must be at least 2")
     ix = _resolve_site(chain, x)
     iy = _resolve_site(chain, y)
+    if not (np.isfinite(t) and t >= 0.0):
+        raise ValueError("time must be finite and nonnegative")
     n_particles = np.asarray(xi0).size
     m = simulate_counts(chain, xi0, [t], replicas, seed)[:, 0] / n_particles
     mx, my = m[:, ix], m[:, iy]

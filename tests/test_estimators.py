@@ -162,6 +162,9 @@ class TestCorrelationExperiment:
             correlation_experiment(golden_chain, xi0, 0.1, 5, 1, 10, seed=1)
         with pytest.raises(ValueError):
             correlation_experiment(golden_chain, xi0, 0.1, 0, 1, 1, seed=1)
+        for t in (-0.1, np.nan, np.inf):
+            with pytest.raises(ValueError, match="time must be finite"):
+                correlation_experiment(golden_chain, xi0, t, 0, 1, 10, seed=1)
 
 
 class TestConvergenceCurve:
