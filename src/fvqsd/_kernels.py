@@ -12,8 +12,8 @@ Randomness is drawn only through np.random.Generator methods in a fixed
 order, so a seeded generator reproduces its trajectories bit for bit.
 
 The graphical engine draws nothing here: ``apply_marks`` replays a mark
-realization by merging its two time-sorted streams, and
-``influence_matrix_kernel`` scans the copy stream backward.
+realization in its event order, and ``influence_matrix_kernel`` scans its
+copy events backward.
 """
 from __future__ import annotations
 
@@ -216,44 +216,33 @@ def run_counts(gen, counts, site_rate, cum_move, record_times, out):
 
 def apply_marks(
     positions,
-    internal_times,
+    copy_order,
     internal_particle,
     internal_maps,
-    voter_times,
     voter_particle,
     voter_targets,
     voter_fields,
 ):
     """Replay a mark realization over an initial configuration in place.
 
-    The internal and copy streams are each sorted by time; the replay
-    merges them in time order.  An internal event pushes the particle's
-    site through its sampled full map.  A copy event is a neighbor-copy
-    attempt: it fires only where the sampled indicator field is set at the
-    particle's current site.  On equal times the internal event goes first
-    (sampled realizations have distinct times; only a hand-built one can
-    tie).
+    Event e is the next copy event if copy_order[e] is set and the next
+    internal event otherwise.  An internal event pushes the particle's site
+    through its sampled full map.  A copy event is a neighbor-copy attempt:
+    it fires only where the sampled indicator field is set at the
+    particle's current site.
     """
     pos = positions.tolist()
-    maps = internal_maps.tolist()
-    targets = voter_targets.tolist()
-    fields = voter_fields.tolist()
-    movers = internal_particle.tolist()
-    copiers = voter_particle.tolist()
-    # An inf past each stream's end sends the merge to the other stream.
-    t_int = internal_times.tolist() + [np.inf]
-    t_cp = voter_times.tolist() + [np.inf]
-    a = b = 0
-    for _ in range(len(movers) + len(copiers)):
-        if t_int[a] <= t_cp[b]:
-            i = movers[a]
-            pos[i] = maps[a][pos[i]]
-            a += 1
+    internal = zip(internal_particle.tolist(), internal_maps.tolist())
+    copies = zip(voter_particle.tolist(), voter_targets.tolist(),
+                 voter_fields.tolist())
+    for is_copy in copy_order.tolist():
+        if is_copy:
+            i, j, field = next(copies)
+            if field[pos[i]]:
+                pos[i] = pos[j]
         else:
-            i = copiers[b]
-            if fields[b][pos[i]]:
-                pos[i] = pos[targets[b]]
-            b += 1
+            i, f = next(internal)
+            pos[i] = f[pos[i]]
     positions[:] = pos
     return positions
 
@@ -265,9 +254,9 @@ def influence_matrix_kernel(
 
     out is a (len(roots), n_particles) boolean matrix; row r collects the
     labels whose initial coordinate can affect particle roots[r] at the
-    horizon.  Voter arrays are sorted by time ascending; the scan walks
-    them backward and, whenever a current member has a copy attempt, adds
-    the copied label, whether or not the attempt fires at runtime.
+    horizon.  Voter arrays list the copy events in replay order; the scan
+    walks them backward and, whenever a current member has a copy attempt,
+    adds the copied label, whether or not the attempt fires at runtime.
     """
     events = list(zip(voter_particle.tolist()[::-1],
                       voter_targets.tolist()[::-1]))

@@ -1,7 +1,8 @@
 """Harris-style construction: marked Poisson events driving the particles.
 
 Instead of drawing jumps on the fly, a full realization of two marked
-Poisson processes is sampled up front, per particle:
+Poisson processes is sampled up front, each particle having its own events
+of both kinds:
 
 * internal events at the chain's uniformized jump rate, each carrying a
   complete map F of the live sites sampled coordinatewise from the jump
@@ -11,11 +12,16 @@ Poisson processes is sampled up front, per particle:
   probability absorption(x) / max absorption — the particle copies
   particle j's position only where its current site's indicator is set.
 
-A realization is just these two time-sorted streams.  Evolution is a
-deterministic replay that merges them in time order, so the same
-realization can drive every initial configuration at once (coupling), and
-the set of labels that could possibly affect a particle by the horizon is
-computable by a backward scan over the copy stream alone.
+Evolution and the backward influence scan read only the order of the
+events, never their times.  Over N particles on [0, t] the copy events are
+Poisson(N C t) many, each of a uniform particle with i.i.d. marks; the
+internal events likewise; and the two kinds interleave uniformly at
+random.  So a realization is the two kinds' marks, each in replay order,
+plus one boolean sequence saying which kind comes next.  Evolution is a
+deterministic replay of that sequence, so the same realization can drive
+every initial configuration at once (coupling), and the set of labels that
+could possibly affect a particle by the horizon is computable by a
+backward scan over the copy events alone.
 """
 from __future__ import annotations
 
@@ -26,6 +32,7 @@ from numpy.typing import ArrayLike, NDArray
 
 from . import _kernels
 from .chain import AbsorbingChain
+from .errors import HorizonOverflowError
 from .parallel import map_replicas
 from .seeding import ReplicaSeed, as_replica_seed
 from .simulator import validate_configuration
@@ -43,45 +50,46 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class MarkRealization:
-    """One realization of all event marks on [0, horizon].
+    """One realization of all event marks on [0, horizon], in replay order.
 
-    Two event streams, internal and copy, each flat and sorted by time;
-    ``*_particle`` says whose event each entry is.  ``internal_maps[e]`` is
-    the sampled full map (F[x] is the destination of site x);
-    ``voter_fields[e]`` the sampled indicator field.  The replay and the
-    influence scan both rely on the time order, so a stream whose times
-    decrease or are not finite is rejected.
+    Event e is the next copy event if ``copy_order[e]`` is set and the next
+    internal event otherwise; each kind's arrays list its events in that
+    order.  ``*_particle`` says whose event each entry is.
+    ``internal_maps[e]`` is the sampled full map (F[x] is the destination
+    of site x); ``voter_fields[e]`` the sampled indicator field.
     """
 
     horizon: float
     n_particles: int
     n_states: int
-    internal_times: NDArray[np.float64]
+    copy_order: NDArray[np.bool_]
     internal_particle: NDArray[np.int64]
     internal_maps: NDArray[np.int64]
-    voter_times: NDArray[np.float64]
     voter_particle: NDArray[np.int64]
     voter_targets: NDArray[np.int64]
     voter_fields: NDArray[np.bool_]
 
     def __post_init__(self) -> None:
-        ei = self.internal_times.size
-        ev = self.voter_times.size
+        if self.copy_order.dtype != np.bool_ or self.copy_order.ndim != 1:
+            raise ValueError("copy_order must be a 1-d boolean array")
+        ev = int(np.count_nonzero(self.copy_order))
+        ei = self.copy_order.size - ev
         if self.internal_particle.shape != (ei,) or self.internal_maps.shape != (
             ei,
             self.n_states,
         ):
-            raise ValueError("internal mark arrays have inconsistent shapes")
+            raise ValueError(
+                f"internal mark arrays do not match copy_order's {ei} "
+                "internal events"
+            )
         if (
             self.voter_particle.shape != (ev,)
             or self.voter_targets.shape != (ev,)
             or self.voter_fields.shape != (ev, self.n_states)
         ):
-            raise ValueError("voter mark arrays have inconsistent shapes")
-        for kind, times in (("internal", self.internal_times),
-                            ("voter", self.voter_times)):
-            if not (np.all(np.isfinite(times)) and np.all(times[1:] >= times[:-1])):
-                raise ValueError(f"{kind} mark times must be finite and sorted")
+            raise ValueError(
+                f"voter mark arrays do not match copy_order's {ev} copy events"
+            )
         labels = np.concatenate(
             [self.internal_particle, self.voter_particle, self.voter_targets])
         for what, arr, bound in (("particle and target labels", labels,
@@ -94,8 +102,8 @@ class MarkRealization:
             if wide.size and np.maximum.reduce(wide, axis=None) >= bound:
                 raise ValueError(f"{what} must lie in [0, {bound})")
         for name in (
-            "internal_times", "internal_particle", "internal_maps",
-            "voter_times", "voter_particle", "voter_targets", "voter_fields",
+            "copy_order", "internal_particle", "internal_maps",
+            "voter_particle", "voter_targets", "voter_fields",
         ):
             arr = getattr(self, name)
             if arr.flags.writeable:
@@ -103,37 +111,40 @@ class MarkRealization:
 
     @property
     def n_events(self) -> int:
-        return self.internal_times.size + self.voter_times.size
+        return self.copy_order.size
 
 
-def _marked_times(
-    gen: np.random.Generator, rate: float, n_particles: int, horizon: float
-) -> tuple[NDArray[np.float64], NDArray[np.int64]]:
-    # Unsorted; the caller sorts after deduplication so mark association
-    # survives any redraw.
-    counts = gen.poisson(rate * horizon, size=n_particles)
-    total = int(counts.sum())
-    times = gen.random(total) * horizon
-    particles = np.repeat(np.arange(n_particles, dtype=np.int64), counts)
-    return times, particles
+def _check_size(n_particles: int, horizon: float) -> float:
+    if n_particles < 2:
+        raise ValueError("n_particles must be at least 2")
+    horizon = float(horizon)
+    if not np.isfinite(horizon) or horizon < 0.0:
+        raise ValueError("horizon must be finite and nonnegative")
+    return horizon
 
 
-def _distinct_time_order(
-    gen: np.random.Generator, times: NDArray[np.float64], horizon: float
-) -> NDArray[np.int64]:
-    # The stable time order of ``times``, after redrawing in place every
-    # repeat of an earlier entry until all times are distinct, so the
-    # replay order is unambiguous.  Exact collisions have probability
-    # ~ E^2 * ulp.  A stable sort puts a time's first occurrence first among
-    # its equals; the repeats after it are redrawn in ascending index order.
-    order = np.argsort(times, kind="stable")
-    while True:
-        repeat = times[order[1:]] == times[order[:-1]]
-        if not repeat.any():
-            return order
-        redo = np.sort(order[1:][repeat])
-        times[redo] = gen.random(redo.size) * horizon
-        order = np.argsort(times, kind="stable")
+def _event_count(gen: np.random.Generator, mean: float) -> int:
+    # numpy's Poisson sampler refuses a mean near 2**63 or above.
+    try:
+        return int(gen.poisson(mean))
+    except ValueError:
+        raise HorizonOverflowError(
+            f"an expected {mean:g} mark events is beyond numpy's Poisson range"
+        ) from None
+
+
+def _copy_pairs(
+    gen: np.random.Generator, n_particles: int, mass: float
+) -> tuple[NDArray[np.int64], NDArray[np.int64]]:
+    # The (particle, target) pairs of the copy events in replay order, for
+    # a per-particle expected count mass = C * horizon.  Shifting the
+    # targets at or above the particle makes them uniform over the other
+    # N - 1 labels.
+    k = _event_count(gen, n_particles * mass)
+    particle = gen.integers(0, n_particles, k)
+    target = gen.integers(0, n_particles - 1, k)
+    target += target >= particle
+    return particle, target
 
 
 def sample_marks(
@@ -146,59 +157,41 @@ def sample_marks(
 
     Per particle, internal events arrive at the chain's maximal internal
     rate and copy events at the maximal absorption rate (a zero rate gives
-    an empty process; horizon 0 gives an empty realization).  Fully
-    determined by the seed.  Event times are globally distinct, enforced
-    by redraw on collision.
+    no events of that kind; horizon 0 gives an empty realization).  Fully
+    determined by the seed, which is read in this order: the copy pairs,
+    their indicator fields, the internal particles and maps, and last the
+    interleaving.  An expected event count beyond numpy's Poisson range
+    raises HorizonOverflowError.
     """
-    if n_particles < 2:
-        raise ValueError("n_particles must be at least 2")
-    horizon = float(horizon)
-    if not np.isfinite(horizon) or horizon < 0.0:
-        raise ValueError("horizon must be finite and nonnegative")
+    horizon = _check_size(n_particles, horizon)
     gen = as_replica_seed(seed).generator()
     n = chain.n
 
-    internal_times, internal_particle = _marked_times(
-        gen, chain.max_internal_rate, n_particles, horizon
-    )
-    ei = internal_times.size
+    c_rate = chain.max_absorption_rate
+    voter_particle, voter_targets = _copy_pairs(gen, n_particles, c_rate * horizon)
+    # u * C < absorption(x) is set with probability absorption(x) / C.
+    voter_fields = gen.random((voter_particle.size, n)) * c_rate < chain.absorption
+
+    ei = _event_count(gen, n_particles * (chain.max_internal_rate * horizon))
+    internal_particle = gen.integers(0, n_particles, ei)
     cum_kernel = chain.cum_jump_kernel
     draws = gen.random((ei, n))
     internal_maps = np.empty((ei, n), dtype=np.int64)
     for x in range(n):
         internal_maps[:, x] = np.searchsorted(cum_kernel[x], draws[:, x], side="right")
 
-    c_rate = chain.max_absorption_rate
-    voter_times, voter_particle = _marked_times(
-        gen, c_rate, n_particles, horizon
-    )
-    ev = voter_times.size
-    voter_targets = gen.integers(0, n_particles, size=ev)
-    clash = voter_targets == voter_particle
-    while np.any(clash):
-        voter_targets[clash] = gen.integers(0, n_particles, size=int(clash.sum()))
-        clash = voter_targets == voter_particle
-    if c_rate > 0.0:
-        fire_prob = chain.absorption / c_rate
-    else:
-        fire_prob = np.zeros(n)
-    voter_fields = gen.random((ev, n)) < fire_prob
-
-    times = np.concatenate([internal_times, voter_times])
-    order = _distinct_time_order(gen, times, horizon)
-    internal_order = order[order < ei]
-    voter_order = order[order >= ei] - ei
+    copy_order = np.repeat([True, False], [voter_particle.size, ei])
+    gen.shuffle(copy_order)
     return MarkRealization(
         horizon=horizon,
         n_particles=int(n_particles),
         n_states=n,
-        internal_times=times[internal_order],
-        internal_particle=internal_particle[internal_order],
-        internal_maps=internal_maps[internal_order],
-        voter_times=times[ei:][voter_order],
-        voter_particle=voter_particle[voter_order],
-        voter_targets=voter_targets[voter_order],
-        voter_fields=voter_fields[voter_order],
+        copy_order=copy_order,
+        internal_particle=internal_particle,
+        internal_maps=internal_maps,
+        voter_particle=voter_particle,
+        voter_targets=voter_targets,
+        voter_fields=voter_fields,
     )
 
 
@@ -218,10 +211,9 @@ def evolve(xi0: ArrayLike, marks: MarkRealization) -> NDArray[np.int64]:
     out = pos.copy()
     _kernels.apply_marks(
         out,
-        marks.internal_times,
+        marks.copy_order,
         marks.internal_particle,
         marks.internal_maps,
-        marks.voter_times,
         marks.voter_particle,
         marks.voter_targets,
         marks.voter_fields,
@@ -286,23 +278,29 @@ def influence_experiment(
 ) -> tuple[InfluenceSizeEstimate, OverlapEstimate]:
     """Monte Carlo check data for the two influence-set bounds.
 
-    Each replica samples fresh marks and computes the influence sets of
-    labels 0 and 1 (exchangeability makes the choice irrelevant): the mean
-    of |set of 0| is compared against exp(C t) and the frequency of the
-    two sets intersecting against (exp(2 C t) - 1)/(N - 1), where C is the
-    chain's maximal absorption rate.  The overlap CI is the 95% normal
-    approximation.
+    Each replica draws only its copy pairs, the prefix that
+    ``sample_marks`` draws first from the same seed, and computes the
+    influence sets of labels 0 and 1 (exchangeability makes the choice
+    irrelevant): the mean of |set of 0| is compared against exp(C t) and the
+    frequency of the two sets intersecting against (exp(2 C t) - 1)/(N - 1),
+    where C is the chain's maximal absorption rate.  The overlap CI is the
+    95% normal approximation.
     """
     if replicas < 2:
         raise ValueError("replicas must be at least 2")
+    t = _check_size(n_particles, t)
     seed = as_replica_seed(seed)
     master = seed.master_seed
     base = seed.replica_index
+    mass = chain.max_absorption_rate * t
     roots = np.array([0, 1], dtype=np.int64)
 
     def one(r: int) -> tuple[int, bool]:
-        marks = sample_marks(chain, n_particles, t, ReplicaSeed(master, base + r))
-        rows = influence_matrix(marks, roots=roots)
+        gen = ReplicaSeed(master, base + r).generator()
+        particle, target = _copy_pairs(gen, n_particles, mass)
+        rows = _kernels.influence_matrix_kernel(
+            roots, n_particles, particle, target,
+            np.empty((2, n_particles), dtype=np.bool_))
         size = int(rows[0].sum())
         overlap = bool(np.any(rows[0] & rows[1]))
         return size, overlap

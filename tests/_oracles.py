@@ -5,8 +5,12 @@ implementations under test: the matrix exponential is a plain truncated
 power series, eigenpairs come from numpy's dense solver, and the small
 interacting system is collapsed to its exact occupancy-count master
 equation (site 0's count on 2 sites, the whole count vector on any n).
+The backward influence scans are collapsed to birth chains: the size of
+one label's set, and the sizes of two labels' sets until they meet.
 """
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -169,3 +173,44 @@ def influence_size_generator(n_particles: int, c_rate: float) -> np.ndarray:
         g[k - 1, k] = rate
         g[k - 1, k - 1] = -rate
     return g
+
+
+def overlap_probability(n_particles: int, c_rate: float, t: float) -> float:
+    """Exact probability that the influence sets of two labels meet by t.
+
+    Scanning copy events backward, the sizes (k0, k1) of the two disjoint
+    sets form a pure birth chain with one absorbing "overlap" state.  Each
+    of the k0 members of the first set fires at rate C and names a uniform
+    target among the other N - 1 labels: a target in neither set adds it,
+    so k0 grows at rate C k0 (N - k0 - k1) / (N - 1), and k1 likewise; a
+    target in the other set is an overlap, which arrives at total rate
+    2 C k0 k1 / (N - 1).  The law lives on an (N + 1, N + 1) grid indexed
+    by (k0, k1), started at (1, 1), and is advanced by uniformized steps:
+    one step moves mass rate / lam one cell down or right, or into the
+    overlap state.  The result is the Poisson(lam t) mixture of the overlap
+    mass after m steps, summed to 12 standard deviations past the mean.
+    """
+    n = n_particles
+    k0, k1 = np.meshgrid(np.arange(n + 1.0), np.arange(n + 1.0), indexing="ij")
+    free = np.maximum(n - k0 - k1, 0.0)
+    grow0 = c_rate * k0 * free / (n - 1)
+    grow1 = c_rate * k1 * free / (n - 1)
+    meet = 2.0 * c_rate * k0 * k1 / (n - 1)
+    lam = float((grow0 + grow1 + meet)[k0 + k1 <= n].max())
+    if lam * t == 0.0:
+        return 0.0
+    grow0, grow1, meet = grow0 / lam, grow1 / lam, meet / lam
+    stay = 1.0 - grow0 - grow1 - meet
+    law = np.zeros((n + 1, n + 1))
+    law[1, 1] = 1.0
+    mean = lam * t
+    met = 0.0
+    total = 0.0
+    for m in range(int(mean + 12.0 * math.sqrt(mean) + 30.0)):
+        total += math.exp(m * math.log(mean) - mean - math.lgamma(m + 1.0)) * met
+        met += float((law * meet).sum())
+        step = law * stay
+        step[1:, :] += (law * grow0)[:-1, :]
+        step[:, 1:] += (law * grow1)[:, :-1]
+        law = step
+    return total

@@ -134,12 +134,15 @@ def simulator_equivalence_pilot():
     m_first = (sim_final == 0).mean(axis=1)
     marginal = float(m_first.mean())
     marginal_se = float(m_first.std(ddof=1) / np.sqrt(replicas))
+    m_marks = (marks_final == 0).mean(axis=1)
     return {
         "tv_distance": float(tv),
         "marginal": marginal,
         "marginal_se": marginal_se,
         "oracle_marginal": float(oracle_mean),
         "marginal_gap_in_se": abs(marginal - oracle_mean) / marginal_se,
+        "marks_marginal": float(m_marks.mean()),
+        "marks_marginal_se": float(m_marks.std(ddof=1) / np.sqrt(replicas)),
     }
 
 

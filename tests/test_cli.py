@@ -181,6 +181,8 @@ MALFORMED = {
     "simulate-n_particles-2^64": ("simulate", dict(SIMULATE, n_particles=2**64), 0, []),
     "semigroup-t_grid-1e308": ("semigroup", {"initial": "1",
                                              "t_grid": [1.0, 2.0, 3.0, 1e308]}, 0, []),
+    "overlap-n_particles-4-t-1e20": ("overlap", {"n_particles": 4, "t": 1e20,
+                                                 "replicas": 2}, 0, []),
 }
 
 

@@ -17,10 +17,15 @@ from fvqsd import (
     sample_marks,
     simulate,
 )
-from fvqsd import graphical
+from fvqsd.errors import HorizonOverflowError
 
 import _pilots
-from _oracles import influence_size_generator, occupancy_law, series_expm
+from _oracles import (
+    influence_size_generator,
+    occupancy_law,
+    overlap_probability,
+    series_expm,
+)
 
 
 def influence_sets(marks):
@@ -32,29 +37,30 @@ def influence_sets(marks):
 def ref_influence(marks, root):
     # Straight-line reference for the backward membership scan.
     member = {int(root)}
-    for e in range(marks.voter_times.size - 1, -1, -1):
+    for e in range(marks.voter_particle.size - 1, -1, -1):
         if int(marks.voter_particle[e]) in member:
             member.add(int(marks.voter_targets[e]))
     return frozenset(member)
 
 
-def hand_marks(n_particles=2, n_states=2, internal=(), voter=(), horizon=1.0):
-    """Build a MarkRealization from explicit event tuples.
+def hand_marks(*events, n_particles=2, n_states=2, horizon=1.0):
+    """Build a MarkRealization from explicit events in replay order.
 
-    internal: (time, particle, map_row); voter: (time, particle, target,
-    field_row).
+    An internal event is ("map", particle, map_row); a copy event is
+    ("copy", particle, target, field_row).
     """
-    it = np.array([e[0] for e in internal], dtype=np.float64)
-    ip = np.array([e[1] for e in internal], dtype=np.int64)
-    im = np.array([e[2] for e in internal], dtype=np.int64).reshape(len(internal), n_states)
-    vt = np.array([e[0] for e in voter], dtype=np.float64)
-    vp = np.array([e[1] for e in voter], dtype=np.int64)
-    vg = np.array([e[2] for e in voter], dtype=np.int64)
-    vf = np.array([e[3] for e in voter], dtype=np.bool_).reshape(len(voter), n_states)
+    internal = [e[1:] for e in events if e[0] == "map"]
+    voter = [e[1:] for e in events if e[0] == "copy"]
     return MarkRealization(
         horizon=horizon, n_particles=n_particles, n_states=n_states,
-        internal_times=it, internal_particle=ip, internal_maps=im,
-        voter_times=vt, voter_particle=vp, voter_targets=vg, voter_fields=vf,
+        copy_order=np.array([e[0] == "copy" for e in events], dtype=np.bool_),
+        internal_particle=np.array([e[0] for e in internal], dtype=np.int64),
+        internal_maps=np.array([e[1] for e in internal],
+                               dtype=np.int64).reshape(len(internal), n_states),
+        voter_particle=np.array([e[0] for e in voter], dtype=np.int64),
+        voter_targets=np.array([e[1] for e in voter], dtype=np.int64),
+        voter_fields=np.array([e[2] for e in voter],
+                              dtype=np.bool_).reshape(len(voter), n_states),
     )
 
 
@@ -74,23 +80,18 @@ class TestSampleMarks:
     def test_deterministic(self, golden_chain):
         a = sample_marks(golden_chain, 6, 2.0, ReplicaSeed(12, 4))
         b = sample_marks(golden_chain, 6, 2.0, ReplicaSeed(12, 4))
-        np.testing.assert_array_equal(a.internal_times, b.internal_times)
+        np.testing.assert_array_equal(a.copy_order, b.copy_order)
+        np.testing.assert_array_equal(a.internal_maps, b.internal_maps)
         np.testing.assert_array_equal(a.voter_fields, b.voter_fields)
 
     @pytest.mark.parametrize("seed", [12, np.int64(12), np.uint64(12)])
     def test_integer_seed_is_replica_zero(self, golden_chain, seed):
         a = sample_marks(golden_chain, 6, 2.0, seed)
         b = sample_marks(golden_chain, 6, 2.0, ReplicaSeed(12))
-        np.testing.assert_array_equal(a.internal_times, b.internal_times)
+        np.testing.assert_array_equal(a.copy_order, b.copy_order)
         np.testing.assert_array_equal(a.voter_targets, b.voter_targets)
         assert influence_experiment(golden_chain, 6, 0.5, 4, seed) == \
             influence_experiment(golden_chain, 6, 0.5, 4, ReplicaSeed(12))
-
-    def test_times_distinct_and_in_range(self, golden_chain):
-        marks = sample_marks(golden_chain, 20, 5.0, 3)
-        times = np.concatenate([marks.internal_times, marks.voter_times])
-        assert np.unique(times).size == times.size
-        assert (times >= 0).all() and (times <= 5.0).all()
 
     def test_golden_fields_are_degenerate(self, golden_chain):
         # absorption = (1, 0) and C = 1: the indicator always fires at
@@ -127,8 +128,8 @@ class TestSampleMarks:
         voters = np.empty(reps)
         for r in range(reps):
             marks = sample_marks(golden_chain, n, t, ReplicaSeed(1000, r))
-            internals[r] = marks.internal_times.size
-            voters[r] = marks.voter_times.size
+            internals[r] = np.count_nonzero(~marks.copy_order)
+            voters[r] = np.count_nonzero(marks.copy_order)
         expect = n * 1.0 * t
         for counts in (internals, voters):
             se = counts.std(ddof=1) / np.sqrt(reps)
@@ -138,61 +139,70 @@ class TestSampleMarks:
         marks = sample_marks(golden_chain, 4, 6.0, 2)
         assert (marks.voter_targets != marks.voter_particle).all()
 
-    def test_collisions_are_redrawn(self, golden_chain, monkeypatch):
-        # Times floored to multiples of 0.25 collide; every repeat after a
-        # time's first occurrence is redrawn.  The digest pins the redraws
-        # and the resulting order.
-        marked_times = graphical._marked_times
+    def test_targets_uniform_over_other_labels(self, golden_chain):
+        # Chi-square of the (particle, target) table against targets
+        # uniform over the other N - 1 = 5 labels: 6 rows of 5 cells, each
+        # row's total fixed, so 24 degrees of freedom; 51.18 is the 0.999
+        # quantile.
+        n = 6
+        table = np.zeros((n, n))
+        for r in range(100):
+            marks = sample_marks(golden_chain, n, 20.0, ReplicaSeed(808, r))
+            np.add.at(table, (marks.voter_particle, marks.voter_targets), 1)
+        assert not table.diagonal().any()
+        cells = table[~np.eye(n, dtype=bool)].reshape(n, n - 1)
+        expected = cells.sum(axis=1, keepdims=True) / (n - 1)
+        assert expected.min() > 300
+        chi2 = float(((cells - expected) ** 2 / expected).sum())
+        assert chi2 < 51.18, (chi2, cells)
 
-        def floored(gen, rate, n_particles, horizon):
-            times, particles = marked_times(gen, rate, n_particles, horizon)
-            return np.floor(times * 4.0) / 4.0, particles
+    def test_interleaving_is_uniform(self, golden_chain):
+        # Internal and copy events have the same rate on the golden chain,
+        # so every place in the sequence holds a copy event with
+        # probability 1/2, independently: the first half of each sequence
+        # holds as many as the second.
+        diff = 0
+        places = 0
+        for r in range(200):
+            order = sample_marks(golden_chain, 5, 4.0, ReplicaSeed(55, r)).copy_order
+            half = order.size // 2
+            diff += int(order[:half].sum()) - int(order[half:2 * half].sum())
+            places += 2 * half
+        assert places > 5000
+        assert abs(diff) < 4 * np.sqrt(places / 4.0)
 
-        monkeypatch.setattr(graphical, "_marked_times", floored)
-        digest = hashlib.md5()
-        redrawn = 0
-        for r in range(20):
-            marks = sample_marks(golden_chain, 6, 2.0, ReplicaSeed(99, r))
-            times = np.concatenate([marks.internal_times, marks.voter_times])
-            assert np.unique(times).size == times.size
-            redrawn += int(np.count_nonzero(times % 0.25))
-            for arr in (marks.internal_times, marks.internal_particle,
-                        marks.internal_maps, marks.voter_times,
-                        marks.voter_particle, marks.voter_targets,
-                        marks.voter_fields):
-                digest.update(np.ascontiguousarray(arr).tobytes())
-        assert redrawn > 0
-        assert digest.hexdigest() == "7f08a4fa618d10393a1bf7c5b4517fce"
+    def test_copy_order_count_mismatch_rejected(self):
+        marks = hand_marks(("map", 0, [1, 0]), ("copy", 0, 1, [True, False]))
+        arrays = {name: getattr(marks, name) for name in (
+            "internal_particle", "internal_maps", "voter_particle",
+            "voter_targets", "voter_fields")}
+        for order, message in (([True, False, True], "copy_order's 2 copy events"),
+                               ([0, 1], "boolean")):
+            with pytest.raises(ValueError, match=message):
+                MarkRealization(horizon=1.0, n_particles=2, n_states=2,
+                                copy_order=np.array(order), **arrays)
 
-    @pytest.mark.parametrize("stream", ["internal", "voter"])
-    def test_unsorted_stream_rejected(self, stream):
-        # The replay and the influence scan read each stream in time
-        # order: copy events (0.7, 0 -> 1) then (0.3, 1 -> 2) would give
-        # root 0 the set {0, 1} instead of {0, 1, 2}.
-        internal = [(0.2, 0, [1, 0]), (0.6, 1, [1, 0])]
-        voter = [(0.3, 1, 2, [True, False]), (0.7, 0, 1, [True, False])]
-        hand_marks(3, internal=internal, voter=voter)
-        if stream == "internal":
-            internal = internal[::-1]
-        else:
-            voter = voter[::-1]
-        with pytest.raises(ValueError, match="sorted"):
-            hand_marks(3, internal=internal, voter=voter)
+    def test_huge_horizon_overflows(self, golden_chain):
+        # N C t = 4e20 is beyond numpy's Poisson range.
+        with pytest.raises(HorizonOverflowError, match="Poisson range"):
+            sample_marks(golden_chain, 4, 1e20, 0)
+        with pytest.raises(HorizonOverflowError, match="Poisson range"):
+            influence_experiment(golden_chain, 4, 1e20, 2, 0)
 
     def test_negative_target_rejected(self):
         # A negative label would be read as label N - 1 by the kernels.
         with pytest.raises(ValueError, match=r"labels must lie in \[0, 3\)"):
-            hand_marks(3, voter=[(0.5, 0, -1, [True, False])])
+            hand_marks(("copy", 0, -1, [True, False]), n_particles=3)
 
     def test_particle_equal_to_n_rejected(self):
         with pytest.raises(ValueError, match=r"labels must lie in \[0, 3\)"):
-            hand_marks(3, internal=[(0.5, 3, [1, 0])])
+            hand_marks(("map", 3, [1, 0]), n_particles=3)
         with pytest.raises(ValueError, match=r"labels must lie in \[0, 3\)"):
-            hand_marks(3, voter=[(0.5, 3, 0, [True, False])])
+            hand_marks(("copy", 3, 0, [True, False]), n_particles=3)
 
     def test_map_entry_equal_to_n_states_rejected(self):
         with pytest.raises(ValueError, match=r"map sites must lie in \[0, 2\)"):
-            hand_marks(3, internal=[(0.5, 0, [1, 2])])
+            hand_marks(("map", 0, [1, 2]), n_particles=3)
 
     def test_zero_absorption_no_voter_events(self):
         chain = AbsorbingChain(
@@ -201,8 +211,8 @@ class TestSampleMarks:
             absorption=np.zeros(2),
         )
         marks = sample_marks(chain, 5, 3.0, 0)
-        assert marks.voter_times.size == 0
-        assert marks.internal_times.size > 0
+        assert marks.voter_particle.size == 0
+        assert marks.internal_particle.size > 0
 
 
 class TestEvolve:
@@ -212,40 +222,27 @@ class TestEvolve:
         np.testing.assert_array_equal(evolve(xi0, marks), xi0)
 
     def test_single_internal_event(self):
-        marks = hand_marks(internal=[(0.5, 0, [1, 0])])
+        marks = hand_marks(("map", 0, [1, 0]))
         np.testing.assert_array_equal(evolve([0, 0], marks), [1, 0])
         np.testing.assert_array_equal(evolve([1, 1], marks), [0, 1])
 
     def test_voter_event_fires_by_site(self):
         # Field set only at site 0: the copy happens iff particle 0 sits
         # at site 0 when the event arrives.
-        marks = hand_marks(voter=[(0.5, 0, 1, [True, False])])
+        marks = hand_marks(("copy", 0, 1, [True, False]))
         np.testing.assert_array_equal(evolve([0, 1], marks), [1, 1])
         np.testing.assert_array_equal(evolve([1, 0], marks), [1, 0])
 
     def test_merged_order(self):
-        # Internal swap at t=0.3 puts particle 0 on site 0; the later
-        # copy event then fires and drags it onto particle 1.
-        marks = hand_marks(
-            internal=[(0.3, 0, [0, 0])],
-            voter=[(0.7, 0, 1, [True, False])],
-        )
+        # The internal map first puts particle 0 on site 0; the copy event
+        # after it then fires and drags it onto particle 1.
+        marks = hand_marks(("map", 0, [0, 0]), ("copy", 0, 1, [True, False]))
+        np.testing.assert_array_equal(marks.copy_order, [False, True])
         np.testing.assert_array_equal(evolve([1, 1], marks), [1, 1])
-        # Reversed times: the copy attempt comes first and misses.
-        marks2 = hand_marks(
-            internal=[(0.7, 0, [0, 0])],
-            voter=[(0.3, 0, 1, [True, False])],
-        )
+        # Reversed order: the copy attempt comes first and misses.
+        marks2 = hand_marks(("copy", 0, 1, [True, False]), ("map", 0, [0, 0]))
+        np.testing.assert_array_equal(marks2.copy_order, [True, False])
         np.testing.assert_array_equal(evolve([1, 1], marks2), [0, 1])
-
-    def test_tie_replays_internal_event_first(self):
-        # Only a hand-built realization can tie.  Internal first: the map
-        # moves particle 0 to site 0, where the copy then fires.
-        marks = hand_marks(
-            internal=[(0.5, 0, [0, 0])],
-            voter=[(0.5, 0, 1, [True, False])],
-        )
-        np.testing.assert_array_equal(evolve([1, 1], marks), [1, 1])
 
     def test_size_mismatch(self, golden_chain):
         marks = sample_marks(golden_chain, 4, 1.0, 0)
@@ -269,6 +266,18 @@ class TestEvolve:
         ref = occupancy_law(golden_chain, n, n, t)
         assert np.abs(law_sim - law_marks).sum() < 0.06
         assert np.abs(law_marks - ref).sum() < 0.06
+
+    def test_recorded_marks_marginal_matches_master_equation(self, golden_chain):
+        # The criterion-04 pilot record's marks half, against E[m_0(t)]
+        # from the exact occupancy law.
+        with open(_pilots.RESULTS_PATH) as fh:
+            cell = json.load(fh)["simulator_equivalence"]
+        spec = _pilots.SIM_EQUIV
+        n = spec["n_particles"]
+        k0 = spec["xi0"].count(0)
+        law = occupancy_law(golden_chain, n, k0, spec["t"])
+        exact = law @ (np.arange(n + 1) / n)
+        assert abs(cell["marks_marginal"] - exact) <= 3.0 * cell["marks_marginal_se"]
 
 
 class TestInfluence:
@@ -296,7 +305,7 @@ class TestInfluence:
     def test_membership_ignores_field(self):
         # The copy attempt could not fire (field all False), yet the
         # target still joins: membership tracks what could matter.
-        marks = hand_marks(voter=[(0.5, 0, 1, [False, False])])
+        marks = hand_marks(("copy", 0, 1, [False, False]))
         assert influence_sets(marks)[0] == frozenset({0, 1})
 
     def test_roots_selection(self, golden_chain):
@@ -350,6 +359,94 @@ class TestInfluenceExperiment:
         assert 0.0 <= overlap.ci_low <= overlap.probability <= overlap.ci_high <= 1.0
         assert size.bound == pytest.approx(np.exp(0.25))
         assert overlap.bound == pytest.approx((np.exp(0.5) - 1.0) / 40.0)
+
+    def test_equals_loop_over_sample_marks(self, three_site_chain):
+        # The experiment draws only the copy pairs, the prefix that
+        # sample_marks draws first from the same replica seed.
+        n, t, reps = 9, 0.8, 60
+        size, overlap = influence_experiment(
+            three_site_chain, n, t, reps, ReplicaSeed(31, 7))
+        sizes = np.empty(reps)
+        overlaps = np.empty(reps)
+        for r in range(reps):
+            marks = sample_marks(three_site_chain, n, t, ReplicaSeed(31, 7 + r))
+            rows = influence_matrix(marks, roots=[0, 1])
+            sizes[r] = rows[0].sum()
+            overlaps[r] = np.any(rows[0] & rows[1])
+        assert 0.0 < overlaps.mean() < 1.0 and sizes.max() > 1
+        assert size.mean_size == sizes.mean()
+        assert size.std_error == sizes.std(ddof=1) / np.sqrt(reps)
+        assert overlap.probability == overlaps.mean()
+
+    def test_overlap_matches_exact(self, three_site_chain):
+        # C = 1.5, N = 6, t = 0.3: 20k replicas against the pair chain.
+        n, t, reps = 6, 0.3, 20000
+        _, overlap = influence_experiment(
+            three_site_chain, n, t, reps, ReplicaSeed(2024, 0))
+        exact = overlap_probability(n, 1.5, t)
+        se = np.sqrt(exact * (1.0 - exact) / reps)
+        assert abs(overlap.probability - exact) < 4 * se, (overlap, exact)
+
+
+class TestOverlapOracle:
+    @staticmethod
+    def bound(n, t):
+        return (np.exp(2.0 * t) - 1.0) / (n - 1)
+
+    def test_closed_forms(self):
+        # N = 2: the two roots are each other's only target, so overlap
+        # arrives at rate 2C.  N = 3: every state leaves at rate 2C, and
+        # only the first event can miss, with probability 1/2.
+        for c, t in ((1.0, 1.0), (0.5, 0.3), (2.0, 1.7)):
+            assert overlap_probability(2, c, t) == pytest.approx(
+                1.0 - np.exp(-2.0 * c * t), rel=1e-12)
+            assert overlap_probability(3, c, t) == pytest.approx(
+                1.0 - np.exp(-2.0 * c * t) * (1.0 + c * t), rel=1e-12)
+        assert overlap_probability(5, 1.0, 0.0) == 0.0
+
+    def test_matches_dense_pair_chain(self):
+        # The grid's shifted adds against series_expm of the same chain
+        # written as a dense generator, with overlap as the last state.
+        n, c, t = 7, 1.3, 0.6
+        states = [(a, b) for a in range(1, n) for b in range(1, n - a + 1)]
+        index = {s: i for i, s in enumerate(states)}
+        g = np.zeros((len(states) + 1, len(states) + 1))
+        for (a, b), i in index.items():
+            free = n - a - b
+            if free:
+                g[i, index[(a + 1, b)]] = c * a * free / (n - 1)
+                g[i, index[(a, b + 1)]] = c * b * free / (n - 1)
+            g[i, -1] = 2.0 * c * a * b / (n - 1)
+            g[i, i] = -g[i].sum()
+        exact = series_expm(g, t)[index[(1, 1)], -1]
+        assert overlap_probability(n, c, t) == pytest.approx(exact, rel=1e-12)
+
+    def test_known_values(self):
+        assert overlap_probability(101, 1.0, 0.25) == pytest.approx(0.00644, abs=5e-6)
+        assert overlap_probability(201, 1.0, 0.5) == pytest.approx(0.00850, abs=5e-6)
+
+    def test_exact_within_bound_on_criterion_grid(self):
+        grid = _pilots.INFLUENCE_GRID
+        for n in grid["n_values"]:
+            for t in grid["t_values"]:
+                assert overlap_probability(n, 1.0, t) <= self.bound(n, t), (n, t)
+
+    def test_exact_within_bound_on_wide_grid(self):
+        # Every cell sits under AFG's bound; the ratio is above 0.999 only
+        # at short horizons on large N.
+        for n in (2, 3, 5, 11, 41, 101, 201):
+            for t in (0.05, 0.1, 0.25, 0.5, 1.0, 2.0, 3.0):
+                assert overlap_probability(n, 1.0, t) <= self.bound(n, t), (n, t)
+
+    def test_recorded_pilot_overlaps_match_exact(self):
+        # The criterion-06 pilot record, against the exact overlap.
+        with open(_pilots.RESULTS_PATH) as fh:
+            cells = json.load(fh)["influence_bounds"]["cells"]
+        assert len(cells) == 4
+        for cell in cells:
+            exact = overlap_probability(cell["N"], 1.0, cell["t"])
+            se = np.sqrt(exact * (1.0 - exact) / _pilots.INFLUENCE_GRID["replicas"])
+            assert abs(cell["overlap"] - exact) <= 3.0 * se, (cell, exact)
 
 
 def exact_influence_size_law(n_particles, c_rate, t):

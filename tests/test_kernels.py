@@ -25,20 +25,26 @@ from fvqsd.graphical import evolve
 from fvqsd.seeding import ReplicaSeed
 
 
-def test_workload_digest(golden_chain):
-    # Event loop with and without snapshots, mark sampling and mark replay.
+def test_labelled_workload_digest(golden_chain):
+    # Event loop with and without snapshots.
     digest = hashlib.md5()
     final = simulate(golden_chain, np.zeros(40, dtype=np.int64), t=2.0, seed=7)
     digest.update(final.tobytes())
     traj = simulate_trajectory(
         golden_chain, np.zeros(40, dtype=np.int64), [0.5, 1.0, 2.0], seed=7)
     digest.update(traj.tobytes())
+    assert digest.hexdigest() == "efd9cc986b9702cc93a6eb5080b15b49"
+
+
+def test_marks_workload_digest(golden_chain):
+    # Mark sampling, in replay order, and mark replay.
+    digest = hashlib.md5()
     marks = sample_marks(golden_chain, n_particles=30, horizon=1.5, seed=13)
-    for arr in (marks.internal_times, marks.internal_maps, marks.voter_times,
-                marks.voter_targets, marks.voter_fields, _merged_events(marks)[0]):
+    for arr in (marks.copy_order, marks.internal_particle, marks.internal_maps,
+                marks.voter_particle, marks.voter_targets, marks.voter_fields):
         digest.update(np.ascontiguousarray(arr).tobytes())
     digest.update(evolve(np.zeros(30, dtype=np.int64), marks).tobytes())
-    assert digest.hexdigest() == "b58e8715dca9686b0c8db9c1fbf55534"
+    assert digest.hexdigest() == "ff236fae5c9519653825b08aefb2b905"
 
 
 def test_count_workload_digest(golden_chain, three_site_chain):
@@ -152,18 +158,21 @@ def _reference_run(gen, positions, site_rate, cum_move, record_times, out):
     return n_events
 
 
-def _merged_events(marks):
-    """(kind, particle, index) of every event in time order, kind 0 for an
-    internal event and 1 for a copy event; ties break by particle, then
-    kind."""
-    ei, ev = marks.internal_times.size, marks.voter_times.size
-    times = np.concatenate([marks.internal_times, marks.voter_times])
-    kinds = np.concatenate([np.zeros(ei, dtype=np.int8), np.ones(ev, dtype=np.int8)])
-    particles = np.concatenate([marks.internal_particle, marks.voter_particle])
-    index = np.concatenate([np.arange(ei, dtype=np.int64),
-                            np.arange(ev, dtype=np.int64)])
-    order = np.lexsort((kinds, particles, times))
-    return kinds[order], particles[order], index[order]
+def _replay_events(marks):
+    """(kind, particle, index) of every event in replay order, kind 0 for
+    an internal event and 1 for a copy event; index counts the events of
+    that kind before it."""
+    labels = (marks.internal_particle, marks.voter_particle)
+    kinds, particles, index = [], [], []
+    seen = [0, 0]
+    for is_copy in marks.copy_order:
+        kind = int(is_copy)
+        kinds.append(kind)
+        particles.append(labels[kind][seen[kind]])
+        index.append(seen[kind])
+        seen[kind] += 1
+    assert seen == [labels[0].size, labels[1].size]
+    return kinds, particles, index
 
 
 def _reference_apply_marks(positions, event_kind, event_particle, event_index,
@@ -317,10 +326,9 @@ def test_mark_kernels_match_reference(oracle_chain, n):
     start = np.arange(n, dtype=np.int64) % oracle_chain.n
     pos = start.copy()
     assert _kernels.apply_marks(
-        pos, marks.internal_times, marks.internal_particle, marks.internal_maps,
-        marks.voter_times, marks.voter_particle, marks.voter_targets,
-        marks.voter_fields) is pos
-    ref = _reference_apply_marks(start.copy(), *_merged_events(marks),
+        pos, marks.copy_order, marks.internal_particle, marks.internal_maps,
+        marks.voter_particle, marks.voter_targets, marks.voter_fields) is pos
+    ref = _reference_apply_marks(start.copy(), *_replay_events(marks),
                                  marks.internal_maps, marks.voter_targets,
                                  marks.voter_fields)
     np.testing.assert_array_equal(pos, ref)

@@ -6,7 +6,9 @@ table).  Deleting or renaming one breaks `perfbench/run.py --trace 1`, so
 this runs two tiny experiments and one labelled simulation under the tracer
 and checks the spans it relies on.  The correlation kind runs the count
 engine, so the `run_events` span comes from `fvqsd.simulate`, the labelled
-loop that perfbench's event probe times.
+loop that perfbench's event probe times.  The overlap kind draws only copy
+pairs, so `sample_marks` is checked with the mark replay, as perfbench's
+coupling pass calls it.
 """
 from __future__ import annotations
 
@@ -31,7 +33,8 @@ CONFIGS = {
 }
 SPANS = (
     "parallel.map_replicas",
-    "graphical.sample_marks",
+    "graphical.influence_experiment",
+    "kernels.influence_matrix_kernel",
     "kernels.run_events",
     "estimators.correlation_experiment",
 )
