@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -382,6 +383,85 @@ class TestDeterminism:
         s1, s2 = read_summary(out1), read_summary(out2)
         assert s1["master_seed"] == 11 and s2["master_seed"] == 999
         assert s1["results"]["covariance"] != s2["results"]["covariance"]
+
+
+THREE_SITE = {
+    "states": ["a", "b", "c"],
+    "rates": [[0.0, 2.0, 0.0], [1.0, 0.0, 1.0], [0.0, 3.0, 0.0]],
+    "absorption": [0.5, 0.0, 1.5],
+}
+
+# id: (kind, chain, master_seed, parameters).  One small config per kind,
+# every default, and each output shape a kind can take.
+STABLE_CONFIGS = {
+    "qsd": ("qsd", GOLDEN, 1, {}),
+    "semigroup": ("semigroup", THREE_SITE, 2,
+                  {"initial": "a", "t_grid": [0.5, 1.0, 1.5, 2.0]}),
+    "simulate": ("simulate", THREE_SITE, 3,
+                 {"n_particles": 7, "replicas": 30, "record_times": [0.0, 0.5, 1.0]}),
+    "simulate-one-replica": ("simulate", GOLDEN, 4,
+                             {"n_particles": 5, "replicas": 1,
+                              "record_times": [0.5], "initial": "2"}),
+    "correlation": ("correlation", THREE_SITE, 5,
+                    {"n_particles": 6, "replicas": 50, "t": 0.5, "x": "a", "y": "c"}),
+    "correlation-same-site": ("correlation", GOLDEN, 6,
+                              {"n_particles": 6, "replicas": 50, "t": 0.5, "x": "1",
+                               "y": "1", "initial": [0.25, 0.75]}),
+    "convergence": ("convergence", GOLDEN, 7,
+                    {"n_list": [4, 8], "t": 0.5, "replicas": 20}),
+    "convergence-profiles": ("convergence", THREE_SITE, 8,
+                             {"n_list": [3, 6, 9], "t": 0.5, "replicas": 20,
+                              "profiles": ["uniform", "b", [0.2, 0.3, 0.5]]}),
+    "qsd_profile": ("qsd_profile", GOLDEN, 9,
+                    {"n_list": [4, 8], "burn_in": 0.2, "n_samples": 40,
+                     "spacing": 0.02}),
+    "overlap-scalars": ("overlap", GOLDEN, 10,
+                        {"n_particles": 5, "t": 0.3, "replicas": 20}),
+    "overlap-n_list": ("overlap", GOLDEN, 11,
+                       {"n_list": [4, 6], "t_grid": [0.2, 0.4], "replicas": 20}),
+    "overlap-t_grid": ("overlap", THREE_SITE, 12,
+                       {"n_particles": 5, "t_grid": [0.1, 0.2, 0.3], "replicas": 20}),
+    "product_moment-one-site": ("product_moment", GOLDEN, 13,
+                                dict(MOMENT, sites=["2"])),
+    "product_moment": ("product_moment", GOLDEN, 14, MOMENT),
+    "product_moment-three-sites": ("product_moment", THREE_SITE, 15,
+                                   dict(MOMENT, sites=["c", "a", "b"], n_particles=6)),
+}
+
+# The first 16 hex digits of the sha256 of results.csv, summary.json and
+# plot.svg per config.  A change
+# that moves a random stream or an output format updates the affected
+# entries and says why in CHANGES.md.
+STABLE_HASHES = {
+    "qsd": ('fcb3ffc1f61dc87c', '110a78faa48906bf', '39184dd642ef07c8'),
+    "semigroup": ('8ed3b192d6cc2ee1', '9763ef47e1392228', 'b025946163005eb8'),
+    "simulate": ('6c908c3268aa4b7a', '9fda2128ec84d565', '8825f640eacb735f'),
+    "simulate-one-replica": ('43426b25e85f83b2', 'f9bc1d20b00f1a54', '12beff6d0f84f835'),
+    "correlation": ('a2f529b3d145e237', '1df795b9f59fa344', 'ca7a62ff10d04d0b'),
+    "correlation-same-site": ('94c9d4df188b051e', '12be5ec9d190b151', '3fcd3ddb54f9e44a'),
+    "convergence": ('0da572d0fa4fdf69', '34687217529ec5fd', '14d9d9d5424e6ccc'),
+    "convergence-profiles": ('d69f9f44810c6828', '693ad05488839254', 'f418c9e7d8ae5399'),
+    "qsd_profile": ('a2ae3c124f2a540e', 'b423a70fab0251e2', '8c416bd5cc3b05aa'),
+    "overlap-scalars": ('f8a1f32096abf4dc', 'eacc35ea06a85ab1', 'c390ef623cda0084'),
+    "overlap-n_list": ('26193310d171c848', '9b9323b41be1c606', 'a7471e2bab6cc34f'),
+    "overlap-t_grid": ('44d2bb2d282bd154', 'b5efdf389a0caebc', 'e282f156c9ee521c'),
+    "product_moment-one-site": ('4cd92672ccff02bf', '3e82923be75998c0', '89a5929a25f5e13e'),
+    "product_moment": ('5f938e504f278d0a', 'ad830f69f92475ab', 'fe21e83c9b8c4443'),
+    "product_moment-three-sites": ('41ebde0b31982e84', 'df047985950dc55e', '2a72928ee78ffc70'),
+}
+
+
+def test_outputs_are_byte_stable(tmp_path):
+    hashes = {}
+    for name, (kind, chain, master_seed, params) in STABLE_CONFIGS.items():
+        cfg = write_config(tmp_path, f"{name}.json", kind=kind, chain=chain,
+                           master_seed=master_seed, parameters=params)
+        out = tmp_path / name
+        assert run(cfg, out=str(out)) in (0, 2)
+        hashes[name] = tuple(
+            hashlib.sha256((out / f).read_bytes()).hexdigest()[:16]
+            for f in ("results.csv", "summary.json", "plot.svg"))
+    assert hashes == STABLE_HASHES
 
 
 class TestOutputDirPrecedence:
