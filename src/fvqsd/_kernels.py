@@ -17,6 +17,8 @@ copy events backward.
 """
 from __future__ import annotations
 
+import bisect
+
 import numpy as np
 
 __all__ = [
@@ -39,6 +41,7 @@ def _run(gen, positions, site_rate, cum_move, record_times, out):
     # first snapshots them; its event is applied only if a record time at
     # or after it remains.  out=None keeps no snapshots.
     n_particles = len(positions)
+    n_sites = len(site_rate)
     n_rec = len(record_times)
     if n_rec == 0:
         return 0
@@ -81,17 +84,11 @@ def _run(gen, positions, site_rate, cum_move, record_times, out):
         np.add.accumulate(head, out=cum)
         i = int(cum.searchsorted(u, "right"))
         x = pos[i]
-        # Scan the row in order: AbsorbingChain.move_table sets the last
-        # positive target of a row without absorption to 2.0, so rows are
-        # not sorted, and a bisection could turn u close to 1 into an
-        # absorption.
-        u = gen.random()
-        y = -1
-        for j, c in enumerate(move_rows[x]):
-            if u < c:
-                y = j
-                break
-        if y < 0:
+        # The move is the first j with u < row[j]; rows are sorted, so that
+        # is the number of entries <= u, and n_sites means an absorption
+        # attempt.
+        y = bisect.bisect_right(move_rows[x], gen.random())
+        if y == n_sites:
             while True:
                 j = gen.integers(0, n_particles)
                 if j != i:
@@ -162,11 +159,10 @@ def run_counts(gen, counts, site_rate, cum_move, record_times, out):
     n_reps, n_sites = counts.shape
     n_particles = int(counts[0].sum())
     rate = site_rate[:, None]
-    # The first j with u < row[j] is also the first j where the row's
-    # running max exceeds u, and the running max is sorted, so the move is
-    # the number of its entries <= u; n_sites means an absorption attempt.
-    # Column x of move_rows is the running max of row x.
-    move_rows = np.maximum.accumulate(cum_move, axis=1).T.copy()
+    # Rows of cum_move are sorted, so the first j with u < row[j] is the
+    # number of the row's entries <= u; n_sites means an absorption attempt.
+    # Column x of move_rows is row x.
+    move_rows = cum_move.T
     # Site-major counts (exact in float64), so each step's arithmetic runs
     # along replicas.  c holds the live replicas: state itself until the
     # first one stops, then a compressed copy whose rows go back to state

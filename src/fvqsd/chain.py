@@ -132,10 +132,10 @@ class AbsorbingChain:
 
         Row x holds the cumulative probability of each internal target given
         an event at site x; a draw beyond the last entry is an absorption
-        attempt.  Rows of sites with zero absorption have their last
-        positive target's entry forced to 2.0, so rounding in the cumulative
-        sum can never manufacture an absorption event there.  Forced rows
-        are no longer sorted.
+        attempt.  In rows of sites with zero absorption, every entry from the
+        last positive target on is forced to 2.0, so rounding in the
+        cumulative sum can never manufacture an absorption event there.
+        Every row is sorted.
         """
         off = self.jump_rates
         site_rate = self.site_rates
@@ -146,7 +146,7 @@ class AbsorbingChain:
                 if self.absorption[x] == 0.0:
                     positive = np.flatnonzero(off[x] > 0.0)
                     if positive.size:
-                        table[x, positive[-1]] = 2.0
+                        table[x, positive[-1]:] = 2.0
         table.flags.writeable = False
         return table
 

@@ -16,7 +16,6 @@ import argparse
 import csv
 import functools
 import json
-import math
 import os
 import sys
 from dataclasses import dataclass
@@ -35,6 +34,7 @@ from .chain import (
 )
 from .errors import ChainValidationError, ConfigError, FvqsdError
 from .estimators import (
+    ConvergenceCurve,
     convergence_experiment,
     correlation_experiment,
     extreme_profiles,
@@ -70,10 +70,9 @@ Converter = Callable[[Any, str, AbsorbingChain], Any]
 class Param:
     """One row of a kind's parameter table.
 
-    An absent parameter takes ``default``: ``_REQUIRED`` makes its absence
-    an error and ``None`` leaves it out of the resolved parameters.
-    ``scalar`` names the one-entry form of a list parameter and converts
-    that entry; a config may give either form, not both.
+    An absent parameter takes ``default``; ``_REQUIRED`` makes its absence
+    an error.  ``scalar`` names the one-entry form of a list parameter and
+    converts that entry; a config may give either form, not both.
     """
 
     name: str
@@ -102,7 +101,7 @@ def _integer(minimum: int) -> Converter:
     return convert
 
 
-def _number(minimum: float = -math.inf, strict: bool = False) -> Converter:
+def _number(minimum: float, strict: bool = False) -> Converter:
     """A finite number, echoed as a float, >= ``minimum`` (> when strict)."""
     def convert(value: Any, where: str, chain: AbsorbingChain) -> float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -195,7 +194,6 @@ PARAMETERS: dict[str, tuple[Param, ...]] = {
         Param("x", _site),
         Param("y", _site),
         Param("initial", _profile_spec, "uniform"),
-        Param("bound_override", _number(), None),
     ),
     "convergence": (
         Param("n_list", _N_LIST),
@@ -238,7 +236,7 @@ def resolve_params(kind: str, params: dict, chain: AbsorbingChain) -> dict:
             resolved[p.name] = [convert(params[name], f"parameters.{name}", chain)]
         elif p.default is _REQUIRED:
             raise ConfigError(f"{where} is required")
-        elif p.default is not None:
+        else:
             resolved[p.name] = p.default
     return resolved
 
@@ -278,12 +276,6 @@ class RunContext:
         return ReplicaSeed(self.master_seed, replica_base)
 
 
-def _row(**kw) -> dict:
-    row = {c: "" for c in CSV_COLUMNS}
-    row.update(kw)
-    return row
-
-
 def _check(name: str, value: float, limit: float) -> dict:
     return {
         "name": name,
@@ -295,13 +287,9 @@ def _check(name: str, value: float, limit: float) -> dict:
 
 def _run_qsd(ctx: RunContext):
     sol = qsd(ctx.chain, tol=ctx.params["tol"], max_iter=ctx.params["max_iter"])
-    rows = [
-        _row(experiment="qsd", x=state, estimate=float(sol.nu[k]),
-             seed=ctx.master_seed)
-        for k, state in enumerate(ctx.chain.states)
-    ]
+    rows = [dict(x=state, estimate=v) for state, v in zip(ctx.chain.states, sol.nu)]
     results = {
-        "nu": [float(v) for v in sol.nu],
+        "nu": sol.nu,
         "alpha": sol.alpha,
         "residual": sol.residual,
         "iterations": sol.iterations,
@@ -322,18 +310,14 @@ def _run_semigroup(ctx: RunContext):
     sol = qsd(ctx.chain)
     fit = decay_rate_estimate(ctx.chain, mu, np.asarray(ctx.params["t_grid"]),
                               solution=sol)
-    rows = [
-        _row(experiment="semigroup", t=float(t), estimate=float(d),
-             seed=ctx.master_seed)
-        for t, d in zip(fit.times, fit.distances)
-    ]
+    rows = [dict(t=t, estimate=d) for t, d in zip(fit.times, fit.distances)]
     results = {
         "theta": fit.theta,
         "intercept": fit.intercept,
         "r_squared": fit.r_squared,
         "alpha": sol.alpha,
-        "nu": [float(v) for v in sol.nu],
-        "distances": [float(d) for d in fit.distances],
+        "nu": sol.nu,
+        "distances": fit.distances,
     }
     plot = svgplot.line_plot(
         fit.times,
@@ -353,35 +337,38 @@ def _run_simulate(ctx: RunContext):
     profile = _profile(ctx.params["initial"], ctx.chain, "parameters.initial")
     chain = ctx.chain
     xi0 = configuration_from_profile(profile, n_particles, chain.states)
-    master = ctx.master_seed
     stacked = simulate_counts(chain, xi0, times, replicas, ctx.seed()) / n_particles
     means = stacked.mean(axis=0)
     if replicas > 1:
         ses = stacked.std(axis=0, ddof=1) / np.sqrt(replicas)
     else:
         ses = np.zeros_like(means)
-    rows = []
-    for k, t in enumerate(times):
-        for s, state in enumerate(chain.states):
-            rows.append(_row(
-                experiment="simulate", N=n_particles, t=float(t), x=state,
-                estimate=float(means[k, s]), se=float(ses[k, s]),
-                replicas=replicas, seed=master,
-            ))
-    results = {
-        "mean_profile": {
-            state: [float(v) for v in means[:, s]]
-            for s, state in enumerate(chain.states)
-        },
-    }
+    rows = [
+        dict(N=n_particles, t=t, x=state, estimate=means[k, s], se=ses[k, s],
+             replicas=replicas)
+        for k, t in enumerate(times)
+        for s, state in enumerate(chain.states)
+    ]
+    profiles = {state: means[:, s] for s, state in enumerate(chain.states)}
     plot = svgplot.line_plot(
         times,
-        {state: means[:, s] for s, state in enumerate(chain.states)},
+        profiles,
         xlabel="t",
         ylabel="mean occupation fraction",
         title=f"mean particle profile, N={n_particles}",
     )
-    return rows, results, [], plot
+    return rows, {"mean_profile": profiles}, [], plot
+
+
+def _point_plot(n_particles: int, series: dict, ylabel: str, title: str) -> str:
+    """One estimate and its reference value at one particle count."""
+    return svgplot.line_plot(
+        [n_particles],
+        {name: [value] for name, value in series.items()},
+        xlabel="N",
+        ylabel=ylabel,
+        title=title,
+    )
 
 
 def _run_correlation(ctx: RunContext):
@@ -391,31 +378,51 @@ def _run_correlation(ctx: RunContext):
     profile = _profile(ctx.params["initial"], ctx.chain, "parameters.initial")
     xi0 = configuration_from_profile(profile, n_particles, ctx.chain.states)
     est = correlation_experiment(ctx.chain, xi0, t, x, y, replicas, ctx.seed())
-    bound = ctx.params.get("bound_override", est.bound)
-    rows = [_row(
-        experiment="correlation", N=n_particles, t=t, x=x, y=y,
-        estimate=est.covariance, se=est.std_error, bound=bound,
-        replicas=replicas, seed=ctx.master_seed,
+    rows = [dict(
+        N=n_particles, t=t, x=x, y=y, estimate=est.covariance,
+        se=est.std_error, bound=est.bound, replicas=replicas,
     )]
     checks = [_check(
         "covariance_within_bound",
         abs(est.covariance),
-        bound + 3.0 * est.std_error,
+        est.bound + 3.0 * est.std_error,
     )]
     results = {
         "covariance": est.covariance,
         "std_error": est.std_error,
-        "bound": bound,
+        "bound": est.bound,
     }
-    plot = svgplot.line_plot(
-        np.array([float(n_particles)]),
-        {"|covariance|": np.array([abs(est.covariance)]),
-         "bound": np.array([bound])},
-        xlabel="N",
+    plot = _point_plot(
+        n_particles,
+        {"|covariance|": abs(est.covariance), "bound": est.bound},
         ylabel="covariance magnitude",
         title=f"covariance of (m_{x}, m_{y}) at t={t:g}",
     )
     return rows, results, checks, plot
+
+
+def _curve_output(curve: ConvergenceCurve, series: str, ylabel: str,
+                  title: str, **columns):
+    """Rows per N, the curve's arrays and its plot, log-scaled when every
+    estimate is positive."""
+    rows = [
+        dict(N=n, estimate=e, se=s, **columns)
+        for n, e, s in zip(curve.n_values, curve.estimates, curve.std_errors)
+    ]
+    results = {
+        "n_list": curve.n_values,
+        "estimates": curve.estimates,
+        "std_errors": curve.std_errors,
+    }
+    plot = svgplot.line_plot(
+        curve.n_values,
+        {series: curve.estimates},
+        xlabel="N",
+        ylabel=ylabel,
+        title=title,
+        logy=bool(np.all(curve.estimates > 0.0)),
+    )
+    return rows, results, [], plot
 
 
 def _run_convergence(ctx: RunContext):
@@ -428,25 +435,10 @@ def _run_convergence(ctx: RunContext):
     curve = convergence_experiment(
         ctx.chain, profiles, t, ctx.params["n_list"], replicas, ctx.seed()
     )
-    rows = [
-        _row(experiment="convergence", N=int(n), t=t, estimate=e, se=s,
-             replicas=replicas, seed=ctx.master_seed)
-        for n, e, s in curve.entries()
-    ]
-    results = {
-        "n_list": [int(v) for v in curve.n_values],
-        "estimates": [float(v) for v in curve.estimates],
-        "std_errors": [float(v) for v in curve.std_errors],
-    }
-    plot = svgplot.line_plot(
-        curve.n_values.astype(float),
-        {"worst-profile distance": curve.estimates},
-        xlabel="N",
-        ylabel="E ||m - conditioned law||",
-        title=f"profile convergence at t={t:g}",
-        logy=bool(np.all(curve.estimates > 0.0)),
+    return _curve_output(
+        curve, "worst-profile distance", "E ||m - conditioned law||",
+        f"profile convergence at t={t:g}", t=t, replicas=replicas,
     )
-    return rows, results, [], plot
 
 
 def _run_qsd_profile(ctx: RunContext):
@@ -455,25 +447,11 @@ def _run_qsd_profile(ctx: RunContext):
         ctx.chain, ctx.params["n_list"], ctx.params["burn_in"], n_samples,
         ctx.params["spacing"], ctx.seed(),
     )
-    rows = [
-        _row(experiment="qsd_profile", N=int(n), estimate=e, se=s,
-             replicas=n_samples, seed=ctx.master_seed)
-        for n, e, s in curve.entries()
-    ]
-    results = {
-        "n_list": [int(v) for v in curve.n_values],
-        "estimates": [float(v) for v in curve.estimates],
-        "std_errors": [float(v) for v in curve.std_errors],
-    }
-    plot = svgplot.line_plot(
-        curve.n_values.astype(float),
-        {"stationary distance": curve.estimates},
-        xlabel="N",
-        ylabel="mean ||m - nu||",
-        title="stationary profile vs quasi-stationary distribution",
-        logy=bool(np.all(curve.estimates > 0.0)),
+    return _curve_output(
+        curve, "stationary distance", "mean ||m - nu||",
+        "stationary profile vs quasi-stationary distribution",
+        replicas=n_samples,
     )
-    return rows, results, [], plot
 
 
 def _run_product_moment(ctx: RunContext):
@@ -483,27 +461,21 @@ def _run_product_moment(ctx: RunContext):
         ctx.chain, ctx.params["sites"], n_particles, ctx.params["burn_in"],
         n_samples, ctx.params["spacing"], ctx.seed(),
     )
-    x = est.sites[0]
-    y = est.sites[1] if len(est.sites) > 1 else ""
-    if len(est.sites) > 2:
-        x = ",".join(est.sites)
-        y = ""
-    rows = [_row(
-        experiment="product_moment", N=n_particles, x=x, y=y,
-        estimate=est.estimate, se=est.std_error, replicas=n_samples,
-        seed=ctx.master_seed,
+    # Two sites fill x and y; one site, or three and more, go in x.
+    x, y = est.sites if len(est.sites) == 2 else (",".join(est.sites), "")
+    rows = [dict(
+        N=n_particles, x=x, y=y, estimate=est.estimate, se=est.std_error,
+        replicas=n_samples,
     )]
     results = {
         "estimate": est.estimate,
         "std_error": est.std_error,
         "reference": est.reference,
-        "sites": list(est.sites),
+        "sites": est.sites,
     }
-    plot = svgplot.line_plot(
-        np.array([float(n_particles)]),
-        {"product moment": np.array([est.estimate]),
-         "reference": np.array([est.reference])},
-        xlabel="N",
+    plot = _point_plot(
+        n_particles,
+        {"product moment": est.estimate, "reference": est.reference},
         ylabel="stationary product moment",
         title="product moment vs quasi-stationary reference",
     )
@@ -515,64 +487,49 @@ def _run_overlap(ctx: RunContext):
     replicas = ctx.params["replicas"]
     rows = []
     checks = []
-    cell_results = []
-    cell = 0
+    cells = []
     for n_particles in n_values:
         for t in t_values:
             size, overlap = influence_experiment(
-                ctx.chain, n_particles, t, replicas, ctx.seed(cell * replicas)
+                ctx.chain, n_particles, t, replicas,
+                ctx.seed(len(cells) * replicas),
             )
-            cell += 1
-            rows.append(_row(
-                experiment="overlap", N=n_particles, t=t,
-                estimate=overlap.probability, se=overlap.std_error,
-                bound=overlap.bound, replicas=replicas, seed=ctx.master_seed,
-            ))
-            rows.append(_row(
-                experiment="influence_size", N=n_particles, t=t,
-                estimate=size.mean_size, se=size.std_error, bound=size.bound,
-                replicas=replicas, seed=ctx.master_seed,
-            ))
-            checks.append(_check(
-                f"overlap_within_bound[N={n_particles},t={t:g}]",
-                overlap.probability,
-                overlap.bound + 3.0 * overlap.std_error,
-            ))
-            checks.append(_check(
-                f"influence_size_within_bound[N={n_particles},t={t:g}]",
-                size.mean_size,
-                size.bound + 3.0 * size.std_error,
-            ))
-            cell_results.append({
+            for experiment, estimate, est in (
+                ("overlap", overlap.probability, overlap),
+                ("influence_size", size.mean_size, size),
+            ):
+                rows.append(dict(
+                    experiment=experiment, N=n_particles, t=t,
+                    estimate=estimate, se=est.std_error, bound=est.bound,
+                    replicas=replicas,
+                ))
+                checks.append(_check(
+                    f"{experiment}_within_bound[N={n_particles},t={t:g}]",
+                    estimate,
+                    est.bound + 3.0 * est.std_error,
+                ))
+            cells.append({
                 "n_particles": n_particles, "t": t,
                 "overlap": overlap.probability, "overlap_bound": overlap.bound,
                 "overlap_ci": [overlap.ci_low, overlap.ci_high],
                 "mean_influence_size": size.mean_size,
                 "size_bound": size.bound,
             })
+    # One N and several t: plot against t.  Otherwise plot against N, at
+    # the first t of the grid.
     if len(t_values) > 1 and len(n_values) == 1:
-        xs = np.asarray(t_values)
-        xlabel = "t"
-
-        def pick(key: str) -> np.ndarray:
-            return np.array([c[key] for c in cell_results])
+        xs, xlabel, plotted = t_values, "t", cells
     else:
-        xs = np.asarray([float(n) for n in n_values])
-        xlabel = "N"
-
-        def pick(key: str) -> np.ndarray:
-            return np.array(
-                [c[key] for c in cell_results if c["t"] == t_values[0]]
-            )
+        xs, xlabel, plotted = n_values, "N", cells[::len(t_values)]
     plot = svgplot.line_plot(
         xs,
-        {"overlap frequency": pick("overlap"), "bound": pick("overlap_bound")},
+        {"overlap frequency": [c["overlap"] for c in plotted],
+         "bound": [c["overlap_bound"] for c in plotted]},
         xlabel=xlabel,
         ylabel="probability",
         title="influence-set overlap vs bound",
     )
-    results = {"cells": cell_results}
-    return rows, results, checks, plot
+    return rows, {"cells": cells}, checks, plot
 
 
 _RUNNERS = {
@@ -678,8 +635,11 @@ def run(
     with open(out_path / "results.csv", "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
+        # A handler's row gives only its own columns.  The experiment
+        # defaults to the kind, and every row carries the seed.
         for row in rows:
-            writer.writerow([_fmt_cell(row[c]) for c in CSV_COLUMNS])
+            row = {"experiment": resolved_kind, **row, "seed": master_seed}
+            writer.writerow([_fmt_cell(row.get(c, "")) for c in CSV_COLUMNS])
     status = "ok" if all(c["passed"] for c in checks) else "bound_violation"
     summary = {
         "kind": resolved_kind,

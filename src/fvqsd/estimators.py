@@ -52,20 +52,22 @@ def extreme_profiles(n: int) -> list[NDArray[np.float64]]:
     return profiles
 
 
-def batch_means_se(samples: ArrayLike, n_batches: int = 20) -> float:
+# Contiguous batches per batch_means_se call.
+N_BATCHES = 20
+
+
+def batch_means_se(samples: ArrayLike) -> float:
     """Standard error for autocorrelated samples via batch means.
 
-    Splits into contiguous batches (dropping any remainder) and returns
-    std(batch means)/sqrt(n_batches).
+    Splits into ``N_BATCHES`` contiguous batches (dropping any remainder)
+    and returns std(batch means)/sqrt(N_BATCHES).
     """
     x = np.asarray(samples, dtype=np.float64)
-    if n_batches < 2:
-        raise ValueError("n_batches must be at least 2")
-    if x.size < 2 * n_batches:
+    if x.size < 2 * N_BATCHES:
         raise ValueError("need at least 2 samples per batch")
-    size = x.size // n_batches
-    means = x[: size * n_batches].reshape(n_batches, size).mean(axis=1)
-    return float(means.std(ddof=1) / np.sqrt(n_batches))
+    size = x.size // N_BATCHES
+    means = x[: size * N_BATCHES].reshape(N_BATCHES, size).mean(axis=1)
+    return float(means.std(ddof=1) / np.sqrt(N_BATCHES))
 
 
 def covariance_bound(
@@ -95,9 +97,6 @@ class CorrelationEstimate:
     covariance: float
     std_error: float
     bound: float
-    replicas: int
-    n_particles: int
-    t: float
 
 
 def correlation_experiment(
@@ -134,9 +133,6 @@ def correlation_experiment(
         covariance=covariance,
         std_error=std_error,
         bound=covariance_bound(chain, n_particles, t, ix == iy),
-        replicas=replicas,
-        n_particles=n_particles,
-        t=float(t),
     )
 
 
@@ -151,12 +147,6 @@ class ConvergenceCurve:
     def __post_init__(self) -> None:
         if np.any(np.diff(self.n_values) <= 0):
             raise ValueError("n_values must be strictly increasing")
-
-    def entries(self) -> list[tuple[int, float, float]]:
-        return [
-            (int(n), float(e), float(s))
-            for n, e, s in zip(self.n_values, self.estimates, self.std_errors)
-        ]
 
 
 def convergence_experiment(
@@ -246,8 +236,6 @@ class ProductMomentEstimate:
     estimate: float
     std_error: float
     reference: float
-    n_particles: int
-    n_samples: int
 
 
 def product_moment_experiment(
@@ -281,6 +269,4 @@ def product_moment_experiment(
         estimate=float(stats.mean()),
         std_error=batch_means_se(stats),
         reference=float(np.prod(solution.nu[idx])),
-        n_particles=n_particles,
-        n_samples=n_samples,
     )

@@ -59,7 +59,6 @@ class MarkRealization:
     of site x); ``voter_fields[e]`` the sampled indicator field.
     """
 
-    horizon: float
     n_particles: int
     n_states: int
     copy_order: NDArray[np.bool_]
@@ -183,7 +182,6 @@ def sample_marks(
     copy_order = np.repeat([True, False], [voter_particle.size, ei])
     gen.shuffle(copy_order)
     return MarkRealization(
-        horizon=horizon,
         n_particles=int(n_particles),
         n_states=n,
         copy_order=copy_order,
@@ -258,7 +256,6 @@ class OverlapEstimate:
     ci_low: float
     ci_high: float
     bound: float
-    replicas: int
 
 
 @dataclass(frozen=True)
@@ -266,7 +263,6 @@ class InfluenceSizeEstimate:
     mean_size: float
     std_error: float
     bound: float
-    replicas: int
 
 
 def influence_experiment(
@@ -314,7 +310,6 @@ def influence_experiment(
         mean_size=float(sizes.mean()),
         std_error=float(sizes.std(ddof=1) / np.sqrt(replicas)),
         bound=float(np.exp(c_rate * t)),
-        replicas=replicas,
     )
     p_hat = float(overlaps.mean())
     p_se = float(np.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / replicas))
@@ -325,6 +320,5 @@ def influence_experiment(
         ci_low=max(0.0, p_hat - 1.96 * p_se),
         ci_high=min(1.0, p_hat + 1.96 * p_se),
         bound=float(n_bound),
-        replicas=replicas,
     )
     return size_est, overlap_est

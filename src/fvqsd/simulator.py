@@ -68,27 +68,23 @@ def validate_configuration(xi0: ArrayLike, n_states: int) -> NDArray[np.int64]:
 
 
 def configuration_from_profile(
-    profile: ArrayLike, n_particles: int, states: tuple[str, ...] | None = None
+    profile: ArrayLike, n_particles: int, states: tuple[str, ...]
 ) -> NDArray[np.int64]:
     """Deterministic configuration matching a target site profile.
 
     Places floor(n_particles * profile[x]) particles at each site, in site
     order; the leftover particles all go to the lexicographically first
-    site name (or site 0 when no names are given).  Reproducible by
-    construction: no randomness involved.
+    site name.  Reproducible by construction: no randomness involved.
     """
     if n_particles < 2:
         raise ValueError("n_particles must be at least 2")
     p = check_distribution(profile)
-    if states is not None and len(states) != p.size:
+    if len(states) != p.size:
         raise ValueError("states and profile lengths differ")
     counts = np.floor(n_particles * p).astype(np.int64)
     remainder = n_particles - int(counts.sum())
     if remainder > 0:
-        if states is not None:
-            first = min(range(len(states)), key=lambda i: states[i])
-        else:
-            first = 0
+        first = min(range(len(states)), key=lambda i: states[i])
         counts[first] += remainder
     return np.repeat(np.arange(p.size, dtype=np.int64), counts)
 

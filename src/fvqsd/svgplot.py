@@ -14,6 +14,13 @@ def _fmt(v: float) -> str:
     return f"{v:.2f}"
 
 
+def _escape(text: str) -> str:
+    # XML text content, as xml.sax.saxutils.escape writes it; importing that
+    # module loads urllib.request, http.client and ssl, ~2 MB of peak RSS
+    # per run.  "&" goes first, so the entities added after it stay intact.
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
     if hi <= lo:
         hi = lo + 1.0
@@ -31,7 +38,8 @@ def line_plot(
     """Render one or more named curves over a shared x grid.
 
     With logy, y values must be positive and the axis shows the raw values
-    on a log10 scale.  Output is a standalone <svg> document string.
+    on a log10 scale.  Output is a standalone <svg> document string; the
+    title, the axis labels and the series names are escaped as XML text.
     """
     xs = np.asarray(x, dtype=np.float64)
     if xs.ndim != 1 or xs.size == 0:
@@ -75,7 +83,7 @@ def line_plot(
     if title:
         parts.append(
             f'<text x="{_WIDTH / 2:.1f}" y="20" text-anchor="middle" '
-            f'font-size="14">{title}</text>'
+            f'font-size="14">{_escape(title)}</text>'
         )
     axis = (
         f'<path d="M {_fmt(_LEFT)} {_fmt(_TOP)} L {_fmt(_LEFT)} '
@@ -106,11 +114,11 @@ def line_plot(
         )
     parts.append(
         f'<text x="{_fmt(_LEFT + plot_w / 2)}" y="{_fmt(_HEIGHT - 12)}" '
-        f'text-anchor="middle">{xlabel}</text>'
+        f'text-anchor="middle">{_escape(xlabel)}</text>'
     )
     parts.append(
         f'<text x="16" y="{_fmt(_TOP + plot_h / 2)}" text-anchor="middle" '
-        f'transform="rotate(-90 16 {_fmt(_TOP + plot_h / 2)})">{ylabel}</text>'
+        f'transform="rotate(-90 16 {_fmt(_TOP + plot_h / 2)})">{_escape(ylabel)}</text>'
     )
     for k, (name, ys) in enumerate(curves.items()):
         color = _PALETTE[k % len(_PALETTE)]
@@ -128,7 +136,7 @@ def line_plot(
             )
         parts.append(
             f'<text x="{_fmt(_LEFT + plot_w - 6)}" y="{_fmt(_TOP + 14 + 16 * k)}" '
-            f'text-anchor="end" fill="{color}">{name}</text>'
+            f'text-anchor="end" fill="{color}">{_escape(name)}</text>'
         )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

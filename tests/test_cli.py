@@ -10,6 +10,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
@@ -260,7 +261,6 @@ _VALUES = {
     "t": _TIME,
     "x": _SITE,
     "y": _SITE,
-    "bound_override": st.floats(-1.0, 1.0),
     "n_list": st.lists(_COUNT, min_size=1, max_size=3, unique=True).map(sorted),
     "profiles": st.lists(_PROFILE, min_size=1, max_size=3),
     "burn_in": _TIME,
@@ -335,12 +335,13 @@ class TestValidateCommand:
 
 
 class TestBoundViolation:
-    def test_exit_code_two(self, tmp_path, chain_file):
+    def test_exit_code_two(self, tmp_path, chain_file, monkeypatch):
+        monkeypatch.setattr(fvqsd.estimators, "covariance_bound",
+                            lambda *args: 1e-9)
         cfg = write_config(
             tmp_path, kind="correlation", chain="golden.json", master_seed=3,
             parameters={
-                "n_particles": 8, "replicas": 200, "t": 0.5,
-                "x": "1", "y": "2", "bound_override": 1e-9,
+                "n_particles": 8, "replicas": 200, "t": 0.5, "x": "1", "y": "2",
             },
         )
         out = tmp_path / "out"
@@ -462,6 +463,36 @@ def test_outputs_are_byte_stable(tmp_path):
             hashlib.sha256((out / f).read_bytes()).hexdigest()[:16]
             for f in ("results.csv", "summary.json", "plot.svg"))
     assert hashes == STABLE_HASHES
+
+
+def test_plot_escapes_site_names(tmp_path):
+    # Site names reach the plot as series names (simulate) and in the title
+    # (correlation).
+    chain = dict(GOLDEN, states=["a&b", "<c>"])
+    for kind, params, expected in (
+        ("simulate", dict(SIMULATE, record_times=[0.5, 1.0]), {"a&b", "<c>"}),
+        ("correlation", dict(CORRELATION, x="a&b", y="<c>"),
+         {"covariance of (m_a&b, m_<c>) at t=0.5"}),
+    ):
+        cfg = write_config(tmp_path, f"{kind}.json", kind=kind, chain=chain,
+                           parameters=params)
+        out = tmp_path / kind
+        assert run(cfg, out=str(out)) in (0, 2)
+        texts = {el.text for el in ET.parse(out / "plot.svg").iter()}
+        assert expected <= texts
+
+
+def test_overlap_repeated_horizon(tmp_path):
+    # Over several N, the plot shows the cells at the first horizon of the
+    # grid, even when the grid repeats it.
+    cfg = write_config(tmp_path, kind="overlap", chain=GOLDEN, parameters={
+        "n_list": [4, 6], "t_grid": [0.3, 0.3], "replicas": 4})
+    out = tmp_path / "out"
+    assert run(cfg, out=str(out)) in (0, 2)
+    assert len(read_summary(out)["results"]["cells"]) == 4
+    polyline = ET.parse(out / "plot.svg").find(
+        "{http://www.w3.org/2000/svg}polyline")
+    assert len(polyline.get("points").split()) == 2
 
 
 class TestOutputDirPrecedence:

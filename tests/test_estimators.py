@@ -98,15 +98,13 @@ class TestBatchMeans:
     def test_iid_scale(self):
         rng = np.random.default_rng(8)
         x = rng.normal(0.0, 1.0, 4000)
-        se = batch_means_se(x, n_batches=20)
+        se = batch_means_se(x)
         naive = x.std(ddof=1) / np.sqrt(x.size)
         assert 0.5 * naive < se < 2.0 * naive
 
     def test_errors(self):
         with pytest.raises(ValueError):
-            batch_means_se(np.ones(100), n_batches=1)
-        with pytest.raises(ValueError):
-            batch_means_se(np.ones(10), n_batches=20)
+            batch_means_se(np.ones(39))
 
 
 class TestCovarianceBound:
@@ -175,14 +173,6 @@ class TestConvergenceCurve:
                 estimates=np.zeros(2),
                 std_errors=np.zeros(2),
             )
-
-    def test_entries(self):
-        curve = ConvergenceCurve(
-            n_values=np.array([2, 4]),
-            estimates=np.array([0.5, 0.25]),
-            std_errors=np.array([0.1, 0.05]),
-        )
-        assert curve.entries() == [(2, 0.5, 0.1), (4, 0.25, 0.05)]
 
 
 class TestConvergenceExperiment:

@@ -42,7 +42,7 @@ def ref_influence(marks, root):
     return frozenset(member)
 
 
-def hand_marks(*events, n_particles=2, n_states=2, horizon=1.0):
+def hand_marks(*events, n_particles=2, n_states=2):
     """Build a MarkRealization from explicit events in replay order.
 
     An internal event is ("map", particle, map_row); a copy event is
@@ -51,7 +51,7 @@ def hand_marks(*events, n_particles=2, n_states=2, horizon=1.0):
     internal = [e[1:] for e in events if e[0] == "map"]
     voter = [e[1:] for e in events if e[0] == "copy"]
     return MarkRealization(
-        horizon=horizon, n_particles=n_particles, n_states=n_states,
+        n_particles=n_particles, n_states=n_states,
         copy_order=np.array([e[0] == "copy" for e in events], dtype=np.bool_),
         internal_particle=np.array([e[0] for e in internal], dtype=np.int64),
         internal_maps=np.array([e[1] for e in internal],
@@ -178,7 +178,7 @@ class TestSampleMarks:
         for order, message in (([True, False, True], "copy_order's 2 copy events"),
                                ([0, 1], "boolean")):
             with pytest.raises(ValueError, match=message):
-                MarkRealization(horizon=1.0, n_particles=2, n_states=2,
+                MarkRealization(n_particles=2, n_states=2,
                                 copy_order=np.array(order), **arrays)
 
     def test_huge_horizon_overflows(self, golden_chain):

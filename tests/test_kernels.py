@@ -201,8 +201,8 @@ def _reference_influence_matrix(roots, n_particles, voter_particle,
     return out
 
 
-# Sites b and d have no absorption, so their move-table rows carry the forced
-# 2.0 entry; uneven rates make the prefix sums round.
+# Sites b and d have no absorption, so their move-table rows carry a forced
+# 2.0 tail; uneven rates make the prefix sums round.
 FIVE_SITE = validate_chain({
     "states": ["a", "b", "c", "d", "e"],
     "rates": [
@@ -230,12 +230,14 @@ def oracle_chain(request):
     return request.getfixturevalue(f"{request.param}_chain")
 
 
-def test_five_site_move_rows_are_not_sorted():
-    # Row b's forced 2.0 precedes its zero tail, so the move pick must scan
-    # that row in order.
+def test_five_site_move_rows_are_sorted():
+    # Every entry from a row's last positive target on is forced to 2.0,
+    # row b's zero-rate targets d and e included, so the move pick may
+    # bisect every row.
     cum_move = transition_tables(FIVE_SITE).cum_move
-    assert cum_move[1, 2] == 2.0 and cum_move[3, 4] == 2.0
-    assert np.any(np.diff(cum_move[1]) < 0)
+    np.testing.assert_array_equal(cum_move[1, 2:], 2.0)
+    assert cum_move[3, 4] == 2.0
+    assert np.all(np.diff(cum_move, axis=1) >= 0.0)
 
 
 @pytest.mark.parametrize("times", RECORD_TIMES.values(), ids=list(RECORD_TIMES))

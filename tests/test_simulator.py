@@ -70,7 +70,7 @@ class TestValidateConfiguration:
 
 class TestConfigurationFromProfile:
     def test_exact_split(self):
-        pos = configuration_from_profile([0.5, 0.5], 10)
+        pos = configuration_from_profile([0.5, 0.5], 10, states=("a", "b"))
         assert (pos == 0).sum() == 5 and (pos == 1).sum() == 5
 
     def test_remainder_to_first_name(self):
@@ -80,13 +80,9 @@ class TestConfigurationFromProfile:
         assert (pos == 0).sum() == 2
         assert (pos == 1).sum() == 5
 
-    def test_remainder_without_names(self):
-        pos = configuration_from_profile([1 / 3, 2 / 3], 7)
-        assert (pos == 0).sum() == 3
-
     def test_errors(self):
         with pytest.raises(ValueError):
-            configuration_from_profile([1.0, 0.0], 1)
+            configuration_from_profile([1.0, 0.0], 1, states=("a", "b"))
         with pytest.raises(ValueError):
             configuration_from_profile([0.5, 0.5], 4, states=("a",))
 
