@@ -12,8 +12,8 @@ Randomness is drawn only through np.random.Generator methods in a fixed
 order, so a seeded generator reproduces its trajectories bit for bit.
 
 The graphical engine draws nothing here: ``apply_marks`` replays a mark
-realization in its event order, and ``influence_matrix_kernel`` scans its
-copy events backward.
+realization's event table in order, and ``influence_matrix_kernel`` scans
+its (particle, partner) pairs backward.
 """
 from __future__ import annotations
 
@@ -210,57 +210,36 @@ def run_counts(gen, counts, site_rate, cum_move, record_times, out):
     return n_events
 
 
-def apply_marks(
-    positions,
-    copy_order,
-    internal_particle,
-    internal_maps,
-    voter_particle,
-    voter_targets,
-    voter_fields,
-):
+def apply_marks(positions, particle, partner, maps):
     """Replay a mark realization over an initial configuration in place.
 
-    Event e is the next copy event if copy_order[e] is set and the next
-    internal event otherwise.  An internal event pushes the particle's site
-    through its sampled full map.  A copy event is a neighbor-copy attempt:
-    it fires only where the sampled indicator field is set at the
-    particle's current site.
+    Event e moves particle[e] from its site x to maps[e][x], or onto the
+    current site of partner[e] where that entry is -1.
     """
     pos = positions.tolist()
-    internal = zip(internal_particle.tolist(), internal_maps.tolist())
-    copies = zip(voter_particle.tolist(), voter_targets.tolist(),
-                 voter_fields.tolist())
-    for is_copy in copy_order.tolist():
-        if is_copy:
-            i, j, field = next(copies)
-            if field[pos[i]]:
-                pos[i] = pos[j]
-        else:
-            i, f = next(internal)
-            pos[i] = f[pos[i]]
+    for i, j, row in zip(particle.tolist(), partner.tolist(), maps.tolist()):
+        y = row[pos[i]]
+        pos[i] = pos[j] if y < 0 else y
     positions[:] = pos
     return positions
 
 
-def influence_matrix_kernel(
-    roots, n_particles, voter_particle, voter_targets, out
-):
+def influence_matrix_kernel(roots, n_particles, particle, partner, out):
     """Membership matrix of backward influence sets.
 
     out is a (len(roots), n_particles) boolean matrix; row r collects the
     labels whose initial coordinate can affect particle roots[r] at the
-    horizon.  Voter arrays list the copy events in replay order; the scan
-    walks them backward and, whenever a current member has a copy attempt,
-    adds the copied label, whether or not the attempt fires at runtime.
+    horizon.  particle and partner list the events in replay order; the
+    scan walks them backward and, whenever a current member is an event's
+    particle, adds its partner, whether or not the event takes the
+    partner's site at runtime.
     """
-    events = list(zip(voter_particle.tolist()[::-1],
-                      voter_targets.tolist()[::-1]))
+    events = list(zip(particle.tolist()[::-1], partner.tolist()[::-1]))
     for r, root in enumerate(roots.tolist()):
         member = [False] * n_particles
         member[root] = True
-        for particle, target in events:
-            if member[particle]:
-                member[target] = True
+        for i, j in events:
+            if member[i]:
+                member[j] = True
         out[r] = member
     return out

@@ -20,7 +20,7 @@ from .measures import check_distribution, empirical_measure, tv_distance
 # tracer patches them by attribute.
 from .parallel import map_replicas  # noqa: F401
 from .seeding import ReplicaSeed, as_replica_seed
-from .semigroup import QsdSolution, conditioned_law, qsd
+from .semigroup import conditioned_law, qsd
 from .simulator import (  # noqa: F401
     configuration_from_profile,
     simulate,
@@ -200,17 +200,14 @@ def qsd_profile_experiment(
     n_samples: int,
     spacing: float,
     seed: ReplicaSeed | int,
-    solution: QsdSolution | None = None,
 ) -> ConvergenceCurve:
     """Stationary mean of ||m - nu||_TV per particle count.
 
     One long trajectory per N; batch-means standard errors since the
-    samples are autocorrelated.  A QSD solution that did not converge,
-    passed or computed, raises QsdNotConvergedError.
+    samples are autocorrelated.  A QSD that did not converge raises
+    QsdNotConvergedError.
     """
-    if solution is None:
-        solution = qsd(chain)
-    solution.require_converged()
+    solution = qsd(chain).require_converged()
     seed = as_replica_seed(seed)
     n_arr = np.asarray(n_list, dtype=np.int64)
     estimates = np.empty(n_arr.size)
@@ -246,20 +243,16 @@ def product_moment_experiment(
     n_samples: int,
     spacing: float,
     seed: ReplicaSeed | int,
-    solution: QsdSolution | None = None,
 ) -> ProductMomentEstimate:
     """Stationary mean of the product of m over a site subset, with the
-    matching product of quasi-stationary weights as reference.  A QSD
-    solution that did not converge, passed or computed, raises
-    QsdNotConvergedError."""
+    matching product of quasi-stationary weights as reference.  A QSD that
+    did not converge raises QsdNotConvergedError."""
     if not sites:
         raise ValueError("need at least one site")
     idx = [_resolve_site(chain, s) for s in sites]
     if len(set(idx)) != len(idx):
         raise ValueError("sites must be distinct")
-    if solution is None:
-        solution = qsd(chain)
-    solution.require_converged()
+    solution = qsd(chain).require_converged()
     samples = stationary_sampler(
         chain, n_particles, burn_in, n_samples, spacing, seed
     )

@@ -16,12 +16,15 @@ Evolution and the backward influence scan read only the order of the
 events, never their times.  Over N particles on [0, t] the copy events are
 Poisson(N C t) many, each of a uniform particle with i.i.d. marks; the
 internal events likewise; and the two kinds interleave uniformly at
-random.  So a realization is the two kinds' marks, each in replay order,
-plus one boolean sequence saying which kind comes next.  Evolution is a
-deterministic replay of that sequence, so the same realization can drive
+random.  So a realization is one table of events in replay order, each a
+(particle, partner, site map) triple: the particle at site x moves to
+map[x], or onto the partner's site where map[x] is -1.  An internal event
+is its own partner and carries F; a copy event has its target as partner
+and a map that is -1 where the field is set and x elsewhere.  Evolution is
+a deterministic replay of the table, so the same realization can drive
 every initial configuration at once (coupling), and the set of labels that
 could possibly affect a particle by the horizon is computable by a
-backward scan over the copy events alone.
+backward scan over the (particle, partner) pairs alone.
 """
 from __future__ import annotations
 
@@ -52,65 +55,42 @@ __all__ = [
 class MarkRealization:
     """One realization of all event marks on [0, horizon], in replay order.
 
-    Event e is the next copy event if ``copy_order[e]`` is set and the next
-    internal event otherwise; each kind's arrays list its events in that
-    order.  ``*_particle`` says whose event each entry is.
-    ``internal_maps[e]`` is the sampled full map (F[x] is the destination
-    of site x); ``voter_fields[e]`` the sampled indicator field.
+    Event e moves ``particle[e]`` from its site x to ``maps[e, x]``, or
+    onto the current site of ``partner[e]`` where that entry is -1.  An
+    internal event has ``partner[e] == particle[e]`` and its sampled full
+    map; a copy event has its target as partner, and its row holds -1
+    where the sampled indicator field is set and x where it is not.
     """
 
     n_particles: int
     n_states: int
-    copy_order: NDArray[np.bool_]
-    internal_particle: NDArray[np.int64]
-    internal_maps: NDArray[np.int64]
-    voter_particle: NDArray[np.int64]
-    voter_targets: NDArray[np.int64]
-    voter_fields: NDArray[np.bool_]
+    particle: NDArray[np.int64]
+    partner: NDArray[np.int64]
+    maps: NDArray[np.int64]
 
     def __post_init__(self) -> None:
-        if self.copy_order.dtype != np.bool_ or self.copy_order.ndim != 1:
-            raise ValueError("copy_order must be a 1-d boolean array")
-        ev = int(np.count_nonzero(self.copy_order))
-        ei = self.copy_order.size - ev
-        if self.internal_particle.shape != (ei,) or self.internal_maps.shape != (
-            ei,
-            self.n_states,
+        arrays = (self.particle, self.partner, self.maps)
+        e = self.particle.size
+        for name, arr, shape in zip(("particle", "partner", "maps"), arrays,
+                                    ((e,), (e,), (e, self.n_states))):
+            if arr.shape != shape:
+                raise ValueError(f"{name} must have shape {shape}")
+            if arr.dtype.kind not in "iu":
+                raise ValueError(f"{name} must be an integer array")
+        labels = np.concatenate([self.particle, self.partner])
+        for what, arr, lo, hi in (
+            ("particle and partner labels", labels, 0, self.n_particles),
+            ("map sites", self.maps, -1, self.n_states),
         ):
-            raise ValueError(
-                f"internal mark arrays do not match copy_order's {ei} "
-                "internal events"
-            )
-        if (
-            self.voter_particle.shape != (ev,)
-            or self.voter_targets.shape != (ev,)
-            or self.voter_fields.shape != (ev, self.n_states)
-        ):
-            raise ValueError(
-                f"voter mark arrays do not match copy_order's {ev} copy events"
-            )
-        labels = np.concatenate(
-            [self.internal_particle, self.voter_particle, self.voter_targets])
-        for what, arr, bound in (("particle and target labels", labels,
-                                  self.n_particles),
-                                 ("internal map sites", self.internal_maps,
-                                  self.n_states)):
-            # Read as unsigned, a negative entry is huge, so one max
-            # catches both ends of [0, bound).
-            wide = arr.astype(np.int64, copy=False).view(np.uint64)
-            if wide.size and np.maximum.reduce(wide, axis=None) >= bound:
-                raise ValueError(f"{what} must lie in [0, {bound})")
-        for name in (
-            "copy_order", "internal_particle", "internal_maps",
-            "voter_particle", "voter_targets", "voter_fields",
-        ):
-            arr = getattr(self, name)
-            if arr.flags.writeable:
-                arr.flags.writeable = False
+            if arr.size and (np.minimum.reduce(arr, axis=None) < lo
+                             or np.maximum.reduce(arr, axis=None) >= hi):
+                raise ValueError(f"{what} must lie in [{lo}, {hi})")
+        for arr in arrays:
+            arr.flags.writeable = False
 
     @property
     def n_events(self) -> int:
-        return self.copy_order.size
+        return self.particle.size
 
 
 def _check_size(n_particles: int, horizon: float) -> float:
@@ -167,9 +147,9 @@ def sample_marks(
     n = chain.n
 
     c_rate = chain.max_absorption_rate
-    voter_particle, voter_targets = _copy_pairs(gen, n_particles, c_rate * horizon)
+    copy_particle, target = _copy_pairs(gen, n_particles, c_rate * horizon)
     # u * C < absorption(x) is set with probability absorption(x) / C.
-    voter_fields = gen.random((voter_particle.size, n)) * c_rate < chain.absorption
+    fields = gen.random((copy_particle.size, n)) * c_rate < chain.absorption
 
     ei = _event_count(gen, n_particles * (chain.max_internal_rate * horizon))
     internal_particle = gen.integers(0, n_particles, ei)
@@ -179,18 +159,21 @@ def sample_marks(
     for x in range(n):
         internal_maps[:, x] = np.searchsorted(cum_kernel[x], draws[:, x], side="right")
 
-    copy_order = np.repeat([True, False], [voter_particle.size, ei])
-    gen.shuffle(copy_order)
-    return MarkRealization(
-        n_particles=int(n_particles),
-        n_states=n,
-        copy_order=copy_order,
-        internal_particle=internal_particle,
-        internal_maps=internal_maps,
-        voter_particle=voter_particle,
-        voter_targets=voter_targets,
-        voter_fields=voter_fields,
-    )
+    is_copy = np.repeat([True, False], [copy_particle.size, ei])
+    gen.shuffle(is_copy)
+    # The k-th copy event takes the k-th set place of is_copy and the k-th
+    # internal event its k-th unset place.
+    is_internal = ~is_copy
+    particle = np.empty(is_copy.size, dtype=np.int64)
+    particle[is_copy] = copy_particle
+    particle[is_internal] = internal_particle
+    partner = particle.copy()
+    partner[is_copy] = target
+    maps = np.empty((is_copy.size, n), dtype=np.int64)
+    maps[is_copy] = np.where(fields, -1, np.arange(n))
+    maps[is_internal] = internal_maps
+    return MarkRealization(n_particles=int(n_particles), n_states=n,
+                           particle=particle, partner=partner, maps=maps)
 
 
 def evolve(xi0: ArrayLike, marks: MarkRealization) -> NDArray[np.int64]:
@@ -207,15 +190,7 @@ def evolve(xi0: ArrayLike, marks: MarkRealization) -> NDArray[np.int64]:
             f"{marks.n_particles}"
         )
     out = pos.copy()
-    _kernels.apply_marks(
-        out,
-        marks.copy_order,
-        marks.internal_particle,
-        marks.internal_maps,
-        marks.voter_particle,
-        marks.voter_targets,
-        marks.voter_fields,
-    )
+    _kernels.apply_marks(out, marks.particle, marks.partner, marks.maps)
     return out
 
 
@@ -225,10 +200,11 @@ def influence_matrix(
     """Backward influence sets as a boolean membership matrix.
 
     Row r collects the labels whose initial position could affect particle
-    roots[r] at the horizon: scanning copy events backward from the
-    horizon, every event of a current member adds its target label,
-    whether or not the indicator field would fire.  ``roots`` defaults to
-    all labels.
+    roots[r] at the horizon: scanning the events backward from the
+    horizon, every event of a current member adds its partner, whether or
+    not its map would take the partner's site.  An internal event's
+    partner is its own particle, so it adds nothing.  ``roots`` defaults
+    to all labels.
     """
     if roots is None:
         roots_arr = np.arange(marks.n_particles, dtype=np.int64)
@@ -240,12 +216,7 @@ def influence_matrix(
             raise ValueError("root label out of range")
     out = np.zeros((roots_arr.size, marks.n_particles), dtype=np.bool_)
     _kernels.influence_matrix_kernel(
-        roots_arr,
-        marks.n_particles,
-        marks.voter_particle,
-        marks.voter_targets,
-        out,
-    )
+        roots_arr, marks.n_particles, marks.particle, marks.partner, out)
     return out
 
 

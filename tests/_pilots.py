@@ -25,7 +25,6 @@ from fvqsd import (
     ReplicaSeed,
     conditioned_law,
     decay_rate_estimate,
-    qsd,
     simulate,
     tv_distance,
     validate_chain,
@@ -216,16 +215,14 @@ def convergence_pilot():
 
 def stationary_pilot():
     chain = golden_chain()
-    solution = qsd(chain)
     curve = qsd_profile_experiment(
         chain, STATIONARY["n_list"], STATIONARY["burn_in"],
         STATIONARY["n_samples"], STATIONARY["spacing"],
-        ReplicaSeed(MASTER_SEED + 5, 0), solution=solution)
+        ReplicaSeed(MASTER_SEED + 5, 0))
     moment = product_moment_experiment(
         chain, STATIONARY["product_sites"], STATIONARY["n_list"][-1],
         STATIONARY["burn_in"], STATIONARY["product_samples"],
-        STATIONARY["spacing"], ReplicaSeed(MASTER_SEED + 6, 0),
-        solution=solution)
+        STATIONARY["spacing"], ReplicaSeed(MASTER_SEED + 6, 0))
     return {
         "n_list": list(curve.n_values),
         "distances": [float(v) for v in curve.estimates],

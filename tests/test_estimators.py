@@ -234,7 +234,7 @@ class TestQsdProfileExperiment:
         )
         stationary = qsd_profile_experiment(
             golden_chain, [n], burn_in=20.0, n_samples=400, spacing=1.0,
-            seed=72, solution=solution,
+            seed=72,
         )
         lhs = stationary.estimates[0]
         rhs = transient.estimates[0] + semigroup_worst
@@ -243,15 +243,6 @@ class TestQsdProfileExperiment:
 
 
 class TestUnconvergedQsd:
-    def test_passed_solution_raises(self, golden_chain):
-        sol = qsd(golden_chain, max_iter=2)
-        with pytest.raises(QsdNotConvergedError):
-            qsd_profile_experiment(golden_chain, [10], 1.0, 40, 0.5, seed=1,
-                                   solution=sol)
-        with pytest.raises(QsdNotConvergedError):
-            product_moment_experiment(golden_chain, ["1"], 10, 1.0, 40, 0.5,
-                                      seed=1, solution=sol)
-
     def test_computed_solution_raises(self, golden_chain, monkeypatch):
         monkeypatch.setattr(estimators, "qsd",
                             lambda chain: qsd(chain, max_iter=2))
@@ -279,9 +270,8 @@ class TestProductMoment:
         assert abs(est.estimate - est.reference) < 0.05
 
     def test_pair_moment(self, golden_chain):
-        sol = qsd(golden_chain)
         est = product_moment_experiment(
-            golden_chain, ["1", "2"], 60, 20.0, 200, 0.5, seed=13, solution=sol
+            golden_chain, ["1", "2"], 60, 20.0, 200, 0.5, seed=13
         )
         assert est.reference == pytest.approx(float(GOLD_NU[0] * GOLD_NU[1]), abs=1e-9)
         assert abs(est.estimate - est.reference) < 0.07

@@ -36,31 +36,28 @@ def influence_sets(marks):
 def ref_influence(marks, root):
     # Straight-line reference for the backward membership scan.
     member = {int(root)}
-    for e in range(marks.voter_particle.size - 1, -1, -1):
-        if int(marks.voter_particle[e]) in member:
-            member.add(int(marks.voter_targets[e]))
+    for e in range(marks.n_events - 1, -1, -1):
+        if int(marks.particle[e]) in member:
+            member.add(int(marks.partner[e]))
     return frozenset(member)
 
 
 def hand_marks(*events, n_particles=2, n_states=2):
-    """Build a MarkRealization from explicit events in replay order.
-
-    An internal event is ("map", particle, map_row); a copy event is
-    ("copy", particle, target, field_row).
-    """
-    internal = [e[1:] for e in events if e[0] == "map"]
-    voter = [e[1:] for e in events if e[0] == "copy"]
+    """Build a MarkRealization from (particle, partner, map row) events in
+    replay order.  An internal event is its own partner; a copy event's
+    row is -1 where its field is set."""
     return MarkRealization(
         n_particles=n_particles, n_states=n_states,
-        copy_order=np.array([e[0] == "copy" for e in events], dtype=np.bool_),
-        internal_particle=np.array([e[0] for e in internal], dtype=np.int64),
-        internal_maps=np.array([e[1] for e in internal],
-                               dtype=np.int64).reshape(len(internal), n_states),
-        voter_particle=np.array([e[0] for e in voter], dtype=np.int64),
-        voter_targets=np.array([e[1] for e in voter], dtype=np.int64),
-        voter_fields=np.array([e[2] for e in voter],
-                              dtype=np.bool_).reshape(len(voter), n_states),
+        particle=np.array([e[0] for e in events], dtype=np.int64),
+        partner=np.array([e[1] for e in events], dtype=np.int64),
+        maps=np.array([e[2] for e in events],
+                      dtype=np.int64).reshape(len(events), n_states),
     )
+
+
+def is_copy(marks):
+    """Which events are copy events: sampled targets are never the particle."""
+    return marks.partner != marks.particle
 
 
 class TestSampleMarks:
@@ -79,16 +76,16 @@ class TestSampleMarks:
     def test_deterministic(self, golden_chain):
         a = sample_marks(golden_chain, 6, 2.0, ReplicaSeed(12, 4))
         b = sample_marks(golden_chain, 6, 2.0, ReplicaSeed(12, 4))
-        np.testing.assert_array_equal(a.copy_order, b.copy_order)
-        np.testing.assert_array_equal(a.internal_maps, b.internal_maps)
-        np.testing.assert_array_equal(a.voter_fields, b.voter_fields)
+        np.testing.assert_array_equal(a.particle, b.particle)
+        np.testing.assert_array_equal(a.partner, b.partner)
+        np.testing.assert_array_equal(a.maps, b.maps)
 
     @pytest.mark.parametrize("seed", [12, np.int64(12), np.uint64(12)])
     def test_integer_seed_is_replica_zero(self, golden_chain, seed):
         a = sample_marks(golden_chain, 6, 2.0, seed)
         b = sample_marks(golden_chain, 6, 2.0, ReplicaSeed(12))
-        np.testing.assert_array_equal(a.copy_order, b.copy_order)
-        np.testing.assert_array_equal(a.voter_targets, b.voter_targets)
+        np.testing.assert_array_equal(a.partner, b.partner)
+        np.testing.assert_array_equal(a.maps, b.maps)
         assert influence_experiment(golden_chain, 6, 0.5, 4, seed) == \
             influence_experiment(golden_chain, 6, 0.5, 4, ReplicaSeed(12))
 
@@ -96,14 +93,14 @@ class TestSampleMarks:
         # absorption = (1, 0) and C = 1: the indicator always fires at
         # site 0 and never at site 1.
         marks = sample_marks(golden_chain, 10, 4.0, 9)
-        assert marks.voter_fields[:, 0].all()
-        assert not marks.voter_fields[:, 1].any()
+        rows = marks.maps[is_copy(marks)]
+        assert rows.size and (rows == [-1, 1]).all()
 
     def test_golden_maps_swap(self, golden_chain):
         # Unit-rate two-site chain: every internal map is the swap.
         marks = sample_marks(golden_chain, 10, 4.0, 9)
-        assert (marks.internal_maps[:, 0] == 1).all()
-        assert (marks.internal_maps[:, 1] == 0).all()
+        rows = marks.maps[~is_copy(marks)]
+        assert rows.size and (rows == [1, 0]).all()
 
     def test_maps_follow_jump_kernel(self, three_site_chain):
         # Row a of the kernel is (1/3, 2/3, 0): site c never drawn, and
@@ -112,7 +109,7 @@ class TestSampleMarks:
         hits_b = 0
         for r in range(40):
             marks = sample_marks(three_site_chain, 8, 3.0, ReplicaSeed(21, r))
-            f_a = marks.internal_maps[:, 0]
+            f_a = marks.maps[~is_copy(marks), 0]
             assert (f_a != 2).all()
             n_events += f_a.size
             hits_b += int((f_a == 1).sum())
@@ -127,27 +124,34 @@ class TestSampleMarks:
         voters = np.empty(reps)
         for r in range(reps):
             marks = sample_marks(golden_chain, n, t, ReplicaSeed(1000, r))
-            internals[r] = np.count_nonzero(~marks.copy_order)
-            voters[r] = np.count_nonzero(marks.copy_order)
+            internals[r] = np.count_nonzero(~is_copy(marks))
+            voters[r] = np.count_nonzero(is_copy(marks))
         expect = n * 1.0 * t
         for counts in (internals, voters):
             se = counts.std(ddof=1) / np.sqrt(reps)
             assert abs(counts.mean() - expect) < 4 * se
 
     def test_voter_targets_never_self(self, golden_chain):
+        # On the golden chain every copy event's row is -1 at site 0 and
+        # no internal event's is, so this tells the kinds apart without
+        # reading the partner.
         marks = sample_marks(golden_chain, 4, 6.0, 2)
-        assert (marks.voter_targets != marks.voter_particle).all()
+        copy = marks.maps[:, 0] < 0
+        assert copy.any()
+        assert (marks.partner[copy] != marks.particle[copy]).all()
 
     def test_targets_uniform_over_other_labels(self, golden_chain):
         # Chi-square of the (particle, target) table against targets
         # uniform over the other N - 1 = 5 labels: 6 rows of 5 cells, each
         # row's total fixed, so 24 degrees of freedom; 51.18 is the 0.999
         # quantile.
+        # Copy events are told apart by their -1 at site 0, as above.
         n = 6
         table = np.zeros((n, n))
         for r in range(100):
             marks = sample_marks(golden_chain, n, 20.0, ReplicaSeed(808, r))
-            np.add.at(table, (marks.voter_particle, marks.voter_targets), 1)
+            copy = marks.maps[:, 0] < 0
+            np.add.at(table, (marks.particle[copy], marks.partner[copy]), 1)
         assert not table.diagonal().any()
         cells = table[~np.eye(n, dtype=bool)].reshape(n, n - 1)
         expected = cells.sum(axis=1, keepdims=True) / (n - 1)
@@ -163,23 +167,36 @@ class TestSampleMarks:
         diff = 0
         places = 0
         for r in range(200):
-            order = sample_marks(golden_chain, 5, 4.0, ReplicaSeed(55, r)).copy_order
+            order = is_copy(sample_marks(golden_chain, 5, 4.0, ReplicaSeed(55, r)))
             half = order.size // 2
             diff += int(order[:half].sum()) - int(order[half:2 * half].sum())
             places += 2 * half
         assert places > 5000
         assert abs(diff) < 4 * np.sqrt(places / 4.0)
 
-    def test_copy_order_count_mismatch_rejected(self):
-        marks = hand_marks(("map", 0, [1, 0]), ("copy", 0, 1, [True, False]))
-        arrays = {name: getattr(marks, name) for name in (
-            "internal_particle", "internal_maps", "voter_particle",
-            "voter_targets", "voter_fields")}
-        for order, message in (([True, False, True], "copy_order's 2 copy events"),
-                               ([0, 1], "boolean")):
+    def test_table_shape_mismatch_rejected(self):
+        good = {"particle": np.array([0, 0]), "partner": np.array([0, 1]),
+                "maps": np.array([[1, 0], [-1, 1]])}
+        for name, bad, message in (
+            ("particle", np.array([[0, 0]]), r"particle must have shape \(2,\)"),
+            ("partner", np.array([0, 1, 1]), r"partner must have shape \(2,\)"),
+            ("maps", np.array([[1, 0, 0], [-1, 1, 0]]),
+             r"maps must have shape \(2, 2\)"),
+        ):
             with pytest.raises(ValueError, match=message):
-                MarkRealization(n_particles=2, n_states=2,
-                                copy_order=np.array(order), **arrays)
+                MarkRealization(n_particles=2, n_states=2, **{**good, name: bad})
+
+    def test_non_integer_marks_rejected(self):
+        # A float entry used to pass the range check (0.7 was cast to 0)
+        # and then fail inside the replay as a list index.
+        good = {"particle": np.array([0]), "partner": np.array([0]),
+                "maps": np.array([[1, 0]])}
+        for name, bad in (("particle", np.array([0.7])),
+                          ("partner", np.array([0.0])),
+                          ("maps", np.array([[1.0, 0.0]])),
+                          ("maps", np.array([[True, False]]))):
+            with pytest.raises(ValueError, match=f"{name} must be an integer array"):
+                MarkRealization(n_particles=2, n_states=2, **{**good, name: bad})
 
     def test_huge_horizon_overflows(self, golden_chain):
         # N C t = 4e20 is beyond numpy's Poisson range.
@@ -191,17 +208,19 @@ class TestSampleMarks:
     def test_negative_target_rejected(self):
         # A negative label would be read as label N - 1 by the kernels.
         with pytest.raises(ValueError, match=r"labels must lie in \[0, 3\)"):
-            hand_marks(("copy", 0, -1, [True, False]), n_particles=3)
+            hand_marks((0, -1, [-1, 1]), n_particles=3)
 
     def test_particle_equal_to_n_rejected(self):
         with pytest.raises(ValueError, match=r"labels must lie in \[0, 3\)"):
-            hand_marks(("map", 3, [1, 0]), n_particles=3)
+            hand_marks((3, 3, [1, 0]), n_particles=3)
         with pytest.raises(ValueError, match=r"labels must lie in \[0, 3\)"):
-            hand_marks(("copy", 3, 0, [True, False]), n_particles=3)
+            hand_marks((3, 0, [-1, 1]), n_particles=3)
 
     def test_map_entry_equal_to_n_states_rejected(self):
-        with pytest.raises(ValueError, match=r"map sites must lie in \[0, 2\)"):
-            hand_marks(("map", 0, [1, 2]), n_particles=3)
+        # -1 means "the partner's site"; anything below it is out of range.
+        for row in ([1, 2], [-2, 0]):
+            with pytest.raises(ValueError, match=r"map sites must lie in \[-1, 2\)"):
+                hand_marks((0, 1, row), n_particles=3)
 
     def test_zero_absorption_no_voter_events(self):
         chain = AbsorbingChain(
@@ -210,8 +229,9 @@ class TestSampleMarks:
             absorption=np.zeros(2),
         )
         marks = sample_marks(chain, 5, 3.0, 0)
-        assert marks.voter_particle.size == 0
-        assert marks.internal_particle.size > 0
+        assert marks.n_events > 0
+        assert not is_copy(marks).any()
+        assert (marks.maps >= 0).all()
 
 
 class TestEvolve:
@@ -221,27 +241,47 @@ class TestEvolve:
         np.testing.assert_array_equal(evolve(xi0, marks), xi0)
 
     def test_single_internal_event(self):
-        marks = hand_marks(("map", 0, [1, 0]))
+        marks = hand_marks((0, 0, [1, 0]))
         np.testing.assert_array_equal(evolve([0, 0], marks), [1, 0])
         np.testing.assert_array_equal(evolve([1, 1], marks), [0, 1])
 
     def test_voter_event_fires_by_site(self):
         # Field set only at site 0: the copy happens iff particle 0 sits
         # at site 0 when the event arrives.
-        marks = hand_marks(("copy", 0, 1, [True, False]))
+        marks = hand_marks((0, 1, [-1, 1]))
         np.testing.assert_array_equal(evolve([0, 1], marks), [1, 1])
         np.testing.assert_array_equal(evolve([1, 0], marks), [1, 0])
 
     def test_merged_order(self):
         # The internal map first puts particle 0 on site 0; the copy event
         # after it then fires and drags it onto particle 1.
-        marks = hand_marks(("map", 0, [0, 0]), ("copy", 0, 1, [True, False]))
-        np.testing.assert_array_equal(marks.copy_order, [False, True])
+        marks = hand_marks((0, 0, [0, 0]), (0, 1, [-1, 1]))
         np.testing.assert_array_equal(evolve([1, 1], marks), [1, 1])
         # Reversed order: the copy attempt comes first and misses.
-        marks2 = hand_marks(("copy", 0, 1, [True, False]), ("map", 0, [0, 0]))
-        np.testing.assert_array_equal(marks2.copy_order, [True, False])
+        marks2 = hand_marks((0, 1, [-1, 1]), (0, 0, [0, 0]))
         np.testing.assert_array_equal(evolve([1, 1], marks2), [0, 1])
+
+    def test_identity_events_change_nothing(self, golden_chain, three_site_chain):
+        # An event that is its own partner with row arange(n) moves nobody
+        # and adds nobody to an influence set, so it can pad a replay.
+        rng = np.random.default_rng(404)
+        for chain in (golden_chain, three_site_chain):
+            for r in range(40):
+                marks = sample_marks(chain, 6, 1.5, ReplicaSeed(505, r))
+                k = int(rng.integers(1, 8))
+                at = rng.integers(0, marks.n_events + 1, k)
+                who = rng.integers(0, 6, k)
+                padded = MarkRealization(
+                    n_particles=6, n_states=chain.n,
+                    particle=np.insert(marks.particle, at, who),
+                    partner=np.insert(marks.partner, at, who),
+                    maps=np.insert(marks.maps, at, np.arange(chain.n), axis=0))
+                assert padded.n_events == marks.n_events + k
+                xi0 = rng.integers(0, chain.n, 6)
+                np.testing.assert_array_equal(evolve(xi0, padded),
+                                              evolve(xi0, marks))
+                np.testing.assert_array_equal(influence_matrix(padded),
+                                              influence_matrix(marks))
 
     def test_size_mismatch(self, golden_chain):
         marks = sample_marks(golden_chain, 4, 1.0, 0)
@@ -304,7 +344,7 @@ class TestInfluence:
     def test_membership_ignores_field(self):
         # The copy attempt could not fire (field all False), yet the
         # target still joins: membership tracks what could matter.
-        marks = hand_marks(("copy", 0, 1, [False, False]))
+        marks = hand_marks((0, 1, [0, 1]))
         assert influence_sets(marks)[0] == frozenset({0, 1})
 
     def test_roots_selection(self, golden_chain):

@@ -37,11 +37,14 @@ def test_labelled_workload_digest(golden_chain):
 
 
 def test_marks_workload_digest(golden_chain):
-    # Mark sampling, in replay order, and mark replay.
+    # Mark sampling, in replay order, and mark replay.  The digest reads
+    # the event table as the kind order, each kind's draws and the copy
+    # events' fields.
     digest = hashlib.md5()
     marks = sample_marks(golden_chain, n_particles=30, horizon=1.5, seed=13)
-    for arr in (marks.copy_order, marks.internal_particle, marks.internal_maps,
-                marks.voter_particle, marks.voter_targets, marks.voter_fields):
+    copy = marks.partner != marks.particle
+    for arr in (copy, marks.particle[~copy], marks.maps[~copy],
+                marks.particle[copy], marks.partner[copy], marks.maps[copy] < 0):
         digest.update(np.ascontiguousarray(arr).tobytes())
     digest.update(evolve(np.zeros(30, dtype=np.int64), marks).tobytes())
     assert digest.hexdigest() == "ff236fae5c9519653825b08aefb2b905"
@@ -158,46 +161,23 @@ def _reference_run(gen, positions, site_rate, cum_move, record_times, out):
     return n_events
 
 
-def _replay_events(marks):
-    """(kind, particle, index) of every event in replay order, kind 0 for
-    an internal event and 1 for a copy event; index counts the events of
-    that kind before it."""
-    labels = (marks.internal_particle, marks.voter_particle)
-    kinds, particles, index = [], [], []
-    seen = [0, 0]
-    for is_copy in marks.copy_order:
-        kind = int(is_copy)
-        kinds.append(kind)
-        particles.append(labels[kind][seen[kind]])
-        index.append(seen[kind])
-        seen[kind] += 1
-    assert seen == [labels[0].size, labels[1].size]
-    return kinds, particles, index
-
-
-def _reference_apply_marks(positions, event_kind, event_particle, event_index,
-                           internal_maps, voter_targets, voter_fields):
-    for e in range(len(event_kind)):
-        i = event_particle[e]
-        idx = event_index[e]
-        if event_kind[e] == 0:
-            positions[i] = internal_maps[idx, positions[i]]
-        else:
-            if voter_fields[idx, positions[i]]:
-                positions[i] = positions[voter_targets[idx]]
+def _reference_apply_marks(positions, particle, partner, maps):
+    for e in range(len(particle)):
+        i = particle[e]
+        y = maps[e, positions[i]]
+        positions[i] = positions[partner[e]] if y == -1 else y
     return positions
 
 
-def _reference_influence_matrix(roots, n_particles, voter_particle,
-                                voter_targets, out):
-    n_events = len(voter_particle)
+def _reference_influence_matrix(roots, n_particles, particle, partner, out):
+    n_events = len(particle)
     for r in range(len(roots)):
         for k in range(n_particles):
             out[r, k] = False
         out[r, roots[r]] = True
         for e in range(n_events - 1, -1, -1):
-            if out[r, voter_particle[e]]:
-                out[r, voter_targets[e]] = True
+            if out[r, particle[e]]:
+                out[r, partner[e]] = True
     return out
 
 
@@ -327,18 +307,15 @@ def test_mark_kernels_match_reference(oracle_chain, n):
     marks = sample_marks(oracle_chain, n_particles=n, horizon=1.5, seed=n)
     start = np.arange(n, dtype=np.int64) % oracle_chain.n
     pos = start.copy()
-    assert _kernels.apply_marks(
-        pos, marks.copy_order, marks.internal_particle, marks.internal_maps,
-        marks.voter_particle, marks.voter_targets, marks.voter_fields) is pos
-    ref = _reference_apply_marks(start.copy(), *_replay_events(marks),
-                                 marks.internal_maps, marks.voter_targets,
-                                 marks.voter_fields)
+    table = (marks.particle, marks.partner, marks.maps)
+    assert _kernels.apply_marks(pos, *table) is pos
+    ref = _reference_apply_marks(start.copy(), *table)
     np.testing.assert_array_equal(pos, ref)
 
     roots = np.arange(n, dtype=np.int64)[::-1].copy()
-    voter = (marks.voter_particle, marks.voter_targets)
+    pairs = (marks.particle, marks.partner)
     out = np.ones((n, n), dtype=np.bool_)
-    assert _kernels.influence_matrix_kernel(roots, n, *voter, out) is out
-    ref = _reference_influence_matrix(roots, n, *voter,
+    assert _kernels.influence_matrix_kernel(roots, n, *pairs, out) is out
+    ref = _reference_influence_matrix(roots, n, *pairs,
                                       np.ones((n, n), dtype=np.bool_))
     np.testing.assert_array_equal(out, ref)

@@ -86,6 +86,10 @@ def test_traced_mark_replay_records_its_spans(tracing):
     names = {span[1] for span in tracer.spans}
     assert {"graphical.sample_marks", "graphical.evolve",
             "kernels.apply_marks"} <= names, names
+    # perfbench sums this count into graphical.mark_events.
+    counts = [span[6] for span in tracer.spans
+              if span[1] == "graphical.sample_marks"]
+    assert counts == [marks.n_events] and counts[0] > 0, counts
     for owner, attr, value in before:
         assert getattr(owner, attr) is value, f"{owner!r}.{attr} not restored"
 
