@@ -25,6 +25,11 @@ a deterministic replay of the table, so the same realization can drive
 every initial configuration at once (coupling), and the set of labels that
 could possibly affect a particle by the horizon is computable by a
 backward scan over the (particle, partner) pairs alone.
+
+Internal events add nobody to an influence set, so ``influence_experiment``
+draws only copy pairs, and no realization: each block of replicas has one
+stream, which gives every replica its event count and then one i.i.d. pair
+per replica at each step of a lockstep backward scan.
 """
 from __future__ import annotations
 
@@ -36,9 +41,15 @@ from numpy.typing import ArrayLike, NDArray
 from . import _kernels
 from .chain import AbsorbingChain
 from .errors import HorizonOverflowError
-from .parallel import map_replicas
+# map_replicas is unused here but stays importable: perfbench's tracer
+# patches it by attribute.
+from .parallel import map_replicas  # noqa: F401
 from .seeding import ReplicaSeed, as_replica_seed
-from .simulator import validate_configuration
+from .simulator import BLOCK_REPLICAS, validate_configuration
+
+# influence_experiment caps its blocks so that one block's membership
+# array holds at most this many bytes (16 MiB).
+SCAN_BYTES = 2**24
 
 __all__ = [
     "MarkRealization",
@@ -102,10 +113,13 @@ def _check_size(n_particles: int, horizon: float) -> float:
     return horizon
 
 
-def _event_count(gen: np.random.Generator, mean: float) -> int:
-    # numpy's Poisson sampler refuses a mean near 2**63 or above.
+def _event_count(
+    gen: np.random.Generator, mean: float, size: int | None = None
+) -> int | NDArray[np.int64]:
+    # One Poisson(mean) count, or an array of size of them.  numpy's
+    # Poisson sampler refuses a mean near 2**63 or above.
     try:
-        return int(gen.poisson(mean))
+        return gen.poisson(mean, size)
     except ValueError:
         raise HorizonOverflowError(
             f"an expected {mean:g} mark events is beyond numpy's Poisson range"
@@ -113,15 +127,13 @@ def _event_count(gen: np.random.Generator, mean: float) -> int:
 
 
 def _copy_pairs(
-    gen: np.random.Generator, n_particles: int, mass: float
+    gen: np.random.Generator, n_particles: int, size: int
 ) -> tuple[NDArray[np.int64], NDArray[np.int64]]:
-    # The (particle, target) pairs of the copy events in replay order, for
-    # a per-particle expected count mass = C * horizon.  Shifting the
-    # targets at or above the particle makes them uniform over the other
-    # N - 1 labels.
-    k = _event_count(gen, n_particles * mass)
-    particle = gen.integers(0, n_particles, k)
-    target = gen.integers(0, n_particles - 1, k)
+    # size i.i.d. (particle, target) pairs of copy events: all particles,
+    # then all targets.  Shifting the targets at or above the particle
+    # makes them uniform over the other N - 1 labels.
+    particle = gen.integers(0, n_particles, size)
+    target = gen.integers(0, n_particles - 1, size)
     target += target >= particle
     return particle, target
 
@@ -147,7 +159,8 @@ def sample_marks(
     n = chain.n
 
     c_rate = chain.max_absorption_rate
-    copy_particle, target = _copy_pairs(gen, n_particles, c_rate * horizon)
+    copy_particle, target = _copy_pairs(
+        gen, n_particles, _event_count(gen, n_particles * (c_rate * horizon)))
     # u * C < absorption(x) is set with probability absorption(x) / C.
     fields = gen.random((copy_particle.size, n)) * c_rate < chain.absorption
 
@@ -236,6 +249,46 @@ class InfluenceSizeEstimate:
     bound: float
 
 
+def _influence_samples(
+    n_particles: int, mass: float, replicas: int, seed: ReplicaSeed
+) -> tuple[NDArray[np.int64], NDArray[np.bool_]]:
+    # Per replica, |set of 0| and whether it meets the set of 1, for a
+    # per-particle expected copy count mass = C * t; influence_experiment
+    # documents the blocks and their streams.  A block's membership array
+    # is the prefix of buffer viewed as (2, B, N): row [r, b] is the set of
+    # label r in replica b.
+    n = n_particles
+    rows = min(BLOCK_REPLICAS, max(1, SCAN_BYTES // (2 * n)), replicas)
+    buffer = np.empty(2 * rows * n, dtype=np.bool_)
+    sizes = np.empty(replicas, dtype=np.int64)
+    overlaps = np.empty(replicas, dtype=np.bool_)
+    for first in range(0, replicas, rows):
+        b = min(rows, replicas - first)
+        gen = ReplicaSeed(seed.master_seed, seed.replica_index + first).generator()
+        counts = _event_count(gen, n * mass, b)
+        member = buffer[:2 * b * n].reshape(2, b, n)
+        member.fill(False)
+        member[0, :, 0] = True
+        member[1, :, 1] = True
+        offsets = np.arange(2 * b) * n
+        for s in range(int(counts.max())):
+            particle, partner = _copy_pairs(gen, n, b)
+            # A replica past its last event takes an identity event.
+            np.copyto(partner, particle, where=counts <= s)
+            # One gather and one scatter over both roots: each member
+            # particle adds its partner.
+            src = np.concatenate([particle, particle])
+            src += offsets
+            dst = np.concatenate([partner, partner])
+            dst += offsets
+            buffer[dst.compress(buffer.take(src))] = True
+        sizes[first:first + b] = np.count_nonzero(member[0], axis=1)
+        # In place, so no temporary of the block's size.
+        overlaps[first:first + b] = np.logical_and(
+            member[0], member[1], out=member[0]).any(axis=1)
+    return sizes, overlaps
+
+
 def influence_experiment(
     chain: AbsorbingChain,
     n_particles: int,
@@ -245,38 +298,33 @@ def influence_experiment(
 ) -> tuple[InfluenceSizeEstimate, OverlapEstimate]:
     """Monte Carlo check data for the two influence-set bounds.
 
-    Each replica draws only its copy pairs, the prefix that
-    ``sample_marks`` draws first from the same seed, and computes the
-    influence sets of labels 0 and 1 (exchangeability makes the choice
-    irrelevant): the mean of |set of 0| is compared against exp(C t) and the
-    frequency of the two sets intersecting against (exp(2 C t) - 1)/(N - 1),
-    where C is the chain's maximal absorption rate.  The overlap CI is the
-    95% normal approximation.
+    Each replica draws only its copy pairs and computes the influence sets
+    of labels 0 and 1 (exchangeability makes the choice irrelevant): the
+    mean of |set of 0| is compared against exp(C t) and the frequency of
+    the two sets intersecting against (exp(2 C t) - 1)/(N - 1), where C is
+    the chain's maximal absorption rate.  The overlap CI is the 95% normal
+    approximation.
+
+    Replicas are scanned in lockstep, in blocks of
+    B = min(BLOCK_REPLICAS, max(1, SCAN_BYTES // (2 N))) on a (2, B, N)
+    boolean membership array, so a block holds at most SCAN_BYTES bytes of
+    membership unless N alone exceeds it.  The block starting at replica b
+    draws from ``ReplicaSeed(master_seed, replica_index + b).generator()``:
+    first the B Poisson(N C t) copy-event counts, then at each scan step s
+    one particle and one target per replica (B draws each, as
+    ``sample_marks`` draws its copy pairs).  Step s is the pair s-th
+    from the horizon; a replica with at most s events takes an identity
+    event.  The pairs are i.i.d., so drawing them in scan order gives the
+    same law as drawing a realization first.  An expected event count
+    beyond numpy's Poisson range raises HorizonOverflowError.
     """
     if replicas < 2:
         raise ValueError("replicas must be at least 2")
     t = _check_size(n_particles, t)
-    seed = as_replica_seed(seed)
-    master = seed.master_seed
-    base = seed.replica_index
-    mass = chain.max_absorption_rate * t
-    roots = np.array([0, 1], dtype=np.int64)
-
-    def one(r: int) -> tuple[int, bool]:
-        gen = ReplicaSeed(master, base + r).generator()
-        particle, target = _copy_pairs(gen, n_particles, mass)
-        rows = _kernels.influence_matrix_kernel(
-            roots, n_particles, particle, target,
-            np.empty((2, n_particles), dtype=np.bool_))
-        size = int(rows[0].sum())
-        overlap = bool(np.any(rows[0] & rows[1]))
-        return size, overlap
-
-    results = map_replicas(one, replicas)
-    sizes = np.array([s for s, _ in results], dtype=np.float64)
-    overlaps = np.array([o for _, o in results], dtype=np.float64)
-
     c_rate = chain.max_absorption_rate
+    sizes, overlaps = _influence_samples(
+        n_particles, c_rate * t, replicas, as_replica_seed(seed))
+
     size_est = InfluenceSizeEstimate(
         mean_size=float(sizes.mean()),
         std_error=float(sizes.std(ddof=1) / np.sqrt(replicas)),

@@ -443,9 +443,9 @@ STABLE_HASHES = {
     "convergence": ('0da572d0fa4fdf69', '34687217529ec5fd', '14d9d9d5424e6ccc'),
     "convergence-profiles": ('d69f9f44810c6828', '693ad05488839254', 'f418c9e7d8ae5399'),
     "qsd_profile": ('a2ae3c124f2a540e', 'b423a70fab0251e2', '8c416bd5cc3b05aa'),
-    "overlap-scalars": ('f8a1f32096abf4dc', 'eacc35ea06a85ab1', 'c390ef623cda0084'),
-    "overlap-n_list": ('26193310d171c848', '9b9323b41be1c606', 'a7471e2bab6cc34f'),
-    "overlap-t_grid": ('44d2bb2d282bd154', 'b5efdf389a0caebc', 'e282f156c9ee521c'),
+    "overlap-scalars": ('e948dd3c934c6e15', 'f82c840e08ca652c', 'f10daa493784abd3'),
+    "overlap-n_list": ('7139990e93891bd9', '060bbba3f5c3b9e0', '181b663b7a65cfe0'),
+    "overlap-t_grid": ('e46ad92c62b44122', '512b7e60ab36b594', 'a150021450a24ae1'),
     "product_moment-one-site": ('4cd92672ccff02bf', '3e82923be75998c0', '89a5929a25f5e13e'),
     "product_moment": ('5f938e504f278d0a', 'ad830f69f92475ab', 'fe21e83c9b8c4443'),
     "product_moment-three-sites": ('41ebde0b31982e84', 'df047985950dc55e', '2a72928ee78ffc70'),

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,8 @@ from fvqsd import (
     simulate,
 )
 from fvqsd.errors import HorizonOverflowError
+from fvqsd.graphical import SCAN_BYTES, _influence_samples
+from fvqsd.simulator import BLOCK_REPLICAS
 
 import _pilots
 from _oracles import (
@@ -53,6 +56,27 @@ def hand_marks(*events, n_particles=2, n_states=2):
         maps=np.array([e[2] for e in events],
                       dtype=np.int64).reshape(len(events), n_states),
     )
+
+
+def block_copy_pairs(n_particles, mass, replicas, seed):
+    """Each replica's copy (particle, partner) pairs in replay order,
+    drawn from influence_experiment's block streams in its documented
+    order: a block's event counts, then one pair per replica a step, the
+    step-s pair being the s-th from the horizon."""
+    for first in range(0, replicas, BLOCK_REPLICAS):
+        b = min(BLOCK_REPLICAS, replicas - first)
+        gen = ReplicaSeed(seed.master_seed, seed.replica_index + first).generator()
+        counts = gen.poisson(n_particles * mass, b)
+        steps = []
+        for _ in range(counts.max()):
+            particle = gen.integers(0, n_particles, b)
+            target = gen.integers(0, n_particles - 1, b)
+            target += target >= particle
+            steps.append((particle, target))
+        for k in range(b):
+            pairs = np.array([(p[k], q[k]) for p, q in steps[:counts[k]]],
+                             dtype=np.int64).reshape(-1, 2)[::-1]
+            yield pairs[:, 0].copy(), pairs[:, 1].copy()
 
 
 def is_copy(marks):
@@ -399,23 +423,47 @@ class TestInfluenceExperiment:
         assert size.bound == pytest.approx(np.exp(0.25))
         assert overlap.bound == pytest.approx((np.exp(0.5) - 1.0) / 40.0)
 
-    def test_equals_loop_over_sample_marks(self, three_site_chain):
-        # The experiment draws only the copy pairs, the prefix that
-        # sample_marks draws first from the same replica seed.
-        n, t, reps = 9, 0.8, 60
-        size, overlap = influence_experiment(
-            three_site_chain, n, t, reps, ReplicaSeed(31, 7))
-        sizes = np.empty(reps)
-        overlaps = np.empty(reps)
-        for r in range(reps):
-            marks = sample_marks(three_site_chain, n, t, ReplicaSeed(31, 7 + r))
+    def test_equals_replay_of_block_pairs(self, three_site_chain):
+        # Two blocks, the second partial, at a nonzero base: every
+        # replica's sizes and overlap are those of influence_matrix on its
+        # copy pairs, re-drawn in the documented block order.
+        n, t = 9, 0.8
+        reps = BLOCK_REPLICAS + 37
+        seed = ReplicaSeed(31, 7)
+        mass = three_site_chain.max_absorption_rate * t
+        sizes = np.empty(reps, dtype=np.int64)
+        overlaps = np.empty(reps, dtype=np.bool_)
+        for r, (particle, partner) in enumerate(
+                block_copy_pairs(n, mass, reps, seed)):
+            marks = MarkRealization(
+                n_particles=n, n_states=three_site_chain.n,
+                particle=particle, partner=partner,
+                maps=np.full((particle.size, three_site_chain.n), -1))
             rows = influence_matrix(marks, roots=[0, 1])
             sizes[r] = rows[0].sum()
             overlaps[r] = np.any(rows[0] & rows[1])
         assert 0.0 < overlaps.mean() < 1.0 and sizes.max() > 1
+        lockstep = _influence_samples(n, mass, reps, seed)
+        np.testing.assert_array_equal(lockstep[0], sizes)
+        np.testing.assert_array_equal(lockstep[1], overlaps)
+        size, overlap = influence_experiment(three_site_chain, n, t, reps, seed)
         assert size.mean_size == sizes.mean()
         assert size.std_error == sizes.std(ddof=1) / np.sqrt(reps)
         assert overlap.probability == overlaps.mean()
+
+    def test_block_rows_keep_membership_under_cap(self, golden_chain):
+        # At N = 2**20 the cap allows 8 rows a block (16 MiB); 20 rows in
+        # one block would hold 40 MiB.  The rest of the peak is numpy's
+        # reduction buffers (64 KiB) and the O(B) per-step arrays.
+        n = 2**20
+        tracemalloc.start()
+        try:
+            influence_experiment(golden_chain, n, 1e-7, 20, 3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert SCAN_BYTES // (2 * n) == 8
+        assert SCAN_BYTES <= peak <= SCAN_BYTES + 2**17, peak
 
     def test_overlap_matches_exact(self, three_site_chain):
         # C = 1.5, N = 6, t = 0.3: 20k replicas against the pair chain.
@@ -529,6 +577,17 @@ class TestInfluenceSizeOracle:
         for r in range(reps):
             marks = sample_marks(golden_chain, n, t, ReplicaSeed(4242, r))
             counts[int(influence_matrix(marks, roots=roots)[0].sum()) - 1] += 1
+        expected = reps * exact_influence_size_law(n, 1.0, t)
+        assert expected.min() > 5.0
+        chi2 = float(((counts - expected) ** 2 / expected).sum())
+        assert chi2 < 18.47, (chi2, counts, expected)
+
+    def test_lockstep_law_chi_square(self, golden_chain):
+        # The same cell through influence_experiment's block scan.
+        n, t, reps = 5, 1.0, 20000
+        sizes, _ = _influence_samples(
+            n, golden_chain.max_absorption_rate * t, reps, ReplicaSeed(4242))
+        counts = np.bincount(sizes - 1, minlength=n)
         expected = reps * exact_influence_size_law(n, 1.0, t)
         assert expected.min() > 5.0
         chi2 = float(((counts - expected) ** 2 / expected).sum())

@@ -6,9 +6,11 @@ table).  Deleting or renaming one breaks `perfbench/run.py --trace 1`, so
 this runs two tiny experiments and one labelled simulation under the tracer
 and checks the spans it relies on.  The correlation kind runs the count
 engine, so the `run_events` span comes from `fvqsd.simulate`, the labelled
-loop that perfbench's event probe times.  The overlap kind draws only copy
-pairs, so `sample_marks` is checked with the mark replay, as perfbench's
-coupling pass calls it.
+loop that perfbench's event probe times.  The overlap kind scans blocks of
+replicas in lockstep, without `map_replicas`, `sample_marks` or the
+influence kernel, so the kernel span comes from one direct
+`influence_matrix` call and `sample_marks` is checked with the mark replay,
+as perfbench's coupling pass calls them.
 """
 from __future__ import annotations
 
@@ -32,7 +34,6 @@ CONFIGS = {
     "correlation": {"n_particles": 5, "replicas": 4, "t": 0.5, "x": "1", "y": "2"},
 }
 SPANS = (
-    "parallel.map_replicas",
     "graphical.influence_experiment",
     "kernels.influence_matrix_kernel",
     "kernels.run_events",
@@ -68,7 +69,10 @@ def test_traced_run_records_the_spans_perfbench_reads(tmp_path, tracing):
             argv = [kind, "--config", str(cfg), "--out", str(tmp_path / kind),
                     "--threads", "2"]
             assert fvqsd.cli.main(argv) == 0
-        fvqsd.simulate(fvqsd.validate_chain(GOLDEN), [0, 1, 0, 1], 0.5, 3)
+        chain = fvqsd.validate_chain(GOLDEN)
+        fvqsd.simulate(chain, [0, 1, 0, 1], 0.5, 3)
+        fvqsd.graphical.influence_matrix(
+            fvqsd.graphical.sample_marks(chain, 4, 0.5, 3))
     names = {span[1] for span in tracer.spans}
     assert set(SPANS) <= names, set(SPANS) - names
     for owner, attr, value in before:
