@@ -4,27 +4,28 @@ Instead of drawing jumps on the fly, a full realization of two marked
 Poisson processes is sampled up front, each particle having its own events
 of both kinds:
 
-* internal events at the chain's uniformized jump rate, each carrying a
+* internal events at the chain's uniformized jump rate r, each carrying a
   complete map F of the live sites sampled coordinatewise from the jump
   kernel rows — the particle at site x moves to F(x);
-* copy events at the maximal absorption rate, each carrying a target label
+* copy events at the maximal absorption rate C, each carrying a target label
   j != i and a complete indicator field over sites, set at x with
   probability absorption(x) / max absorption — the particle copies
   particle j's position only where its current site's indicator is set.
 
 Evolution and the backward influence scan read only the order of the
-events, never their times.  Over N particles on [0, t] the copy events are
-Poisson(N C t) many, each of a uniform particle with i.i.d. marks; the
-internal events likewise; and the two kinds interleave uniformly at
-random.  So a realization is one table of events in replay order, each a
-(particle, partner, site map) triple: the particle at site x moves to
-map[x], or onto the partner's site where map[x] is -1.  An internal event
-is its own partner and carries F; a copy event has its target as partner
-and a map that is -1 where the field is set and x elsewhere.  Evolution is
-a deterministic replay of the table, so the same realization can drive
-every initial configuration at once (coupling), and the set of labels that
-could possibly affect a particle by the horizon is computable by a
-backward scan over the (particle, partner) pairs alone.
+events, never their times.  Over N particles on [0, t] the two kinds
+superpose into one Poisson(N (C + r) t) stream of events, each of a
+uniform particle, each a copy event with probability C / (C + r)
+independently, with i.i.d. marks of its kind.  So a realization is one
+table of events in replay order, each a (particle, partner, site map)
+triple: the particle at site x moves to map[x], or onto the partner's site
+where map[x] is -1.  An internal event is its own partner and carries F;
+a copy event has its target as partner and a map that is -1 where the
+field is set and x elsewhere.  Evolution is a deterministic replay of the
+table, so the same realization can drive every initial configuration at
+once (coupling), and the set of labels that could possibly affect a
+particle by the horizon is computable by a backward scan over the
+(particle, partner) pairs alone.
 
 Internal events add nobody to an influence set, so ``influence_experiment``
 draws only copy pairs, and no realization: each block of replicas has one
@@ -33,6 +34,7 @@ per replica at each step of a lockstep backward scan.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,13 +106,14 @@ class MarkRealization:
         return self.particle.size
 
 
-def _check_size(n_particles: int, horizon: float) -> float:
+def _check_size(n_particles: int, horizon: float) -> tuple[int, float]:
+    n_particles = operator.index(n_particles)
     if n_particles < 2:
         raise ValueError("n_particles must be at least 2")
     horizon = float(horizon)
     if not np.isfinite(horizon) or horizon < 0.0:
         raise ValueError("horizon must be finite and nonnegative")
-    return horizon
+    return n_particles, horizon
 
 
 def _event_count(
@@ -146,47 +149,37 @@ def sample_marks(
 ) -> MarkRealization:
     """Draw a complete mark realization for N particles on [0, horizon].
 
-    Per particle, internal events arrive at the chain's maximal internal
-    rate and copy events at the maximal absorption rate (a zero rate gives
-    no events of that kind; horizon 0 gives an empty realization).  Fully
-    determined by the seed, which is read in this order: the copy pairs,
-    their indicator fields, the internal particles and maps, and last the
-    interleaving.  An expected event count beyond numpy's Poisson range
-    raises HorizonOverflowError.
+    Per particle, copy events arrive at the maximal absorption rate C and
+    internal events at the maximal internal rate r, so the events of all
+    particles form one Poisson stream of rate N (C + r) in which each is
+    a copy event with probability C / (C + r) (horizon 0 gives an empty
+    realization).  Fully determined by the seed, which is read in this
+    order: the event count E ~ Poisson(N (C + r) horizon); E particles,
+    then E targets, as for copy pairs (an internal event discards its
+    target); E uniforms u, event e being a copy event where
+    u[e] (C + r) < C; and one (E, n) uniform matrix U.  A copy row is -1
+    where U[e, x] C < absorption(x) and x elsewhere; an internal row maps
+    x by inverse CDF of U[e, x] on the jump kernel's row x.  An expected
+    event count beyond numpy's Poisson range raises HorizonOverflowError.
     """
-    horizon = _check_size(n_particles, horizon)
+    n_particles, horizon = _check_size(n_particles, horizon)
     gen = as_replica_seed(seed).generator()
     n = chain.n
-
     c_rate = chain.max_absorption_rate
-    copy_particle, target = _copy_pairs(
-        gen, n_particles, _event_count(gen, n_particles * (c_rate * horizon)))
+    rate = c_rate + chain.max_internal_rate
+    particle, target = _copy_pairs(
+        gen, n_particles, _event_count(gen, n_particles * (rate * horizon)))
+    is_copy = gen.random(particle.size) * rate < c_rate
+    draws = gen.random((particle.size, n))
     # u * C < absorption(x) is set with probability absorption(x) / C.
-    fields = gen.random((copy_particle.size, n)) * c_rate < chain.absorption
-
-    ei = _event_count(gen, n_particles * (chain.max_internal_rate * horizon))
-    internal_particle = gen.integers(0, n_particles, ei)
-    cum_kernel = chain.cum_jump_kernel
-    draws = gen.random((ei, n))
-    internal_maps = np.empty((ei, n), dtype=np.int64)
-    for x in range(n):
-        internal_maps[:, x] = np.searchsorted(cum_kernel[x], draws[:, x], side="right")
-
-    is_copy = np.repeat([True, False], [copy_particle.size, ei])
-    gen.shuffle(is_copy)
-    # The k-th copy event takes the k-th set place of is_copy and the k-th
-    # internal event its k-th unset place.
-    is_internal = ~is_copy
-    particle = np.empty(is_copy.size, dtype=np.int64)
-    particle[is_copy] = copy_particle
-    particle[is_internal] = internal_particle
-    partner = particle.copy()
-    partner[is_copy] = target
-    maps = np.empty((is_copy.size, n), dtype=np.int64)
-    maps[is_copy] = np.where(fields, -1, np.arange(n))
-    maps[is_internal] = internal_maps
-    return MarkRealization(n_particles=int(n_particles), n_states=n,
-                           particle=particle, partner=partner, maps=maps)
+    copy_rows = np.where(draws * c_rate < chain.absorption, -1, np.arange(n))
+    internal_rows = np.column_stack([
+        np.searchsorted(row, column, side="right")
+        for row, column in zip(chain.cum_jump_kernel, draws.T)])
+    return MarkRealization(
+        n_particles=n_particles, n_states=n, particle=particle,
+        partner=np.where(is_copy, target, particle),
+        maps=np.where(is_copy[:, None], copy_rows, internal_rows))
 
 
 def evolve(xi0: ArrayLike, marks: MarkRealization) -> NDArray[np.int64]:
@@ -222,9 +215,11 @@ def influence_matrix(
     if roots is None:
         roots_arr = np.arange(marks.n_particles, dtype=np.int64)
     else:
-        roots_arr = np.asarray(roots, dtype=np.int64)
+        roots_arr = np.asarray(roots)
         if roots_arr.ndim != 1 or roots_arr.size == 0:
             raise ValueError("roots must be a nonempty 1-d array")
+        if roots_arr.dtype.kind not in "iu":
+            raise ValueError("roots must be integer labels")
         if roots_arr.min() < 0 or roots_arr.max() >= marks.n_particles:
             raise ValueError("root label out of range")
     out = np.zeros((roots_arr.size, marks.n_particles), dtype=np.bool_)
@@ -318,9 +313,10 @@ def influence_experiment(
     same law as drawing a realization first.  An expected event count
     beyond numpy's Poisson range raises HorizonOverflowError.
     """
+    replicas = operator.index(replicas)
     if replicas < 2:
         raise ValueError("replicas must be at least 2")
-    t = _check_size(n_particles, t)
+    n_particles, t = _check_size(n_particles, t)
     c_rate = chain.max_absorption_rate
     sizes, overlaps = _influence_samples(
         n_particles, c_rate * t, replicas, as_replica_seed(seed))

@@ -92,6 +92,14 @@ class TestSampleMarks:
             sample_marks(golden_chain, 3, -1.0, 0)
         with pytest.raises(ValueError):
             sample_marks(golden_chain, 3, np.inf, 0)
+        # A non-integer size used to be truncated by sample_marks (drawn
+        # at the 5.5-particle rate) and to end in a numpy TypeError inside
+        # influence_experiment's scan.
+        for call in (lambda: sample_marks(golden_chain, 5.5, 1.0, 3),
+                     lambda: influence_experiment(golden_chain, 5.5, 0.5, 10, 3),
+                     lambda: influence_experiment(golden_chain, 5, 0.5, 10.5, 3)):
+            with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+                call()
 
     def test_horizon_zero_empty(self, golden_chain):
         marks = sample_marks(golden_chain, 5, 0.0, 0)
@@ -141,19 +149,31 @@ class TestSampleMarks:
         se = np.sqrt(2.0 / 9.0 / n_events)
         assert abs(frac - 2.0 / 3.0) < 5 * se
 
-    def test_event_counts_poisson(self, golden_chain):
-        # Mean internal and copy counts are N * rate * horizon.
+    @pytest.mark.parametrize(
+        "name", ["golden_chain", "three_site_chain", "single_site_chain"])
+    def test_event_counts_poisson(self, name, request):
+        # Copy counts are Poisson(N C horizon) and internal counts
+        # Poisson(N r horizon).  The three-site chain has C = 1.5 and r = 3,
+        # so a kind split that ignored the rates would miss both means; the
+        # single site has r = 0, so every event is a copy event.
+        chain = request.getfixturevalue(name)
         n, t, reps = 7, 1.5, 300
         internals = np.empty(reps)
         voters = np.empty(reps)
         for r in range(reps):
-            marks = sample_marks(golden_chain, n, t, ReplicaSeed(1000, r))
+            marks = sample_marks(chain, n, t, ReplicaSeed(1000, r))
             internals[r] = np.count_nonzero(~is_copy(marks))
             voters[r] = np.count_nonzero(is_copy(marks))
-        expect = n * 1.0 * t
-        for counts in (internals, voters):
+        for counts, rate in ((internals, chain.max_internal_rate),
+                             (voters, chain.max_absorption_rate)):
+            expect = n * rate * t
+            if expect == 0.0:
+                assert not counts.any()
+                continue
             se = counts.std(ddof=1) / np.sqrt(reps)
             assert abs(counts.mean() - expect) < 4 * se
+            # A Poisson count's variance equals its mean.
+            assert abs(counts.var(ddof=1) - counts.mean()) < 0.3 * counts.mean()
 
     def test_voter_targets_never_self(self, golden_chain):
         # On the golden chain every copy event's row is -1 at site 0 and
@@ -379,6 +399,9 @@ class TestInfluence:
         np.testing.assert_array_equal(sub[1], full[5])
         with pytest.raises(ValueError):
             influence_matrix(marks, roots=np.array([11]))
+        # Non-integer roots used to be truncated, reading [0.9, 1.2] as [0, 1].
+        with pytest.raises(ValueError, match="roots must be integer labels"):
+            influence_matrix(marks, roots=[0.9, 1.2])
 
 
 class TestCoupling:

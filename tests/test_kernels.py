@@ -47,7 +47,7 @@ def test_marks_workload_digest(golden_chain):
                 marks.particle[copy], marks.partner[copy], marks.maps[copy] < 0):
         digest.update(np.ascontiguousarray(arr).tobytes())
     digest.update(evolve(np.zeros(30, dtype=np.int64), marks).tobytes())
-    assert digest.hexdigest() == "ff236fae5c9519653825b08aefb2b905"
+    assert digest.hexdigest() == "622d4b0a0ff7d372ab30022f40276388"
 
 
 def test_count_workload_digest(golden_chain, three_site_chain):
