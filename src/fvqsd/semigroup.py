@@ -72,6 +72,24 @@ def forward_ode(
     Runge-Kutta; the step must satisfy step <= 0.1 / max_x |q(x,x)|.  The
     result is renormalized once at output, and a unit-sum drift beyond
     ``DRIFT_LIMIT`` raises instead.
+
+    The step limit does not bound that drift.  Off the simplex the sum S
+    of v obeys S' = (v . absorption)(S - 1), so a roundoff error in S
+    grows like exp(integral of v . absorption dt): on a strongly absorbing
+    chain a long enough horizon raises whatever the step.
+
+    Each step is taken in the Krylov basis of v: with A = h Q and
+    b = h absorption, every RK4 stage lies in span{v A^j, j <= 3} and the
+    update in span{v A^j, j <= 4}, and a stage's factor u . b is a sum
+    of the scalars v A^j b.  So one vector-matrix product against the
+    precomputed [I | A | ... | A^4 | b | A b | ... | A^3 b] gives those
+    five vectors and four scalars, the stages run as a recursion on five
+    coefficients (`_rk4_coefficients`), and a second product combines
+    the vectors.  The precomputation costs four n x n matrix products,
+    which outweighs the saving for large n and few steps: a 200-site
+    chain over 44 steps took 3.9 ms against 1.9 ms stage by stage with
+    single-threaded BLAS, and ~70 ms on a 2-vCPU host whose threaded
+    OpenBLAS took ~16 ms per 200 x 200 product.
     """
     v = check_distribution(mu, chain.n)
     t = float(t)
@@ -87,23 +105,24 @@ def forward_ode(
     if t == 0.0:
         return v
 
-    rates = chain.rates
-    absorption = chain.absorption
-
-    def field(u: NDArray[np.float64]) -> NDArray[np.float64]:
-        return u @ rates + (u @ absorption) * u
-
+    n = chain.n
     n_steps = int(np.ceil(t / step))
     h = t / n_steps
+    hq = h * chain.rates
+    powers = [np.eye(n)]
+    for _ in range(4):
+        powers.append(powers[-1] @ hq)
+    absorbed = [h * chain.absorption]
+    for _ in range(3):
+        absorbed.append(hq @ absorbed[-1])
+    basis = np.hstack([*powers, np.column_stack(absorbed)])
     # A diverging run overflows before the drift check catches it; the
     # check below is the diagnostic, not the warning spray.
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(n_steps):
-            k1 = field(v)
-            k2 = field(v + 0.5 * h * k1)
-            k3 = field(v + 0.5 * h * k2)
-            k4 = field(v + h * k3)
-            v = v + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            row = v @ basis
+            coefficients = _rk4_coefficients(*row[5 * n:].tolist())
+            v = coefficients @ row[: 5 * n].reshape(5, n)
     drift = abs(float(v.sum()) - 1.0)
     # Written so a NaN drift (blown-up solution) also lands in the raise.
     if not (drift <= DRIFT_LIMIT):
@@ -111,6 +130,43 @@ def forward_ode(
             f"unit-sum drift {drift:g} after {n_steps} steps"
         )
     return v / v.sum()
+
+
+def _rk4_coefficients(
+    b0: float, b1: float, b2: float, b3: float
+) -> list[float]:
+    """Coefficients c of one RK4 step v -> sum_j c_j v A^j, given
+    b_j = v A^j b (see `forward_ode`).
+
+    A stage at u = sum_j u_j v A^j has h times the field
+    u A + (u . b) u, whose coefficients are u shifted up one power plus
+    s u with s = sum_j u_j b_j.  Unrolled, since a loop over these short
+    lists costs more than the two products of the step.
+    """
+    # k1 at v itself, coefficients (1, 0, 0, 0, 0)
+    s = b0
+    k10, k11 = s, 1.0
+    # k2 at v + k1 / 2
+    u0, u1 = 1.0 + 0.5 * k10, 0.5 * k11
+    s = u0 * b0 + u1 * b1
+    k20, k21, k22 = s * u0, u0 + s * u1, u1
+    # k3 at v + k2 / 2
+    u0, u1, u2 = 1.0 + 0.5 * k20, 0.5 * k21, 0.5 * k22
+    s = u0 * b0 + u1 * b1 + u2 * b2
+    k30, k31, k32, k33 = s * u0, u0 + s * u1, u1 + s * u2, u2
+    # k4 at v + k3
+    u0, u1, u2, u3 = 1.0 + k30, k31, k32, k33
+    s = u0 * b0 + u1 * b1 + u2 * b2 + u3 * b3
+    k40, k41, k42, k43, k44 = (
+        s * u0, u0 + s * u1, u1 + s * u2, u2 + s * u3, u3
+    )
+    return [
+        1.0 + (k10 + 2.0 * (k20 + k30) + k40) / 6.0,
+        (k11 + 2.0 * (k21 + k31) + k41) / 6.0,
+        (2.0 * (k22 + k32) + k42) / 6.0,
+        (2.0 * k33 + k43) / 6.0,
+        k44 / 6.0,
+    ]
 
 
 @dataclass(frozen=True)

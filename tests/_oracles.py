@@ -2,7 +2,8 @@
 
 Everything here is deliberately brute force and shares no code with the
 implementations under test: the matrix exponential is a plain truncated
-power series, eigenpairs come from numpy's dense solver, and the small
+power series, the nonlinear forward equation is integrated one RK4 stage
+at a time, eigenpairs come from numpy's dense solver, and the small
 interacting system is collapsed to its exact occupancy-count master
 equation (site 0's count on 2 sites, the whole count vector on any n).
 The backward influence scans are collapsed to birth chains: the size of
@@ -30,10 +31,21 @@ def series_expm(q: np.ndarray, t: float, terms: int | None = None) -> np.ndarray
     matrix t*q + theta*I, which is entrywise nonnegative, and the result
     is damped by e^{-theta}.  The shift is deliberately not the smallest
     admissible one, so the grouping differs from uniformization.  The
-    truncation check requires the last damped term below 1e-16.
+    truncation check requires the last damped term below 1e-16, and a
+    non-finite term fails it.  e^{theta} overflows near theta = 709, so
+    past theta = 500 the series runs over t / 2^s, with s the fewest
+    halvings that bring theta to 500, and the result is squared s times;
+    at theta <= 500, s = 0 and nothing is squared.
     """
     n = q.shape[0]
-    theta = 1.25 * t * float(np.max(-np.diag(q))) + 1.0
+    if not (np.isfinite(q).all() and np.isfinite(t)):
+        raise ValueError("q and t must be finite")
+    top = float(np.max(-np.diag(q)))
+    s = 0
+    while 1.25 * (t / 2**s) * top + 1.0 > 500.0:
+        s += 1
+    t = t / 2**s
+    theta = 1.25 * t * top + 1.0
     m = t * q + theta * np.eye(n)
     if m.min() < 0.0:
         raise RuntimeError("shift too small, matrix not nonnegative")
@@ -45,9 +57,12 @@ def series_expm(q: np.ndarray, t: float, terms: int | None = None) -> np.ndarray
     for k in range(1, terms + 1):
         term = term @ m / k
         out = out + term
-    if damp * np.max(term) > 1e-16:
+    if not (damp * np.max(term) <= 1e-16):
         raise RuntimeError("series truncation too coarse for this input")
-    return damp * out
+    out = damp * out
+    for _ in range(s):
+        out = out @ out
+    return out
 
 
 def dominant_left_eigenpair(rates: np.ndarray) -> tuple[float, np.ndarray]:
@@ -214,3 +229,29 @@ def overlap_probability(n_particles: int, c_rate: float, t: float) -> float:
         step[:, 1:] += (law * grow1)[:, :-1]
         law = step
     return total
+
+
+def rk4_forward_ode(chain, mu, t: float, step: float) -> np.ndarray:
+    """Stage-by-stage classical RK4 on dv/dt = v Q + (v . absorption) v.
+
+    The same fixed step h = t / ceil(t / step) as ``forward_ode``, four
+    evaluations of the field per step, and no renormalization: the raw
+    end point is returned, so its unit-sum drift can be read off.
+    """
+    rates = chain.rates
+    absorption = chain.absorption
+
+    def field(u: np.ndarray) -> np.ndarray:
+        return u @ rates + (u @ absorption) * u
+
+    v = np.array(mu, dtype=np.float64)
+    n_steps = int(np.ceil(t / step))
+    h = t / n_steps
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(n_steps):
+            k1 = field(v)
+            k2 = field(v + 0.5 * h * k1)
+            k3 = field(v + 0.5 * h * k2)
+            k4 = field(v + h * k3)
+            v = v + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return v

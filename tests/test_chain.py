@@ -209,6 +209,27 @@ class TestTransientVector:
             ref = scipy_linalg.expm(t * chain.rates)
             assert np.abs(ours - ref).max() < 1e-11
 
+    def test_series_oracle_squares_past_overflow(self):
+        # Rates x1000 at t = 1 put the shift at theta ~ 2500, where
+        # e^{theta} alone overflows; the oracle halves t three times.
+        chain = validate_chain({
+            "states": ["1", "2"],
+            "rates": [[0.0, 1e3], [1e3, 0.0]],
+            "absorption": [1e3, 0.0],
+        })
+        ours = series_expm(chain.rates, 1.0)
+        ref = np.vstack([transient_vector(chain, row, 1.0)
+                         for row in np.eye(2)])
+        assert np.isfinite(ours).all() and (ours > 0.0).all()
+        assert np.abs(ours - ref).sum() <= 1e-12
+        np.testing.assert_allclose(ours, ref, rtol=1e-11)
+
+    def test_series_oracle_refuses_nan(self, golden_chain):
+        q = np.array(golden_chain.rates)
+        q[0, 1] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            series_expm(q, 1.0)
+
     def test_against_series_oracle(self):
         rng = np.random.default_rng(101)
         for _ in range(25):

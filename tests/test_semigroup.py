@@ -24,8 +24,16 @@ from fvqsd.errors import (
     SurvivalUnderflowError,
     UnsortedTimesError,
 )
+from fvqsd.semigroup import DRIFT_LIMIT
 
-from _oracles import GOLD_ALPHA, GOLD_GAP, GOLD_NU, dominant_left_eigenpair, series_expm
+from _oracles import (
+    GOLD_ALPHA,
+    GOLD_GAP,
+    GOLD_NU,
+    dominant_left_eigenpair,
+    rk4_forward_ode,
+    series_expm,
+)
 from conftest import make_random_chain
 
 
@@ -269,10 +277,9 @@ class TestForwardOde:
             b = forward_ode(golden_chain, mu, t, 0.045)
             assert np.abs(a - b).sum() < 1e-6
 
-    def test_divergence_raises_drift(self):
-        # Step exactly at the stability limit is not enough for this stiff
-        # chain; the integration blows up and the drift guard reports it.
-        chain = AbsorbingChain(
+    @staticmethod
+    def absorbing_chain():
+        return AbsorbingChain(
             states=("a", "b", "c", "d"),
             rates=np.array([
                 [8.18, 6.35, 5.20, 5.08],
@@ -282,9 +289,59 @@ class TestForwardOde:
             ]),
             absorption=np.array([9.32, 7.71, 6.50, 7.11]),
         )
+
+    def test_divergence_raises_drift(self):
+        # Off the simplex the sum S of v obeys S' = (v . a)(S - 1), so a
+        # roundoff error in S grows like exp(int v . a dt).  On this
+        # strongly absorbing chain that passes DRIFT_LIMIT from t = 3 on
+        # whatever the step: a step ten times below the stability limit
+        # still raises, while at t = 1 the integration is accurate.
+        chain = self.absorbing_chain()
+        mu = np.full(4, 0.25)
         step = 0.1 / chain.site_rates.max()
         with pytest.raises(NormalizationDriftError):
-            forward_ode(chain, np.full(4, 0.25), 5.0, step)
+            forward_ode(chain, mu, 5.0, step)
+        for t in (3.0, 4.0, 5.0):
+            with pytest.raises(NormalizationDriftError):
+                forward_ode(chain, mu, t, step / 10.0)
+        got = forward_ode(chain, mu, 1.0, step)
+        assert np.abs(got - conditioned_law(chain, mu, 1.0)).sum() <= 1e-12
+
+    def test_matches_stagewise_reference(self, golden_chain):
+        # The Krylov-basis step is the same RK4 step on the same field,
+        # so only roundoff separates it from the stage-by-stage loop.
+        # Steps as in criterion 02: 0.045 on the golden chain, 0.09 over
+        # the largest site rate on the bottleneck ladder and the family.
+        cases = [(golden_chain, t, 0.045) for t in (0.5, 1.0, 3.0)]
+        stiff = [validate_chain(bottleneck_spec(fast))
+                 for fast in (1.0, 3.0, 10.0, 1e3)]
+        rng = np.random.default_rng(2026)
+        family = [make_random_chain(rng) for _ in range(20)]
+        for chains, times in ((stiff, (0.25, 0.5)),
+                              (family, (0.25, 0.5, 3.0))):
+            for chain in chains:
+                step = 0.09 / float(chain.site_rates.max())
+                cases += [(chain, t, step) for t in times]
+        for chain, t, step in cases:
+            mu = np.full(chain.n, 1.0 / chain.n)
+            want = rk4_forward_ode(chain, mu, t, step)
+            got = forward_ode(chain, mu, t, step)
+            assert np.abs(got - want / want.sum()).sum() <= 1e-12, (chain, t)
+
+    def test_errors_match_stagewise_reference(self):
+        # Both raise the drift error where the stage-by-stage loop drifts
+        # past DRIFT_LIMIT, and the step check still guards the entry.
+        chain = self.absorbing_chain()
+        mu = np.full(4, 0.25)
+        step = 0.1 / chain.site_rates.max()
+        for t, h in ((4.0, step), (5.0, step), (3.0, step / 10.0)):
+            drift = abs(rk4_forward_ode(chain, mu, t, h).sum() - 1.0)
+            assert not (drift <= DRIFT_LIMIT)
+            with pytest.raises(NormalizationDriftError):
+                forward_ode(chain, mu, t, h)
+        for h in (step * 1.01, 1.0):
+            with pytest.raises(StepTooLargeError):
+                forward_ode(chain, mu, 1.0, h)
 
     def test_bad_arguments(self, golden_chain):
         with pytest.raises(ValueError):
