@@ -16,6 +16,7 @@ import argparse
 import csv
 import functools
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -162,6 +163,18 @@ def _profile_spec(value: Any, where: str, chain: AbsorbingChain) -> Any:
 
 _PARTICLES = _integer(2)
 _HORIZON = _number(0.0)
+# The largest x whose e^x is a finite double, log(DBL_MAX) ~ 709.78.
+_LOG_MAX = math.log(sys.float_info.max)
+
+
+def _bound_horizon(value: Any, where: str, chain: AbsorbingChain) -> float:
+    """A horizon t whose bound e^(2 C t) is a finite double."""
+    t, c_rate = _HORIZON(value, where, chain), chain.max_absorption_rate
+    if 2.0 * c_rate * t > _LOG_MAX:
+        raise ConfigError(f"{where}: the bound e^(2 C t) overflows at 2 C t = "
+                          f"{2.0 * c_rate * t:g} > log(DBL_MAX) = {_LOG_MAX:.2f}")
+    return t
+
 _POSITIVE = _number(0.0, strict=True)
 _N_LIST = _list_of(_PARTICLES, increasing=True)
 _STATIONARY = (
@@ -190,7 +203,7 @@ PARAMETERS: dict[str, tuple[Param, ...]] = {
     "correlation": (
         Param("n_particles", _PARTICLES),
         Param("replicas", _integer(2)),
-        Param("t", _HORIZON),
+        Param("t", _bound_horizon),
         Param("x", _site),
         Param("y", _site),
         Param("initial", _profile_spec, "uniform"),
@@ -204,7 +217,7 @@ PARAMETERS: dict[str, tuple[Param, ...]] = {
     "qsd_profile": (Param("n_list", _N_LIST),) + _STATIONARY,
     "overlap": (
         Param("n_list", _N_LIST, scalar=("n_particles", _PARTICLES)),
-        Param("t_grid", _list_of(_HORIZON), scalar=("t", _HORIZON)),
+        Param("t_grid", _list_of(_bound_horizon), scalar=("t", _bound_horizon)),
         Param("replicas", _integer(2)),
     ),
     "product_moment": (
@@ -270,10 +283,7 @@ class RunContext:
 
     chain: AbsorbingChain
     params: dict
-    master_seed: int
-
-    def seed(self, replica_base: int = 0) -> ReplicaSeed:
-        return ReplicaSeed(self.master_seed, replica_base)
+    seed: ReplicaSeed
 
 
 def _check(name: str, value: float, limit: float) -> dict:
@@ -337,7 +347,7 @@ def _run_simulate(ctx: RunContext):
     profile = _profile(ctx.params["initial"], ctx.chain, "parameters.initial")
     chain = ctx.chain
     xi0 = configuration_from_profile(profile, n_particles, chain.states)
-    stacked = simulate_counts(chain, xi0, times, replicas, ctx.seed()) / n_particles
+    stacked = simulate_counts(chain, xi0, times, replicas, ctx.seed) / n_particles
     means = stacked.mean(axis=0)
     if replicas > 1:
         ses = stacked.std(axis=0, ddof=1) / np.sqrt(replicas)
@@ -377,7 +387,7 @@ def _run_correlation(ctx: RunContext):
     t, x, y = ctx.params["t"], ctx.params["x"], ctx.params["y"]
     profile = _profile(ctx.params["initial"], ctx.chain, "parameters.initial")
     xi0 = configuration_from_profile(profile, n_particles, ctx.chain.states)
-    est = correlation_experiment(ctx.chain, xi0, t, x, y, replicas, ctx.seed())
+    est = correlation_experiment(ctx.chain, xi0, t, x, y, replicas, ctx.seed)
     rows = [dict(
         N=n_particles, t=t, x=x, y=y, estimate=est.covariance,
         se=est.std_error, bound=est.bound, replicas=replicas,
@@ -433,7 +443,7 @@ def _run_convergence(ctx: RunContext):
     else:
         profiles = [_profile(p, ctx.chain, "parameters.profiles") for p in specs]
     curve = convergence_experiment(
-        ctx.chain, profiles, t, ctx.params["n_list"], replicas, ctx.seed()
+        ctx.chain, profiles, t, ctx.params["n_list"], replicas, ctx.seed
     )
     return _curve_output(
         curve, "worst-profile distance", "E ||m - conditioned law||",
@@ -445,7 +455,7 @@ def _run_qsd_profile(ctx: RunContext):
     n_samples = ctx.params["n_samples"]
     curve = qsd_profile_experiment(
         ctx.chain, ctx.params["n_list"], ctx.params["burn_in"], n_samples,
-        ctx.params["spacing"], ctx.seed(),
+        ctx.params["spacing"], ctx.seed,
     )
     return _curve_output(
         curve, "stationary distance", "mean ||m - nu||",
@@ -459,7 +469,7 @@ def _run_product_moment(ctx: RunContext):
     n_samples = ctx.params["n_samples"]
     est = product_moment_experiment(
         ctx.chain, ctx.params["sites"], n_particles, ctx.params["burn_in"],
-        n_samples, ctx.params["spacing"], ctx.seed(),
+        n_samples, ctx.params["spacing"], ctx.seed,
     )
     # Two sites fill x and y; one site, or three and more, go in x.
     x, y = est.sites if len(est.sites) == 2 else (",".join(est.sites), "")
@@ -492,7 +502,7 @@ def _run_overlap(ctx: RunContext):
         for t in t_values:
             size, overlap = influence_experiment(
                 ctx.chain, n_particles, t, replicas,
-                ctx.seed(len(cells) * replicas),
+                ctx.seed.offset(len(cells) * replicas),
             )
             for experiment, estimate, est in (
                 ("overlap", overlap.probability, overlap),
@@ -554,20 +564,12 @@ def _fmt_cell(value) -> str:
     return f"{float(value):.17g}"
 
 
-def _jsonable(value):
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value.tolist()]
-    if isinstance(value, (np.bool_, bool)):
-        return bool(value)
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, np.floating):
-        return float(value)
-    return value
+def _json_default(value):
+    # numpy arrays and scalars as Python lists and scalars.  numpy floats
+    # are floats, so json encodes them as it does a float.
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.tolist()
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
 def _out_dir(cli_out: str | None, cfg: dict) -> Path:
@@ -624,7 +626,7 @@ def run(
     ctx = RunContext(
         chain=chain,
         params=resolve_params(resolved_kind, params, chain),
-        master_seed=master_seed,
+        seed=ReplicaSeed(master_seed),
     )
     rows, results, checks, plot = _RUNNERS[resolved_kind](ctx)
     if checks:
@@ -645,13 +647,13 @@ def run(
         "kind": resolved_kind,
         "chain": chain_echo,
         "master_seed": master_seed,
-        "parameters": _jsonable(ctx.params),
-        "results": _jsonable(results),
-        "checks": _jsonable(checks),
+        "parameters": ctx.params,
+        "results": results,
+        "checks": checks,
         "status": status,
     }
     with open(out_path / "summary.json", "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
+        json.dump(summary, fh, indent=2, sort_keys=True, default=_json_default)
         fh.write("\n")
     with open(out_path / "plot.svg", "w", encoding="utf-8", newline="\n") as fh:
         fh.write(plot)
@@ -678,11 +680,19 @@ def _validate_command(chain_path: str) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a usage error as a ConfigError: exit code 1 and one line, not
+    argparse's exit code 2 and usage block.  Subcommand parsers inherit it."""
+
+    def error(self, message: str):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     # Built on the first call, not at import, and reused: parse_args leaves
     # the parser unchanged.
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fvqsd",
         description="Absorbing-chain numerics and particle-system experiments",
     )
@@ -700,10 +710,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
-    if args.command == "validate":
-        return _validate_command(args.config)
     try:
+        args = _build_parser().parse_args(argv)
+        if args.command == "validate":
+            return _validate_command(args.config)
         return run(
             args.config,
             kind=args.command,

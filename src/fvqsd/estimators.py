@@ -163,7 +163,9 @@ def convergence_experiment(
     configuration; the Monte Carlo mean of ||m(xi_t) - T_t m(xi_0)||_TV is
     taken over replicas, and the curve records the max over profiles (with
     that profile's SE).  The target uses the realized m(xi_0), not the
-    requested profile, so rounding in the expansion cancels out.
+    requested profile, so rounding in the expansion cancels out.  The k-th
+    N and j-th profile run on ``seed.offset((k P + j) replicas)`` for P
+    profiles.
     """
     if replicas < 2:
         raise ValueError("replicas must be at least 2")
@@ -172,18 +174,15 @@ def convergence_experiment(
     seed = as_replica_seed(seed)
     profiles = [check_distribution(p, chain.n) for p in profiles]
     n_arr = np.asarray(n_list, dtype=np.int64)
-    master, base = seed.master_seed, seed.replica_index
 
     estimates = np.empty(n_arr.size)
     std_errors = np.empty(n_arr.size)
-    cell = 0
     for k, n_particles in enumerate(n_arr.tolist()):
         best = (-np.inf, 0.0)
-        for profile in profiles:
+        for j, profile in enumerate(profiles):
             xi0 = configuration_from_profile(profile, n_particles, chain.states)
             target = conditioned_law(chain, empirical_measure(xi0, chain.n), t)
-            cell_seed = ReplicaSeed(master, base + cell * replicas)
-            cell += 1
+            cell_seed = seed.offset((k * len(profiles) + j) * replicas)
             counts = simulate_counts(chain, xi0, [t], replicas, cell_seed)[:, 0]
             dists = np.abs(counts / n_particles - target).sum(axis=1)
             mean = float(dists.mean())
@@ -203,9 +202,9 @@ def qsd_profile_experiment(
 ) -> ConvergenceCurve:
     """Stationary mean of ||m - nu||_TV per particle count.
 
-    One long trajectory per N; batch-means standard errors since the
-    samples are autocorrelated.  A QSD that did not converge raises
-    QsdNotConvergedError.
+    One long trajectory per N, the k-th on ``seed.offset(k)``; batch-means
+    standard errors since the samples are autocorrelated.  A QSD that did
+    not converge raises QsdNotConvergedError.
     """
     solution = qsd(chain).require_converged()
     seed = as_replica_seed(seed)
@@ -213,14 +212,8 @@ def qsd_profile_experiment(
     estimates = np.empty(n_arr.size)
     std_errors = np.empty(n_arr.size)
     for k, n_particles in enumerate(n_arr):
-        samples = stationary_sampler(
-            chain,
-            int(n_particles),
-            burn_in,
-            n_samples,
-            spacing,
-            ReplicaSeed(seed.master_seed, seed.replica_index + k),
-        )
+        samples = stationary_sampler(chain, int(n_particles), burn_in,
+                                     n_samples, spacing, seed.offset(k))
         dists = np.array([tv_distance(m, solution.nu) for m in samples])
         estimates[k] = dists.mean()
         std_errors[k] = batch_means_se(dists)

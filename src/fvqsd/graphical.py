@@ -46,8 +46,8 @@ from .errors import HorizonOverflowError
 # map_replicas is unused here but stays importable: perfbench's tracer
 # patches it by attribute.
 from .parallel import map_replicas  # noqa: F401
-from .seeding import ReplicaSeed, as_replica_seed
-from .simulator import BLOCK_REPLICAS, validate_configuration
+from .seeding import BLOCK_REPLICAS, ReplicaSeed, as_replica_seed
+from .simulator import validate_configuration
 
 # influence_experiment caps its blocks so that one block's membership
 # array holds at most this many bytes (16 MiB).
@@ -257,9 +257,8 @@ def _influence_samples(
     buffer = np.empty(2 * rows * n, dtype=np.bool_)
     sizes = np.empty(replicas, dtype=np.int64)
     overlaps = np.empty(replicas, dtype=np.bool_)
-    for first in range(0, replicas, rows):
-        b = min(rows, replicas - first)
-        gen = ReplicaSeed(seed.master_seed, seed.replica_index + first).generator()
+    for first, stop, gen in seed.blocks(replicas, rows):
+        b = stop - first
         counts = _event_count(gen, n * mass, b)
         member = buffer[:2 * b * n].reshape(2, b, n)
         member.fill(False)
@@ -277,9 +276,9 @@ def _influence_samples(
             dst = np.concatenate([partner, partner])
             dst += offsets
             buffer[dst.compress(buffer.take(src))] = True
-        sizes[first:first + b] = np.count_nonzero(member[0], axis=1)
+        sizes[first:stop] = np.count_nonzero(member[0], axis=1)
         # In place, so no temporary of the block's size.
-        overlaps[first:first + b] = np.logical_and(
+        overlaps[first:stop] = np.logical_and(
             member[0], member[1], out=member[0]).any(axis=1)
     return sizes, overlaps
 
@@ -303,15 +302,15 @@ def influence_experiment(
     Replicas are scanned in lockstep, in blocks of
     B = min(BLOCK_REPLICAS, max(1, SCAN_BYTES // (2 N))) on a (2, B, N)
     boolean membership array, so a block holds at most SCAN_BYTES bytes of
-    membership unless N alone exceeds it.  The block starting at replica b
-    draws from ``ReplicaSeed(master_seed, replica_index + b).generator()``:
-    first the B Poisson(N C t) copy-event counts, then at each scan step s
-    one particle and one target per replica (B draws each, as
-    ``sample_marks`` draws its copy pairs).  Step s is the pair s-th
-    from the horizon; a replica with at most s events takes an identity
-    event.  The pairs are i.i.d., so drawing them in scan order gives the
-    same law as drawing a realization first.  An expected event count
-    beyond numpy's Poisson range raises HorizonOverflowError.
+    membership unless N alone exceeds it.  Each block draws from its
+    generator of ``ReplicaSeed.blocks``: first the B Poisson(N C t)
+    copy-event counts, then at each scan step s one particle and one
+    target per replica (B draws each, as ``sample_marks`` draws its copy
+    pairs).  Step s is the pair s-th from the horizon; a replica with at
+    most s events takes an identity event.  The pairs are i.i.d., so
+    drawing them in scan order gives the same law as drawing a realization
+    first.  An expected event count beyond numpy's Poisson range raises
+    HorizonOverflowError.
     """
     replicas = operator.index(replicas)
     if replicas < 2:

@@ -23,7 +23,7 @@ from . import _kernels
 from .chain import AbsorbingChain
 from .errors import UnsortedTimesError
 from .measures import check_distribution, empirical_measure
-from .seeding import ReplicaSeed, as_replica_seed
+from .seeding import BLOCK_REPLICAS, ReplicaSeed, as_replica_seed
 
 __all__ = [
     "TransitionTables",
@@ -35,11 +35,6 @@ __all__ = [
     "simulate_counts",
     "stationary_sampler",
 ]
-
-# Replicas per block of simulate_counts: each block is one lockstep run of
-# the count engine on one generator.
-BLOCK_REPLICAS = 1000
-
 
 @dataclass(frozen=True)
 class TransitionTables:
@@ -150,8 +145,7 @@ def simulate_counts(
     entry [r, k, x] counts the particles at site x at record_times[k] in
     replica r.  Times must be nondecreasing and start at or after 0;
     snapshots are right-continuous.  Replicas run in blocks of
-    ``BLOCK_REPLICAS``, and the block starting at replica b draws from
-    ``ReplicaSeed(master_seed, replica_index + b).generator()``, so the
+    ``BLOCK_REPLICAS`` on the generators of ``ReplicaSeed.blocks``, so the
     output depends only on the seed and the arguments.
     """
     pos = validate_configuration(xi0, chain.n)
@@ -159,15 +153,12 @@ def simulate_counts(
     replicas = operator.index(replicas)
     if replicas < 1:
         raise ValueError("replicas must be at least 1")
-    seed = as_replica_seed(seed)
     start = np.bincount(pos, minlength=chain.n)
     out = np.empty((replicas, times.size, chain.n), dtype=np.int64)
-    for first in range(0, replicas, BLOCK_REPLICAS):
-        block = out[first:first + BLOCK_REPLICAS]
-        counts = np.tile(start, (len(block), 1))
-        gen = ReplicaSeed(seed.master_seed, seed.replica_index + first).generator()
+    for first, stop, gen in as_replica_seed(seed).blocks(replicas, BLOCK_REPLICAS):
+        counts = np.tile(start, (stop - first, 1))
         _kernels.run_counts(gen, counts, chain.site_rates, chain.move_table,
-                            times, block)
+                            times, out[first:stop])
     return out
 
 

@@ -61,7 +61,10 @@ def line_plot(
     if y_hi - y_lo < 1e-12:
         y_lo, y_hi = y_lo - 1.0, y_hi + 1.0
     pad = 0.05 * (y_hi - y_lo)
-    y_lo, y_hi = y_lo - pad, y_hi + pad
+    # No padding where the padded axis or its length is not a finite
+    # double (values near DBL_MAX), or every point would be placed at nan.
+    if np.isfinite((y_hi + pad) - (y_lo - pad)):
+        y_lo, y_hi = y_lo - pad, y_hi + pad
     x_lo, x_hi = float(xs.min()), float(xs.max())
     if x_hi - x_lo < 1e-12:
         x_lo, x_hi = x_lo - 1.0, x_hi + 1.0

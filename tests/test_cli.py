@@ -185,6 +185,12 @@ MALFORMED = {
                                              "t_grid": [1.0, 2.0, 3.0, 1e308]}, 0, []),
     "overlap-n_particles-4-t-1e20": ("overlap", {"n_particles": 4, "t": 1e20,
                                                  "replicas": 2}, 0, []),
+    # 2 C t = 800 is above log(DBL_MAX), so the bound e^(2 C t) overflows.
+    "correlation-t-400": ("correlation", dict(CORRELATION, t=400), 0, []),
+    "overlap-t-400": ("overlap", dict(OVERLAP, t=400), 0, []),
+    "overlap-t_grid-entry-400": ("overlap", dict(OVERLAP_GRID, t_grid=[0.3, 400]), 0, []),
+    "threads-flag-text": ("correlation", CORRELATION, 0, ["--threads", "x"]),
+    "seed-flag-fraction": ("qsd", {}, 0, ["--seed", "1.5"]),
 }
 
 
@@ -199,6 +205,48 @@ def test_malformed_input_exits_one_with_one_line(
     err = capsys.readouterr().err
     assert err.startswith("error: ") and len(err.splitlines()) == 1, err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["simulate"], ["validate"], ["bogus"], ["qsd", "--config", "c.json", "--bogus"],
+], ids=["no-command", "no-config", "validate-no-config", "unknown-command",
+        "unknown-flag"])
+def test_usage_error_exits_one_with_one_line(capsys, argv):
+    # Exit code 2 means a completed run failed a bound check, so a usage
+    # error must not take argparse's exit code 2.
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: fvqsd") and len(err.splitlines()) == 1, err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["simulate", "--help"]])
+def test_help_exits_zero(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert "usage: fvqsd" in capsys.readouterr().out
+
+
+# The golden chain's C is 1, so 2 C t = log(DBL_MAX) at this horizon.
+LARGEST_T = math.log(sys.float_info.max) / 2.0
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("correlation", dict(CORRELATION, n_particles=2, t=LARGEST_T)),
+    ("overlap", dict(OVERLAP_GRID, n_particles=2, t_grid=[0.3, LARGEST_T])),
+], ids=["correlation", "overlap"])
+def test_largest_accepted_horizon_writes_finite_outputs(tmp_path, kind, params):
+    # The bound e^(2 C t) is still a finite double, so the run completes:
+    # summary.json is strict JSON and no plot coordinate is nan.
+    cfg = write_config(tmp_path, kind=kind, chain=GOLDEN, parameters=params)
+    out = tmp_path / "out"
+    assert main([kind, "--config", str(cfg), "--out", str(out)]) == 0
+
+    def reject(constant):
+        raise AssertionError(f"summary.json holds {constant}")
+
+    json.loads((out / "summary.json").read_text(), parse_constant=reject)
+    assert "nan" not in (out / "plot.svg").read_text()
 
 
 # File contents that json cannot decode: bytes that are not UTF-8, arrays
