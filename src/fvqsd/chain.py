@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
@@ -46,6 +47,9 @@ __all__ = [
 # Largest rate accepted anywhere in a chain spec.  Keeps uniformization
 # constants and event counts in a numerically sane regime.
 MAX_RATE = 1e6
+
+# The largest x whose e^x is a finite double, log(DBL_MAX) ~ 709.78.
+LOG_MAX = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True, eq=False)
@@ -344,6 +348,18 @@ def transient_vector(
     for _ in range(squarings):
         power = power @ power
     return mu @ power
+
+
+def check_bound_horizon(chain: AbsorbingChain, t: float) -> float:
+    """``t``, if the bound e^(2 C t) is a finite double for the chain's
+    largest absorption rate C; else HorizonOverflowError.  The covariance
+    and influence-set bounds all grow like e^(2 C t) at most."""
+    two_ct = 2.0 * chain.max_absorption_rate * t
+    if two_ct > LOG_MAX:
+        raise HorizonOverflowError(
+            f"the bound e^(2 C t) overflows at 2 C t = {two_ct:g} > "
+            f"log(DBL_MAX) = {LOG_MAX:.2f}")
+    return t
 
 
 def inflow_dominance(chain: AbsorbingChain) -> InflowDominance:

@@ -16,7 +16,6 @@ import argparse
 import csv
 import functools
 import json
-import math
 import os
 import sys
 from dataclasses import dataclass
@@ -28,12 +27,18 @@ import numpy as np
 from . import svgplot
 from .chain import (
     AbsorbingChain,
+    check_bound_horizon,
     inflow_dominance,
     load_chain,
     read_json,
     validate_chain,
 )
-from .errors import ChainValidationError, ConfigError, FvqsdError
+from .errors import (
+    ChainValidationError,
+    ConfigError,
+    FvqsdError,
+    HorizonOverflowError,
+)
 from .estimators import (
     ConvergenceCurve,
     convergence_experiment,
@@ -163,17 +168,14 @@ def _profile_spec(value: Any, where: str, chain: AbsorbingChain) -> Any:
 
 _PARTICLES = _integer(2)
 _HORIZON = _number(0.0)
-# The largest x whose e^x is a finite double, log(DBL_MAX) ~ 709.78.
-_LOG_MAX = math.log(sys.float_info.max)
 
 
 def _bound_horizon(value: Any, where: str, chain: AbsorbingChain) -> float:
     """A horizon t whose bound e^(2 C t) is a finite double."""
-    t, c_rate = _HORIZON(value, where, chain), chain.max_absorption_rate
-    if 2.0 * c_rate * t > _LOG_MAX:
-        raise ConfigError(f"{where}: the bound e^(2 C t) overflows at 2 C t = "
-                          f"{2.0 * c_rate * t:g} > log(DBL_MAX) = {_LOG_MAX:.2f}")
-    return t
+    try:
+        return check_bound_horizon(chain, _HORIZON(value, where, chain))
+    except HorizonOverflowError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
 
 _POSITIVE = _number(0.0, strict=True)
 _N_LIST = _list_of(_PARTICLES, increasing=True)

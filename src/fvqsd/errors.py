@@ -34,7 +34,8 @@ class NoAbsorptionError(ChainValidationError):
 
 
 class HorizonOverflowError(FvqsdError, ValueError):
-    """A time horizon times the chain's largest rate is not a finite double."""
+    """A time horizon is beyond what a double can carry: the horizon times
+    the chain's largest rate, or a bound exponential in it, overflows."""
 
 
 class SurvivalUnderflowError(FvqsdError):

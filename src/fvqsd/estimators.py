@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import ArrayLike, NDArray
 
-from .chain import AbsorbingChain
+from .chain import AbsorbingChain, check_bound_horizon
 from .measures import check_distribution, empirical_measure, tv_distance
 # map_replicas and simulate are unused here but stay importable: perfbench's
 # tracer patches them by attribute.
@@ -73,8 +73,12 @@ def batch_means_se(samples: ArrayLike) -> float:
 def covariance_bound(
     chain: AbsorbingChain, n_particles: int, t: float, same_site: bool
 ) -> float:
-    """Mean-field covariance envelope: 1{x=y}/N + (2/N)(e^{2Ct} - 1)."""
+    """Mean-field covariance envelope: 1{x=y}/N + (2/N)(e^{2Ct} - 1).
+
+    A horizon at which e^{2Ct} is not a finite double raises
+    HorizonOverflowError."""
     c_rate = chain.max_absorption_rate
+    check_bound_horizon(chain, t)
     bound = (2.0 / n_particles) * (np.exp(2.0 * c_rate * t) - 1.0)
     if same_site:
         bound += 1.0 / n_particles
@@ -113,7 +117,8 @@ def correlation_experiment(
     The standard error is the i.i.d. SE of the centered product samples
     (the O(1/replicas) mean-estimation correction is negligible at the
     10^3+ replica counts this is meant for).  The bound field carries the
-    mean-field envelope for the chain's maximal absorption rate.
+    mean-field envelope for the chain's maximal absorption rate; a horizon
+    at which it overflows raises HorizonOverflowError before any draw.
     """
     if replicas < 2:
         raise ValueError("replicas must be at least 2")
@@ -122,6 +127,7 @@ def correlation_experiment(
     if not (np.isfinite(t) and t >= 0.0):
         raise ValueError("time must be finite and nonnegative")
     n_particles = np.asarray(xi0).size
+    bound = covariance_bound(chain, n_particles, t, ix == iy)
     m = simulate_counts(chain, xi0, [t], replicas, seed)[:, 0] / n_particles
     mx, my = m[:, ix], m[:, iy]
     centered = (mx - mx.mean()) * (my - my.mean())
@@ -132,7 +138,7 @@ def correlation_experiment(
         site_y=chain.states[iy],
         covariance=covariance,
         std_error=std_error,
-        bound=covariance_bound(chain, n_particles, t, ix == iy),
+        bound=bound,
     )
 
 

@@ -27,10 +27,11 @@ once (coupling), and the set of labels that could possibly affect a
 particle by the horizon is computable by a backward scan over the
 (particle, partner) pairs alone.
 
-Internal events add nobody to an influence set, so ``influence_experiment``
-draws only copy pairs, and no realization: each block of replicas has one
-stream, which gives every replica its event count and then one i.i.d. pair
-per replica at each step of a lockstep backward scan.
+Internal events add nobody to an influence set, and neither does a copy
+event whose particle lies outside it, so ``influence_experiment`` draws no
+realization: each block of replicas has one stream, from which a lockstep
+backward scan draws, per replica and step, only the next copy event whose
+particle is in one of the two sets it follows.
 """
 from __future__ import annotations
 
@@ -41,7 +42,7 @@ import numpy as np
 from numpy.typing import ArrayLike, NDArray
 
 from . import _kernels
-from .chain import AbsorbingChain
+from .chain import AbsorbingChain, check_bound_horizon
 from .errors import HorizonOverflowError
 # map_replicas is unused here but stays importable: perfbench's tracer
 # patches it by attribute.
@@ -129,16 +130,14 @@ def _event_count(
         ) from None
 
 
-def _copy_pairs(
-    gen: np.random.Generator, n_particles: int, size: int
-) -> tuple[NDArray[np.int64], NDArray[np.int64]]:
-    # size i.i.d. (particle, target) pairs of copy events: all particles,
-    # then all targets.  Shifting the targets at or above the particle
-    # makes them uniform over the other N - 1 labels.
-    particle = gen.integers(0, n_particles, size)
-    target = gen.integers(0, n_particles - 1, size)
+def _copy_targets(
+    gen: np.random.Generator, n_particles: int, particle: NDArray[np.int64]
+) -> NDArray[np.int64]:
+    # One target per copy event of particle.  Shifting the draws at or
+    # above the particle makes them uniform over the other N - 1 labels.
+    target = gen.integers(0, n_particles - 1, particle.size)
     target += target >= particle
-    return particle, target
+    return target
 
 
 def sample_marks(
@@ -154,9 +153,9 @@ def sample_marks(
     particles form one Poisson stream of rate N (C + r) in which each is
     a copy event with probability C / (C + r) (horizon 0 gives an empty
     realization).  Fully determined by the seed, which is read in this
-    order: the event count E ~ Poisson(N (C + r) horizon); E particles,
-    then E targets, as for copy pairs (an internal event discards its
-    target); E uniforms u, event e being a copy event where
+    order: the event count E ~ Poisson(N (C + r) horizon); E particles;
+    E targets, each uniform over the other N - 1 labels (an internal event
+    discards its target); E uniforms u, event e being a copy event where
     u[e] (C + r) < C; and one (E, n) uniform matrix U.  A copy row is -1
     where U[e, x] C < absorption(x) and x elsewhere; an internal row maps
     x by inverse CDF of U[e, x] on the jump kernel's row x.  An expected
@@ -167,8 +166,9 @@ def sample_marks(
     n = chain.n
     c_rate = chain.max_absorption_rate
     rate = c_rate + chain.max_internal_rate
-    particle, target = _copy_pairs(
-        gen, n_particles, _event_count(gen, n_particles * (rate * horizon)))
+    particle = gen.integers(
+        0, n_particles, _event_count(gen, n_particles * (rate * horizon)))
+    target = _copy_targets(gen, n_particles, particle)
     is_copy = gen.random(particle.size) * rate < c_rate
     draws = gen.random((particle.size, n))
     # u * C < absorption(x) is set with probability absorption(x) / C.
@@ -248,10 +248,10 @@ def _influence_samples(
     n_particles: int, mass: float, replicas: int, seed: ReplicaSeed
 ) -> tuple[NDArray[np.int64], NDArray[np.bool_]]:
     # Per replica, |set of 0| and whether it meets the set of 1, for a
-    # per-particle expected copy count mass = C * t; influence_experiment
-    # documents the blocks and their streams.  A block's membership array
-    # is the prefix of buffer viewed as (2, B, N): row [r, b] is the set of
-    # label r in replica b.
+    # per-particle copy-event mass = C * t; influence_experiment documents
+    # the thinned scan, its blocks and their streams.  A block's membership
+    # array is the prefix of buffer viewed as (2, B, N): row [r, b] is the
+    # set of label r in replica b.
     n = n_particles
     rows = min(BLOCK_REPLICAS, max(1, SCAN_BYTES // (2 * n)), replicas)
     buffer = np.empty(2 * rows * n, dtype=np.bool_)
@@ -259,23 +259,47 @@ def _influence_samples(
     overlaps = np.empty(replicas, dtype=np.bool_)
     for first, stop, gen in seed.blocks(replicas, rows):
         b = stop - first
-        counts = _event_count(gen, n * mass, b)
         member = buffer[:2 * b * n].reshape(2, b, n)
         member.fill(False)
         member[0, :, 0] = True
         member[1, :, 1] = True
-        offsets = np.arange(2 * b) * n
-        for s in range(int(counts.max())):
-            particle, partner = _copy_pairs(gen, n, b)
-            # A replica past its last event takes an identity event.
-            np.copyto(partner, particle, where=counts <= s)
-            # One gather and one scatter over both roots: each member
-            # particle adds its partner.
-            src = np.concatenate([particle, particle])
-            src += offsets
-            dst = np.concatenate([partner, partner])
-            dst += offsets
-            buffer[dst.compress(buffer.take(src))] = True
+        # The replicas still scanning, in replica order: where their row
+        # of the set of 0 starts in buffer, their clock in units of C t,
+        # |set of 0|, and the labels of U in the order they joined it
+        # (the first |U| entries of a row of joined).
+        start = np.arange(b) * n
+        clock = np.zeros(b)
+        size0 = np.ones(b, dtype=np.int64)
+        joined = np.zeros((b, 8), dtype=np.int64)
+        joined[:, 1] = 1
+        count = np.full(b, 2, dtype=np.int64)
+        while start.size:
+            a = start.size
+            clock += gen.standard_exponential(a) / count
+            particle = joined[np.arange(a), gen.integers(0, count)]
+            target = _copy_targets(gen, n, particle)
+            live = clock < mass
+            # One gather: the particle and the target in the set of 0,
+            # then both in the set of 1.
+            at = np.concatenate([start + particle, start + target])
+            at = np.concatenate([at, at + b * n]).reshape(4, a)
+            held = buffer[at]
+            # The target joins each set that holds the particle.
+            grows = held[::2]
+            grows &= live
+            buffer[at[1::2][grows]] = True
+            size0 += grows[0] & ~held[1]
+            # The particle is in U, so a target outside U joins it.
+            new = live & ~(held[1] | held[3])
+            joined[new, count[new]] = target[new]
+            count += new
+            # A full row doubles the list of every replica still scanning.
+            if count.max() == joined.shape[1]:
+                joined = np.concatenate([joined, np.empty_like(joined)], axis=1)
+            keep = live & (size0 < n)
+            if not keep.all():
+                start, clock, size0, joined, count = (
+                    start[keep], clock[keep], size0[keep], joined[keep], count[keep])
         sizes[first:stop] = np.count_nonzero(member[0], axis=1)
         # In place, so no temporary of the block's size.
         overlaps[first:stop] = np.logical_and(
@@ -292,30 +316,42 @@ def influence_experiment(
 ) -> tuple[InfluenceSizeEstimate, OverlapEstimate]:
     """Monte Carlo check data for the two influence-set bounds.
 
-    Each replica draws only its copy pairs and computes the influence sets
-    of labels 0 and 1 (exchangeability makes the choice irrelevant): the
-    mean of |set of 0| is compared against exp(C t) and the frequency of
-    the two sets intersecting against (exp(2 C t) - 1)/(N - 1), where C is
-    the chain's maximal absorption rate.  The overlap CI is the 95% normal
-    approximation.
+    Each replica computes the influence sets of labels 0 and 1
+    (exchangeability makes the choice irrelevant) from its copy events:
+    the mean of |set of 0| is compared against exp(C t) and the frequency
+    of the two sets intersecting against (exp(2 C t) - 1)/(N - 1), where C
+    is the chain's maximal absorption rate.  The overlap CI is the 95%
+    normal approximation.  A horizon at which exp(2 C t) is not a finite
+    double raises HorizonOverflowError before any draw.
+
+    The backward scan is thinned.  Only a copy event whose particle is in
+    U = (set of 0) | (set of 1) can grow a set, and such events arrive at
+    rate C |U|.  So at each step a replica's clock, in units of C t,
+    advances by Exp(1) / |U|; the particle is a uniform member of U and
+    the target is uniform over the other N - 1 labels, and it joins each
+    set that holds the particle.  A skipped event's particle is in neither
+    set and adds nobody, so by Poisson thinning this is the law of the
+    scan over all copy events.  A replica stops once its clock reaches
+    C t, or once its set of 0 holds all N labels (it then meets the set
+    of 1), so its cost stays bounded at any horizon.
 
     Replicas are scanned in lockstep, in blocks of
     B = min(BLOCK_REPLICAS, max(1, SCAN_BYTES // (2 N))) on a (2, B, N)
     boolean membership array, so a block holds at most SCAN_BYTES bytes of
     membership unless N alone exceeds it.  Each block draws from its
-    generator of ``ReplicaSeed.blocks``: first the B Poisson(N C t)
-    copy-event counts, then at each scan step s one particle and one
-    target per replica (B draws each, as ``sample_marks`` draws its copy
-    pairs).  Step s is the pair s-th from the horizon; a replica with at
-    most s events takes an identity event.  The pairs are i.i.d., so
-    drawing them in scan order gives the same law as drawing a realization
-    first.  An expected event count beyond numpy's Poisson range raises
-    HorizonOverflowError.
+    generator of ``ReplicaSeed.blocks``.  At each step, the A replicas
+    still scanning, in replica order, draw A standard exponentials (the
+    gaps, each divided by its replica's |U|), then A integers below each
+    replica's |U| (the particle's place in the list of U's labels, in the
+    order they joined U, starting 0, 1), then A targets (integers below
+    N - 1, shifted past the particle).  A replica whose clock reaches C t
+    drops out without that step's event.
     """
     replicas = operator.index(replicas)
     if replicas < 2:
         raise ValueError("replicas must be at least 2")
     n_particles, t = _check_size(n_particles, t)
+    check_bound_horizon(chain, t)
     c_rate = chain.max_absorption_rate
     sizes, overlaps = _influence_samples(
         n_particles, c_rate * t, replicas, as_replica_seed(seed))

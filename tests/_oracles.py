@@ -12,6 +12,7 @@ one label's set, and the sizes of two labels' sets until they meet.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -21,6 +22,9 @@ GOLD_NU = np.array([(3.0 - np.sqrt(5.0)) / 2.0, (np.sqrt(5.0) - 1.0) / 2.0])
 GOLD_ALPHA = (-3.0 + np.sqrt(5.0)) / 2.0
 # Gap between the two eigenvalues; drives the decay-rate fit.
 GOLD_GAP = np.sqrt(5.0)
+# The golden chain's C is 1, so 2 C t = log(DBL_MAX) at this horizon: the
+# largest t at which the bound e^(2 C t) is a finite double.
+LARGEST_T = math.log(sys.float_info.max) / 2.0
 
 
 def series_expm(q: np.ndarray, t: float, terms: int | None = None) -> np.ndarray:

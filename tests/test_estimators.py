@@ -22,11 +22,12 @@ from fvqsd import (
     tv_distance,
 )
 from fvqsd import estimators
-from fvqsd.errors import QsdNotConvergedError
+from fvqsd.errors import HorizonOverflowError, QsdNotConvergedError
 
 import _pilots
 from _oracles import (
     GOLD_NU,
+    LARGEST_T,
     occupancy_generator,
     occupancy_law,
     occupancy_moments,
@@ -120,6 +121,25 @@ class TestCovarianceBound:
     def test_grows_with_time(self, golden_chain):
         bounds = [covariance_bound(golden_chain, 50, t, False) for t in (0.1, 0.5, 1.0)]
         assert bounds[0] < bounds[1] < bounds[2]
+
+    def test_largest_horizon_stays_finite(self, golden_chain):
+        bound = covariance_bound(golden_chain, 50, LARGEST_T, False)
+        assert np.isfinite(bound) and bound > 1e300
+
+    def test_overflowing_horizon_refused(self, golden_chain, monkeypatch):
+        # 2 C t = 800 is above log(DBL_MAX): the bound used to come back
+        # infinite with a numpy RuntimeWarning, and correlation_experiment
+        # simulated its replicas first.
+        with pytest.raises(HorizonOverflowError, match="overflows at 2 C t = 800"):
+            covariance_bound(golden_chain, 50, 400.0, True)
+
+        def no_draws(*args):
+            raise AssertionError("simulated before refusing the horizon")
+
+        monkeypatch.setattr(estimators, "simulate_counts", no_draws)
+        with pytest.raises(HorizonOverflowError, match="overflows at 2 C t = 800"):
+            correlation_experiment(golden_chain, np.zeros(5, dtype=np.int64),
+                                   400.0, "1", "2", 10, seed=3)
 
 
 class TestCorrelationExperiment:

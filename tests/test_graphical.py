@@ -17,12 +17,14 @@ from fvqsd import (
     sample_marks,
     simulate,
 )
+from fvqsd import graphical
 from fvqsd.errors import HorizonOverflowError
 from fvqsd.graphical import SCAN_BYTES, _influence_samples
 from fvqsd.simulator import BLOCK_REPLICAS
 
 import _pilots
 from _oracles import (
+    LARGEST_T,
     influence_size_generator,
     occupancy_law,
     overlap_probability,
@@ -58,25 +60,64 @@ def hand_marks(*events, n_particles=2, n_states=2):
     )
 
 
-def block_copy_pairs(n_particles, mass, replicas, seed):
-    """Each replica's copy (particle, partner) pairs in replay order,
-    drawn from influence_experiment's block streams in its documented
-    order: a block's event counts, then one pair per replica a step, the
-    step-s pair being the s-th from the horizon."""
+def thinned_scan(n_particles, mass, replicas, seed):
+    """Straight-line reference for influence_experiment's thinned scan.
+
+    Per replica, its sets of labels 0 and 1 and the (particle, target)
+    pairs it applied, from the horizon back, re-drawn in the documented
+    block order: at each step, the replicas still scanning draw their
+    gaps, then their particles' places in U's list, then their targets.
+    N is small enough for blocks of BLOCK_REPLICAS replicas.
+    """
+    out = []
     for first in range(0, replicas, BLOCK_REPLICAS):
-        b = min(BLOCK_REPLICAS, replicas - first)
         gen = ReplicaSeed(seed.master_seed, seed.replica_index + first).generator()
-        counts = gen.poisson(n_particles * mass, b)
-        steps = []
-        for _ in range(counts.max()):
-            particle = gen.integers(0, n_particles, b)
-            target = gen.integers(0, n_particles - 1, b)
-            target += target >= particle
-            steps.append((particle, target))
-        for k in range(b):
-            pairs = np.array([(p[k], q[k]) for p, q in steps[:counts[k]]],
-                             dtype=np.int64).reshape(-1, 2)[::-1]
-            yield pairs[:, 0].copy(), pairs[:, 1].copy()
+        scans = [{"sets": ({0}, {1}), "joined": [0, 1], "clock": 0.0, "pairs": []}
+                 for _ in range(min(BLOCK_REPLICAS, replicas - first))]
+        scanning = scans
+        while scanning:
+            gaps = gen.standard_exponential(len(scanning))
+            places = gen.integers(0, [len(scan["joined"]) for scan in scanning])
+            draws = gen.integers(0, n_particles - 1, len(scanning))
+            still = []
+            for scan, gap, place, draw in zip(scanning, gaps, places, draws):
+                scan["clock"] += gap / len(scan["joined"])
+                if scan["clock"] >= mass:
+                    continue
+                particle = scan["joined"][place]
+                target = int(draw) + int(draw >= particle)
+                scan["pairs"].append((particle, target))
+                for members in scan["sets"]:
+                    if particle in members:
+                        members.add(target)
+                if target not in scan["joined"]:
+                    scan["joined"].append(target)
+                if len(scan["sets"][0]) < n_particles:
+                    still.append(scan)
+            scanning = still
+        out.extend(scans)
+    return out
+
+
+def pooled_chi_square(counts, expected, least=10.0):
+    """Chi-square of counts against expected, over runs of adjacent cells
+    pooled until each holds at least ``least`` expected counts (a short
+    last run joins the one before), and the statistic's 0.999 quantile by
+    the Wilson-Hilferty approximation."""
+    edges = [0]
+    acc = 0.0
+    for k, e in enumerate(expected):
+        acc += e
+        if acc >= least:
+            edges.append(k + 1)
+            acc = 0.0
+    edges[-1] = len(expected)
+    obs = np.add.reduceat(counts, edges[:-1])
+    exp = np.add.reduceat(expected, edges[:-1])
+    chi2 = float(((obs - exp) ** 2 / exp).sum())
+    df = len(obs) - 1
+    quantile = df * (1.0 - 2.0 / (9 * df) + 3.0902 * np.sqrt(2.0 / (9 * df))) ** 3
+    return chi2, quantile
 
 
 def is_copy(marks):
@@ -246,7 +287,7 @@ class TestSampleMarks:
         # N C t = 4e20 is beyond numpy's Poisson range.
         with pytest.raises(HorizonOverflowError, match="Poisson range"):
             sample_marks(golden_chain, 4, 1e20, 0)
-        with pytest.raises(HorizonOverflowError, match="Poisson range"):
+        with pytest.raises(HorizonOverflowError):
             influence_experiment(golden_chain, 4, 1e20, 2, 0)
 
     def test_negative_target_rejected(self):
@@ -446,25 +487,27 @@ class TestInfluenceExperiment:
         assert size.bound == pytest.approx(np.exp(0.25))
         assert overlap.bound == pytest.approx((np.exp(0.5) - 1.0) / 40.0)
 
-    def test_equals_replay_of_block_pairs(self, three_site_chain):
+    def test_equals_straight_line_scan(self, three_site_chain):
         # Two blocks, the second partial, at a nonzero base: every
-        # replica's sizes and overlap are those of influence_matrix on its
-        # copy pairs, re-drawn in the documented block order.
+        # replica's size and overlap are those of the reference scan, and
+        # of influence_matrix on the pairs it applied, in replay order.
         n, t = 9, 0.8
         reps = BLOCK_REPLICAS + 37
         seed = ReplicaSeed(31, 7)
         mass = three_site_chain.max_absorption_rate * t
-        sizes = np.empty(reps, dtype=np.int64)
-        overlaps = np.empty(reps, dtype=np.bool_)
-        for r, (particle, partner) in enumerate(
-                block_copy_pairs(n, mass, reps, seed)):
+        scans = thinned_scan(n, mass, reps, seed)
+        sizes = np.array([len(scan["sets"][0]) for scan in scans])
+        overlaps = np.array([bool(scan["sets"][0] & scan["sets"][1])
+                             for scan in scans])
+        for scan, size, overlap in zip(scans, sizes, overlaps):
+            pairs = np.array(scan["pairs"], dtype=np.int64).reshape(-1, 2)[::-1]
             marks = MarkRealization(
                 n_particles=n, n_states=three_site_chain.n,
-                particle=particle, partner=partner,
-                maps=np.full((particle.size, three_site_chain.n), -1))
+                particle=pairs[:, 0].copy(), partner=pairs[:, 1].copy(),
+                maps=np.full((len(pairs), three_site_chain.n), -1))
             rows = influence_matrix(marks, roots=[0, 1])
-            sizes[r] = rows[0].sum()
-            overlaps[r] = np.any(rows[0] & rows[1])
+            assert rows[0].sum() == size
+            assert np.any(rows[0] & rows[1]) == overlap
         assert 0.0 < overlaps.mean() < 1.0 and sizes.max() > 1
         lockstep = _influence_samples(n, mass, reps, seed)
         np.testing.assert_array_equal(lockstep[0], sizes)
@@ -473,6 +516,43 @@ class TestInfluenceExperiment:
         assert size.mean_size == sizes.mean()
         assert size.std_error == sizes.std(ddof=1) / np.sqrt(reps)
         assert overlap.probability == overlaps.mean()
+
+    @pytest.mark.parametrize("n, mass", [(6, 0.45), (41, 1.0), (201, 3.0)])
+    def test_law_matches_exact(self, n, mass):
+        # The |set of 0| histogram against the birth chain's law, and the
+        # overlap frequency against the pair chain, at C = 1 and t = mass.
+        reps = 20000
+        sizes, overlaps = _influence_samples(n, mass, reps, ReplicaSeed(1919))
+        law = series_expm(influence_size_generator(n, 1.0), mass)[0]
+        chi2, quantile = pooled_chi_square(
+            np.bincount(sizes - 1, minlength=n), reps * law)
+        assert chi2 < quantile, (chi2, quantile)
+        exact = overlap_probability(n, 1.0, mass)
+        z = (overlaps.mean() - exact) / np.sqrt(exact * (1.0 - exact) / reps)
+        assert abs(z) < 4.0, (overlaps.mean(), exact, z)
+
+    def test_saturating_scan_ends_full(self):
+        # At C t = 40 every set of 0 reaches all N = 3 labels, where the
+        # scan stops, and so meets the set of 1.
+        sizes, overlaps = _influence_samples(3, 40.0, 2000, ReplicaSeed(1919))
+        assert (sizes == 3).all() and overlaps.all()
+
+    def test_overflowing_horizon_refused_before_drawing(
+            self, golden_chain, monkeypatch):
+        # 2 C t = 800 is above log(DBL_MAX): the bounds used to come back
+        # infinite after a full scan.
+        def no_draws(*args):
+            raise AssertionError("scanned before refusing the horizon")
+
+        monkeypatch.setattr(graphical, "_influence_samples", no_draws)
+        with pytest.raises(HorizonOverflowError, match="overflows at 2 C t = 800"):
+            influence_experiment(golden_chain, 4, 400.0, 2, 0)
+
+    def test_largest_horizon_stays_finite(self, golden_chain):
+        size, overlap = influence_experiment(golden_chain, 3, LARGEST_T, 4, 0)
+        assert np.isfinite(size.bound) and np.isfinite(overlap.bound)
+        assert overlap.bound > 1e300
+        assert size.mean_size == 3.0 and overlap.probability == 1.0
 
     def test_block_rows_keep_membership_under_cap(self, golden_chain):
         # At N = 2**20 the cap allows 8 rows a block (16 MiB); 20 rows in
