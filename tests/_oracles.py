@@ -5,12 +5,14 @@ implementations under test: the matrix exponential is a plain truncated
 power series, the nonlinear forward equation is integrated one RK4 stage
 at a time, eigenpairs come from numpy's dense solver, and the small
 interacting system is collapsed to its exact occupancy-count master
-equation (site 0's count on 2 sites, the whole count vector on any n).
+equation (site 0's count on 2 sites, the whole count vector on any n), or
+kept whole as the labelled chain on all n^N configurations.
 The backward influence scans are collapsed to birth chains: the size of
 one label's set, and the sizes of two labels' sets until they meet.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 
@@ -174,6 +176,49 @@ def count_generator(chain, n_particles: int) -> np.ndarray:
                     g[i, index[tuple(moved.tolist())]] += rate
         g[i, i] = -g[i].sum()
     return g
+
+
+def labelled_states(n_sites: int, n_particles: int) -> np.ndarray:
+    """Every configuration, one per row, in the order of itertools.product: the
+    configuration read as a base-n number, particle 0 its leading digit."""
+    return np.array(list(itertools.product(range(n_sites), repeat=n_particles)))
+
+
+def labelled_generator(chain, n_particles: int) -> np.ndarray:
+    """Exact generator of the labelled particle system, on n^N states.
+
+    State s is row s of ``labelled_states``: the configuration (xi_0, ...,
+    xi_{N-1}) read as a base-n number.  Particle i at x jumps to y at
+    rate q(x, y); it is absorbed at rate a(x) and revived onto each other
+    particle j at rate a(x) / (N - 1), taking site xi_j, which leaves xi
+    unchanged when xi_j = x.  So particle i moves x -> y != x at rate
+    q(x, y) + a(x) #{j != i : xi_j = y} / (N - 1).
+    """
+    n = chain.n
+    q = np.array(chain.rates, dtype=np.float64)
+    np.fill_diagonal(q, 0.0)
+    a = np.asarray(chain.absorption, dtype=np.float64)
+    size = n**n_particles
+    g = np.zeros((size, size))
+    for s, xi in enumerate(labelled_states(n, n_particles).tolist()):
+        for i, x in enumerate(xi):
+            digit = n ** (n_particles - 1 - i)
+            for y in range(n):
+                if y == x:
+                    continue
+                others = sum(1 for j, z in enumerate(xi) if j != i and z == y)
+                rate = q[x, y] + a[x] * others / (n_particles - 1)
+                if rate > 0.0:
+                    g[s, s + (y - x) * digit] += rate
+        g[s, s] = -g[s].sum()
+    return g
+
+
+def labelled_index(configs: np.ndarray, n_sites: int) -> np.ndarray:
+    """Each configuration's state index in ``labelled_generator``."""
+    configs = np.atleast_2d(configs)
+    digits = n_sites ** np.arange(configs.shape[1] - 1, -1, -1)
+    return configs @ digits
 
 
 def influence_size_generator(n_particles: int, c_rate: float) -> np.ndarray:

@@ -6,7 +6,13 @@ and seeds live here, shared by the acceptance tests, and running this file
 as a script regenerates tests/expected_results.json with the observed
 values so the chosen slacks are on record:
 
-    python3 tests/_pilots.py
+    python3 tests/_pilots.py                     # every section
+    python3 tests/_pilots.py stationary_profiles simulator_equivalence
+
+Named sections (the keys of ``PILOTS``) are recomputed and written into the
+existing record; every other section is copied through byte for byte, so a
+change that moves one random stream regenerates only the sections that
+stream feeds.  An unknown name exits 2 and writes nothing.
 
 Every computation is seeded, so the acceptance run reproduces the recorded
 numbers exactly on the same dependency stack.
@@ -243,21 +249,35 @@ PILOTS = {
 }
 
 
-def main() -> int:
-    import time
-
-    record = {"master_seed": MASTER_SEED}
-    for name, fn in PILOTS.items():
-        start = time.perf_counter()
-        record[name] = fn()
-        print(f"{name}: {time.perf_counter() - start:.1f}s", flush=True)
-    with open(RESULTS_PATH, "w") as fh:
+def write_record(record: dict, path: str) -> None:
+    with open(path, "w") as fh:
         json.dump(record, fh, indent=2, sort_keys=True,
                   default=lambda o: o.item())
         fh.write("\n")
+
+
+def main(argv: list[str]) -> int:
+    import time
+
+    names = argv or list(PILOTS)
+    unknown = [name for name in names if name not in PILOTS]
+    if unknown:
+        print(f"unknown section(s) {', '.join(unknown)}; choose from "
+              f"{', '.join(PILOTS)}", file=sys.stderr)
+        return 2
+    record = {}
+    if argv:
+        with open(RESULTS_PATH) as fh:
+            record = json.load(fh)
+    record["master_seed"] = MASTER_SEED
+    for name in names:
+        start = time.perf_counter()
+        record[name] = PILOTS[name]()
+        print(f"{name}: {time.perf_counter() - start:.1f}s", flush=True)
+    write_record(record, RESULTS_PATH)
     print(f"wrote {RESULTS_PATH}")
     return 0
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(main(sys.argv[1:]))

@@ -50,6 +50,26 @@ def three_site_chain():
     })
 
 
+# Sites b and d have no absorption, so their move-table rows carry a forced
+# 2.0 tail; uneven rates make the scaled rows round.
+FIVE_SITE = validate_chain({
+    "states": ["a", "b", "c", "d", "e"],
+    "rates": [
+        [0.0, 1.1, 0.0, 0.0, 0.4],
+        [0.3, 0.0, 0.7, 0.0, 0.0],
+        [0.0, 0.9, 0.0, 1.7, 0.0],
+        [0.0, 0.0, 0.6, 0.0, 0.1],
+        [0.5, 0.0, 0.0, 0.8, 0.0],
+    ],
+    "absorption": [0.7, 0.0, 0.3, 0.0, 0.25],
+})
+
+
+@pytest.fixture(scope="session")
+def five_site_chain():
+    return FIVE_SITE
+
+
 def make_random_chain(rng: np.random.Generator):
     """Fully connected random chain, n in 2..6, rates in (0, 5]."""
     n = int(rng.integers(2, 7))

@@ -51,6 +51,27 @@ def _check_recorded(section: str, fresh: dict) -> None:
                 section, key, value, recorded[key])
 
 
+def test_pilots_regenerate_only_named_sections(tmp_path, monkeypatch, capsys):
+    # A named section is recomputed; the rest of the record is copied
+    # through, so restoring that one section gives the original bytes.
+    original = open(_pilots.RESULTS_PATH).read()
+    path = tmp_path / "expected_results.json"
+    path.write_text(original)
+    monkeypatch.setattr(_pilots, "RESULTS_PATH", str(path))
+    monkeypatch.setitem(_pilots.PILOTS, "decay_fit",
+                        lambda: {"theta": 1.5, "r_squared": 0.5})
+    assert _pilots.main(["decay_fit"]) == 0
+    record = json.loads(path.read_text())
+    assert record["decay_fit"] == {"theta": 1.5, "r_squared": 0.5}
+    record["decay_fit"] = RECORDED["decay_fit"]
+    _pilots.write_record(record, str(path))
+    assert path.read_text() == original
+
+    assert _pilots.main(["decay_fit", "no_such_section"]) == 2
+    assert "no_such_section" in capsys.readouterr().err
+    assert path.read_text() == original
+
+
 @pytest.fixture(scope="module")
 def random_family():
     rng = np.random.default_rng(_pilots.MASTER_SEED)

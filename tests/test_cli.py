@@ -486,13 +486,13 @@ STABLE_HASHES = {
     "correlation-same-site": ('94c9d4df188b051e', '12be5ec9d190b151', '3fcd3ddb54f9e44a'),
     "convergence": ('0da572d0fa4fdf69', '34687217529ec5fd', '14d9d9d5424e6ccc'),
     "convergence-profiles": ('d69f9f44810c6828', '693ad05488839254', 'f418c9e7d8ae5399'),
-    "qsd_profile": ('a2ae3c124f2a540e', 'b423a70fab0251e2', '8c416bd5cc3b05aa'),
+    "qsd_profile": ('1cd5e18471211b02', '751cc0e7f8f13702', '7912144c4ad8bd0e'),
     "overlap-scalars": ('2fe7774c6fca887f', '4a80bf2545dde319', '1dcfcfc54154b93c'),
     "overlap-n_list": ('6304e5088723e4a6', 'f8889791d89af9b7', 'e9033bb96d7e43b1'),
     "overlap-t_grid": ('8662fee7c4bae45d', 'c79fa3b7fc8f18e1', 'c809828092424bd4'),
-    "product_moment-one-site": ('4cd92672ccff02bf', '3e82923be75998c0', '89a5929a25f5e13e'),
-    "product_moment": ('5f938e504f278d0a', 'ad830f69f92475ab', 'fe21e83c9b8c4443'),
-    "product_moment-three-sites": ('41ebde0b31982e84', 'df047985950dc55e', '2a72928ee78ffc70'),
+    "product_moment-one-site": ('4b3ea265f82c4700', '6a78f6fe0c8de695', '579e19d09925afda'),
+    "product_moment": ('4d41a138fa53e0d1', 'c2f7faa54da11957', '36feee2bcfdf1d33'),
+    "product_moment-three-sites": ('003e634ca58146bf', '1749891a0fa54c76', 'f99847d19c478cc9'),
 }
 
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from fvqsd import (
     ConvergenceCurve,
+    ReplicaSeed,
     conditioned_law,
     batch_means_se,
     convergence_experiment,
@@ -19,10 +20,14 @@ from fvqsd import (
     product_moment_experiment,
     qsd,
     qsd_profile_experiment,
+    simulate_trajectory,
+    stationary_sampler,
     tv_distance,
+    validate_chain,
 )
 from fvqsd import estimators
 from fvqsd.errors import HorizonOverflowError, QsdNotConvergedError
+from fvqsd.simulator import configuration_from_profile
 
 import _pilots
 from _oracles import (
@@ -140,6 +145,19 @@ class TestCovarianceBound:
         with pytest.raises(HorizonOverflowError, match="overflows at 2 C t = 800"):
             correlation_experiment(golden_chain, np.zeros(5, dtype=np.int64),
                                    400.0, "1", "2", 10, seed=3)
+
+
+    @pytest.mark.parametrize("t", [np.nan, -np.inf, -1.0, -1e-300])
+    def test_bad_time_refused(self, golden_chain, t):
+        # A nan t used to return nan, and t = -1 the bound -0.346 at N = 5.
+        with pytest.raises(ValueError, match="time must be nonnegative"):
+            covariance_bound(golden_chain, 5, t, True)
+
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_bad_particle_count_refused(self, golden_chain, n):
+        # n_particles = 0 used to raise a bare ZeroDivisionError.
+        with pytest.raises(ValueError, match="n_particles must be at least 1"):
+            covariance_bound(golden_chain, n, 0.5, False)
 
 
 class TestCorrelationExperiment:
@@ -260,6 +278,37 @@ class TestQsdProfileExperiment:
         rhs = transient.estimates[0] + semigroup_worst
         slack = 3.0 * (stationary.std_errors[0] + transient.std_errors[0])
         assert lhs <= rhs + slack
+
+
+    def test_reductions_match_per_sample_calls(
+            self, golden_chain, three_site_chain, five_site_chain):
+        # stationary_sampler counts all its samples with one bincount, and
+        # qsd_profile_experiment takes all their distances in one array
+        # call; both equal the per-sample empirical_measure and tv_distance
+        # calls bit for bit, also on 12 sites, where numpy sums a row
+        # pairwise.
+        ring = np.roll(np.eye(12), 1, axis=1) + 0.5 * np.roll(np.eye(12), -1, axis=1)
+        wide = validate_chain({"states": [f"s{k:02d}" for k in range(12)],
+                               "rates": ring.tolist(),
+                               "absorption": np.linspace(0.1, 1.2, 12).tolist()})
+        n, burn_in, n_samples, spacing = 30, 2.0, 60, 0.1
+        times = burn_in + spacing * np.arange(1, n_samples + 1)
+        for chain in (golden_chain, three_site_chain, five_site_chain, wide):
+            seed = ReplicaSeed(17, 0)
+            xi0 = configuration_from_profile(np.full(chain.n, 1.0 / chain.n),
+                                             n, chain.states)
+            traj = simulate_trajectory(chain, xi0, times, seed)
+            measures = np.array([empirical_measure(row, chain.n) for row in traj])
+            samples = stationary_sampler(chain, n, burn_in, n_samples, spacing,
+                                         seed)
+            np.testing.assert_array_equal(samples, measures)
+
+            nu = qsd(chain).require_converged().nu
+            dists = np.array([tv_distance(m, nu) for m in measures])
+            curve = qsd_profile_experiment(chain, [n], burn_in, n_samples,
+                                           spacing, seed)
+            assert curve.estimates[0] == dists.mean(), chain.states
+            assert curve.std_errors[0] == batch_means_se(dists)
 
 
 class TestUnconvergedQsd:

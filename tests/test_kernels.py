@@ -8,6 +8,7 @@ the pins here.  The values were recorded with numpy 2.4.6.
 from __future__ import annotations
 
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -19,10 +20,11 @@ from fvqsd import (
     simulate_counts,
     simulate_trajectory,
     transition_tables,
-    validate_chain,
 )
 from fvqsd.graphical import evolve
 from fvqsd.seeding import ReplicaSeed
+
+from conftest import FIVE_SITE
 
 
 def test_labelled_workload_digest(golden_chain):
@@ -33,7 +35,7 @@ def test_labelled_workload_digest(golden_chain):
     traj = simulate_trajectory(
         golden_chain, np.zeros(40, dtype=np.int64), [0.5, 1.0, 2.0], seed=7)
     digest.update(traj.tobytes())
-    assert digest.hexdigest() == "efd9cc986b9702cc93a6eb5080b15b49"
+    assert digest.hexdigest() == "4abb14d44f519813fe58927a6a99df82"
 
 
 def test_marks_workload_digest(golden_chain):
@@ -76,7 +78,7 @@ def test_run_events_counts_events(golden_chain):
     positions = np.zeros(40, dtype=np.int64)
     n_events = _kernels.run_events(ReplicaSeed(7, 0).generator(), positions,
                                    tables.site_rate, tables.cum_move, 2.0)
-    assert n_events == 138
+    assert n_events == 120
 
 
 @pytest.mark.parametrize("n", [2, 10, 160])
@@ -99,63 +101,50 @@ def test_run_events_is_run_recorded_at_the_horizon(three_site_chain, n, horizon)
     assert gen_a.random() == gen_b.random()
 
 
-# Reference loops: sequential scans that index the numpy inputs element by
-# element.  The kernels must match them bit for bit.
-def _reference_pick_particle(gen, positions, site_rate, total):
-    u = gen.random() * total
-    acc = 0.0
-    last = len(positions) - 1
-    for k in range(last):
-        acc += site_rate[positions[k]]
-        if u < acc:
-            return k
-    return last
-
-
-def _reference_pick_move(gen, cum_move, x, n_states):
-    u = gen.random()
-    for j in range(n_states):
-        if u < cum_move[x, j]:
-            return j
-    return -1
-
-
+# Reference loops index the numpy inputs element by element.  The kernels
+# must match them bit for bit.
 def _reference_run(gen, positions, site_rate, cum_move, record_times, out):
+    # The uniformized loop one epoch at a time, reading each chunk's draws
+    # in the documented order: m gaps, then (u1, u2, u3) rows of m.
     n_particles = len(positions)
-    n_states = cum_move.shape[0]
+    n_sites = len(site_rate)
     n_rec = len(record_times)
     if n_rec == 0:
         return 0
-    total = 0.0
-    for x in positions:
-        total += site_rate[x]
+    top = 0.0
+    for x in range(n_sites):
+        top = max(top, site_rate[x])
+    lam = n_particles * top
     t = 0.0
     rec = 0
-    t_rec = record_times[0]
     n_events = 0
-    while total > 0.0:
-        dt = gen.exponential(1.0) / total
-        if t + dt > t_rec:
-            while rec < n_rec and record_times[rec] < t + dt:
+    while top > 0.0 and rec < n_rec:
+        mean = lam * (record_times[-1] - t)
+        m = int(min(_kernels.CHUNK_EPOCHS, mean + 4.0 * math.sqrt(mean) + 16.0))
+        gaps = gen.exponential(1.0, m)
+        u = gen.random((3, m))
+        for e in range(m):
+            t += gaps[e] / lam
+            while rec < n_rec and record_times[rec] < t:
                 if out is not None:
                     out[rec] = positions
                 rec += 1
             if rec == n_rec:
                 break
-            t_rec = record_times[rec]
-        t += dt
-        i = _reference_pick_particle(gen, positions, site_rate, total)
-        x = positions[i]
-        y = _reference_pick_move(gen, cum_move, x, n_states)
-        if y < 0:
-            while True:
-                j = gen.integers(0, n_particles)
-                if j != i:
-                    break
-            y = positions[j]
-        positions[i] = y
-        total += site_rate[y] - site_rate[x]
-        n_events += 1
+            i = int(u[0, e] * n_particles)
+            x = positions[i]
+            threshold = site_rate[x] / top
+            if u[1, e] < threshold:
+                y = 0
+                while y < n_sites and cum_move[x, y] * threshold <= u[1, e]:
+                    y += 1
+                if y == n_sites:
+                    j = int(u[2, e] * (n_particles - 1))
+                    if j >= i:
+                        j += 1
+                    y = positions[j]
+                positions[i] = y
+                n_events += 1
     if out is not None:
         out[rec:] = positions
     return n_events
@@ -181,20 +170,6 @@ def _reference_influence_matrix(roots, n_particles, particle, partner, out):
     return out
 
 
-# Sites b and d have no absorption, so their move-table rows carry a forced
-# 2.0 tail; uneven rates make the prefix sums round.
-FIVE_SITE = validate_chain({
-    "states": ["a", "b", "c", "d", "e"],
-    "rates": [
-        [0.0, 1.1, 0.0, 0.0, 0.4],
-        [0.3, 0.0, 0.7, 0.0, 0.0],
-        [0.0, 0.9, 0.0, 1.7, 0.0],
-        [0.0, 0.0, 0.6, 0.0, 0.1],
-        [0.5, 0.0, 0.0, 0.8, 0.0],
-    ],
-    "absorption": [0.7, 0.0, 0.3, 0.0, 0.25],
-})
-
 RECORD_TIMES = {
     "zero": [0.0],
     "short": [0.3],
@@ -205,8 +180,6 @@ RECORD_TIMES = {
 
 @pytest.fixture(params=["golden", "three_site", "five_site"])
 def oracle_chain(request):
-    if request.param == "five_site":
-        return FIVE_SITE
     return request.getfixturevalue(f"{request.param}_chain")
 
 
@@ -254,52 +227,143 @@ def test_event_loop_matches_reference(oracle_chain, n, times):
 
 
 class _ScriptedGenerator:
-    """Replays given draws through the np.random.Generator methods the
-    event loop calls."""
+    """Serves the event loop's chunked draws from a script: the first epoch
+    comes at 1e-12 with the given (u1, u2, u3), and every later gap is 1e12,
+    so a run to t = 1 applies that one epoch at most."""
 
-    def __init__(self, exponentials, uniforms, integers):
-        self._exponentials = list(exponentials)
-        self._uniforms = list(uniforms)
-        self._integers = list(integers)
+    def __init__(self, u1, u2, u3=0.5):
+        self._first = (u1, u2, u3)
 
-    def exponential(self, scale):
-        return self._exponentials.pop(0) * scale
+    def exponential(self, scale, size):
+        gaps = np.full(size, 1e12)
+        gaps[0] = 1e-12
+        return gaps * scale
 
-    def random(self):
-        return self._uniforms.pop(0)
+    def random(self, shape):
+        u = np.full(shape, 0.5)
+        u[:, 0] = self._first
+        return u
 
-    def integers(self, low, high):
-        return np.int64(self._integers.pop(0))
+
+def _one_epoch(start, draws, tables):
+    # Kernel and reference on the same scripted epoch; returns the kernel's
+    # configuration and event count after checking they agree.
+    ref = start.copy()
+    ref_events = _reference_run(_ScriptedGenerator(*draws), ref,
+                                tables.site_rate, tables.cum_move, (1.0,), None)
+    pos = start.copy()
+    n_events = _kernels.run_events(_ScriptedGenerator(*draws), pos,
+                                   tables.site_rate, tables.cum_move, 1.0)
+    np.testing.assert_array_equal(pos, ref, err_msg=f"draws={draws!r}")
+    assert n_events == ref_events
+    return pos, n_events
 
 
 @pytest.mark.parametrize("n", [2, 10, 41, 160])
-def test_particle_pick_at_prefix_sum_boundaries(n):
-    # One event, with the pick's uniform placed on and one or two ulps
-    # around each running sum of the rates: a pick that rounds its sums in
-    # another order, or breaks ties the other way, chooses another particle.
+def test_particle_pick_at_boundaries(n):
+    # u1 on and one ulp around each k/N, and the largest uniform: a pick
+    # that rounds or truncates otherwise moves another particle.  Neighbours
+    # sit on different sites, and u2 = 0 moves the picked particle off its
+    # site, so the moved label shows.
     tables = transition_tables(FIVE_SITE)
-    start = np.random.default_rng(n).permutation(np.arange(n) % FIVE_SITE.n)
-    acc, bounds = 0.0, []
-    for x in start:
-        acc += tables.site_rate[x]
-        bounds.append(acc)
-    total = bounds[-1]
+    start = np.arange(n, dtype=np.int64) % FIVE_SITE.n
     draws = {1.0 - 2.0**-53}
-    for bound in bounds[:-1]:
-        r = bound / total
-        below, above = np.nextafter(r, 0.0), np.nextafter(r, 1.0)
-        draws.update((r, below, above, np.nextafter(below, 0.0),
-                      np.nextafter(above, 1.0)))
-    for r in sorted(draws):
-        # A tiny first wait applies one event; the second ends the run.
-        script = ([1e-12, 1e12], [r, 0.999], [0, 1, n - 1])
-        ref = start.copy()
-        _reference_run(_ScriptedGenerator(*script), ref, tables.site_rate,
-                       tables.cum_move, (1.0,), None)
-        pos = start.copy()
-        _kernels.run_events(_ScriptedGenerator(*script), pos, tables.site_rate,
-                            tables.cum_move, 1.0)
-        np.testing.assert_array_equal(pos, ref, err_msg=f"r={r!r}")
+    for k in range(1, n):
+        r = k / n
+        draws.update((np.nextafter(r, 0.0), r, np.nextafter(r, 1.0)))
+    for u1 in sorted(draws):
+        pos, n_events = _one_epoch(start, (u1, 0.0), tables)
+        assert n_events == 1
+        moved = np.flatnonzero(pos != start)
+        assert moved.tolist() == [int(u1 * n)], u1
+    pos, _ = _one_epoch(start, (1.0 - 2.0**-53, 0.0), tables)
+    assert pos[n - 1] != start[n - 1]
+
+
+def test_null_epoch_at_the_threshold():
+    # u2 on and one ulp around site_rate[x] / R at each site: on and above
+    # it the epoch is null; one ulp below it the move is the row's last
+    # one, an internal jump to the last positive target on the forced-2.0
+    # rows b and d, and an absorption attempt elsewhere.
+    tables = transition_tables(FIVE_SITE)
+    top = tables.site_rate.max()
+    last_target = {1: 2, 3: 4}
+    for x in range(FIVE_SITE.n):
+        z = (x + 2) % FIVE_SITE.n
+        start = np.array([x, z, z], dtype=np.int64)
+        threshold = tables.site_rate[x] / top
+        below = np.nextafter(threshold, 0.0)
+        pos, n_events = _one_epoch(start, (0.0, below), tables)
+        assert n_events == 1
+        assert pos[0] == last_target.get(x, z), x
+        if threshold < 1.0:
+            for u2 in (threshold, np.nextafter(threshold, 1.0)):
+                pos, n_events = _one_epoch(start, (0.0, u2), tables)
+                assert n_events == 0
+                np.testing.assert_array_equal(pos, start)
+
+
+@pytest.mark.parametrize("n", [2, 3, 41])
+def test_revival_skips_the_particle(n):
+    # The donor floor(u3 (N - 1)) counts past the revived particle: u3 = 0
+    # and the largest uniform, with the first and the last particle revived.
+    # Site a is absorbing; every other particle sits on its own site.
+    tables = transition_tables(FIVE_SITE)
+    below = np.nextafter(tables.site_rate[0] / tables.site_rate.max(), 0.0)
+    for i in (0, n - 1):
+        start = 1 + np.arange(n, dtype=np.int64) % (FIVE_SITE.n - 1)
+        start[i] = 0
+        for u3, donor in ((0.0, 1 if i == 0 else 0),
+                          (1.0 - 2.0**-53, n - 2 if i == n - 1 else n - 1)):
+            u1 = (i + 0.5) / n
+            pos, _ = _one_epoch(start, (u1, below, u3), tables)
+            assert pos[i] == start[donor], (i, u3)
+
+
+def test_event_loop_across_chunks():
+    # The expected epochs exceed CHUNK_EPOCHS, so the run draws a full first
+    # chunk and then more.  Record times at 0 (twice), on the first chunk's
+    # last epoch (twice) and one ulp past it straddle the boundary.
+    tables = transition_tables(FIVE_SITE)
+    n, seed = 1000, 2026
+    lam = n * tables.site_rate.max()
+    chunk = _kernels.CHUNK_EPOCHS
+    gaps = np.random.default_rng(seed).exponential(1.0, chunk) / lam
+    boundary = float(np.add.accumulate(gaps)[-1])
+    t_end = 1.5 * chunk / lam
+    assert boundary < t_end
+    times = np.array([0.0, 0.0, boundary / 2, boundary, boundary,
+                      np.nextafter(boundary, np.inf), t_end])
+    start = np.arange(n, dtype=np.int64) % FIVE_SITE.n
+
+    gen_ref = np.random.default_rng(seed)
+    ref = start.copy()
+    ref_out = np.full((times.size, n), -1, dtype=np.int64)
+    ref_events = _reference_run(gen_ref, ref, tables.site_rate,
+                                tables.cum_move, times, ref_out)
+    gen = np.random.default_rng(seed)
+    out = np.full((times.size, n), -1, dtype=np.int64)
+    pos = _kernels.run_recorded(gen, start.copy(), tables.site_rate,
+                                tables.cum_move, times, out)
+    np.testing.assert_array_equal(out, ref_out)
+    np.testing.assert_array_equal(pos, ref)
+    np.testing.assert_array_equal(out[:2], [start, start])
+    assert gen.random() == gen_ref.random()
+
+    gen_events = np.random.default_rng(seed)
+    final = start.copy()
+    assert _kernels.run_events(gen_events, final, tables.site_rate,
+                               tables.cum_move, t_end) == ref_events
+    np.testing.assert_array_equal(final, ref)
+
+    # A run that ends on the boundary applies exactly the first chunk: its
+    # expected epochs round up to CHUNK_EPOCHS, and the next chunk's first
+    # epoch falls past it.
+    upto = start.copy()
+    _kernels.run_events(np.random.default_rng(seed), upto, tables.site_rate,
+                        tables.cum_move, boundary)
+    np.testing.assert_array_equal(out[3], upto)
+    np.testing.assert_array_equal(out[4], upto)
 
 
 @pytest.mark.parametrize("n", [2, 10, 41, 160])

@@ -21,6 +21,9 @@ import _pilots
 from _oracles import (
     count_generator,
     count_states,
+    labelled_generator,
+    labelled_index,
+    labelled_states,
     occupancy_generator,
     occupancy_law,
     occupancy_moments,
@@ -117,8 +120,11 @@ class TestSimulate:
     def test_exchangeable_labels(self, golden_chain):
         # Labels with the same starting site are interchangeable: the
         # occupation frequencies of particles 0/1 (and 2/3) agree within
-        # Monte Carlo error.  Particles 0 and 3 start on different sites,
-        # so their frequencies must differ instead.
+        # Monte Carlo error.  Each label's frequency at site 0 also matches
+        # its exact marginal under the labelled chain at t = 1, 0.43046 for
+        # a start at site 0 and 0.36342 for a start at site 1, within 4 SE
+        # either way; 4 SE of both sit below their gap, so the start's
+        # memory shows.
         xi0 = np.array([0, 0, 1, 1])
         r = 4000
         hits = np.zeros(4)
@@ -129,7 +135,13 @@ class TestSimulate:
         se = np.sqrt(2 * 0.25 / r)
         assert abs(p[0] - p[1]) < 5 * se
         assert abs(p[2] - p[3]) < 5 * se
-        assert p[0] > p[3] + 5 * se  # memory of the start at this horizon
+        exact = labelled_law(golden_chain, xi0, 1.0) @ (
+            labelled_states(2, 4) == 0)
+        np.testing.assert_allclose(exact, [0.43046, 0.43046, 0.36342, 0.36342],
+                                   atol=5e-6)
+        se_each = np.sqrt(exact * (1.0 - exact) / r)
+        assert 4 * (se_each[0] + se_each[3]) < exact[0] - exact[3]
+        assert np.all(np.abs(p - exact) < 4 * se_each), (p, exact)
 
     def test_marginal_matches_occupancy_oracle(self, golden_chain):
         # Exact master equation for the collapsed site-0 count is the
@@ -217,6 +229,85 @@ def _chi_square_quantile_999(dof: int) -> float:
     # Wilson-Hilferty approximation; 3.0902 is the normal 0.999 quantile.
     h = 2.0 / (9.0 * dof)
     return dof * (1.0 - h + 3.0902 * np.sqrt(h)) ** 3
+
+
+def _assert_chi_square(observed, expected, label):
+    # States expected fewer than 5 times are pooled into one bin.
+    rare = expected < 5.0
+    obs, exp = observed[~rare], expected[~rare]
+    if rare.any():
+        obs = np.append(obs, observed[rare].sum())
+        exp = np.append(exp, expected[rare].sum())
+    chi2 = float(((obs - exp) ** 2 / exp).sum())
+    assert chi2 < _chi_square_quantile_999(obs.size - 1), (label, chi2)
+
+
+def labelled_law(chain, xi0, t):
+    """Exact law of the labelled configuration at t, started from xi0."""
+    g = labelled_generator(chain, len(xi0))
+    p0 = np.zeros(len(g))
+    p0[labelled_index(np.asarray(xi0), chain.n)] = 1.0
+    return p0 @ series_expm(g, t)
+
+
+class TestLabelledLaw:
+    """simulate and simulate_trajectory against the exact labelled chain.
+
+    Each sampled configuration is binned by its state in
+    ``_oracles.labelled_generator`` and the histogram is checked against
+    p0 expm(tQ) by a chi-square at the 0.999 quantile.  The five-site
+    chain starts on its zero-absorption (forced-2.0) sites b and d.
+    """
+
+    CASES = {
+        "golden-3": ("golden", [0, 0, 1]),
+        "golden-4": ("golden", [0, 1, 0, 1]),
+        "three_site-3": ("three_site", [0, 1, 2]),
+        "five_site-3": ("five_site", [1, 3, 3]),
+    }
+    REPLICAS = 3000
+
+    @pytest.fixture(params=list(CASES))
+    def case(self, request):
+        name, xi0 = self.CASES[request.param]
+        return request.getfixturevalue(f"{name}_chain"), np.array(xi0)
+
+    def test_simulate(self, case):
+        chain, xi0 = case
+        t = 0.8
+        finals = np.array([simulate(chain, xi0, t, ReplicaSeed(4242, r))
+                           for r in range(self.REPLICAS)])
+        law = labelled_law(chain, xi0, t)
+        observed = np.bincount(labelled_index(finals, chain.n),
+                               minlength=law.size)
+        _assert_chi_square(observed, self.REPLICAS * law, t)
+
+    def test_simulate_trajectory(self, case):
+        chain, xi0 = case
+        times = [0.3, 1.2]
+        paths = np.array([
+            simulate_trajectory(chain, xi0, times, ReplicaSeed(4343, r))
+            for r in range(self.REPLICAS)])
+        for k, t in enumerate(times):
+            law = labelled_law(chain, xi0, t)
+            observed = np.bincount(labelled_index(paths[:, k], chain.n),
+                                   minlength=law.size)
+            _assert_chi_square(observed, self.REPLICAS * law, t)
+
+    def test_lumps_to_count_generator(self, three_site_chain):
+        # Summing the labelled law over configurations with the same site
+        # counts gives the count chain's law.
+        chain, n, t = three_site_chain, 4, 0.6
+        xi0 = np.array([0, 1, 2, 1])
+        counts = [tuple(np.bincount(c, minlength=chain.n).tolist())
+                  for c in labelled_states(chain.n, n)]
+        index = {tuple(c): i for i, c in enumerate(count_states(chain.n, n).tolist())}
+        lumped = np.zeros(len(index))
+        np.add.at(lumped, [index[c] for c in counts], labelled_law(chain, xi0, t))
+        p0 = np.zeros(len(index))
+        p0[index[(1, 2, 1)]] = 1.0
+        np.testing.assert_allclose(
+            lumped, p0 @ series_expm(count_generator(chain, n), t), atol=1e-12)
 
 
 class TestSimulateCounts:
@@ -311,14 +402,7 @@ class TestSimulateCounts:
             observed = np.bincount(
                 [index[tuple(c)] for c in sampled[:, k].tolist()],
                 minlength=len(states))
-            expected = reps * law
-            rare = expected < 5.0
-            obs, exp = observed[~rare], expected[~rare]
-            if rare.any():
-                obs = np.append(obs, observed[rare].sum())
-                exp = np.append(exp, expected[rare].sum())
-            chi2 = float(((obs - exp) ** 2 / exp).sum())
-            assert chi2 < _chi_square_quantile_999(obs.size - 1), (t, chi2)
+            _assert_chi_square(observed, reps * law, t)
 
 
 class TestStationarySampler:
