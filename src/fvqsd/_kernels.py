@@ -29,11 +29,13 @@ then one gen.random((3, m)) for (u1, u2, u3), with m sized from the time
 left to the last record time and at most ``CHUNK_EPOCHS``.  So run_events
 to h and run_recorded at times ending at h consume the same draws.
 
-``run_counts`` runs the same dynamics on site counts alone, for a block of
-replicas in lockstep: each step is a few numpy calls across the block, not
-a Python loop per replica.  Randomness is drawn only through
-np.random.Generator methods in a fixed order, so a seeded generator
-reproduces its trajectories bit for bit.
+``run_counts`` runs the same dynamics on site counts alone, for blocks of
+replicas in lockstep: each step is a few numpy calls across all the
+blocks, not a Python loop per replica.  Each block draws from its own
+generator in the order it would draw alone, so packing small blocks into
+one loop saves numpy's per-call overhead and changes no count.
+Randomness is drawn only through np.random.Generator methods in a fixed
+order, so a seeded generator reproduces its trajectories bit for bit.
 
 The graphical engine draws nothing here: ``apply_marks`` replays a mark
 realization's event table in order, and ``influence_matrix_kernel`` scans
@@ -42,6 +44,7 @@ its (particle, partner) pairs backward.
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 
 import numpy as np
@@ -160,27 +163,59 @@ def _running_sums(rows):
     return rows
 
 
-def run_counts(gen, counts, site_rate, cum_move, record_times, out):
-    """Exact site-count dynamics of a block of replicas, stepped in lockstep.
+def _draws(draw, sizes):
+    # draw[b](sizes[b]) for each block b with sizes[b] > 0, joined in block
+    # order.  A one-block group calls its generator directly.
+    if len(draw) == 1:
+        return draw[0](sizes[0])
+    parts = [d(n) for d, n in zip(draw, sizes) if n]
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
-    counts holds the starting counts, shape (replicas, n_sites); out has
-    shape (replicas, len(record_times), n_sites).  The particles are
-    exchangeable, so the counts are a Markov chain of their own.  Each step
-    gives every live replica one event: a site x chosen with probability
-    proportional to c_x * site_rate[x], then a move by the first u < row[j]
-    rule of cum_move, as in ``_run``.  An absorption attempt revives the
-    particle onto a uniformly chosen other particle, drawn with an integer
-    in [0, N - 1) from c - e_x; a revival onto its own site is an event that
-    leaves the counts unchanged.
+
+def _per_block(owner, live, mask, n_blocks):
+    # How many of the live replicas where mask holds each block holds;
+    # owner gives each replica's block.
+    if n_blocks == 1:
+        return [int(np.count_nonzero(mask))]
+    return np.bincount(owner[live[mask]], minlength=n_blocks).tolist()
+
+
+def run_counts(gens, bounds, counts, site_rate, cum_move, record_times, out):
+    """Exact site-count dynamics of blocks of replicas, stepped in lockstep.
+
+    counts holds the starting counts, shape (replicas, n_sites); block b is
+    rows [bounds[b], bounds[b + 1]), draws from gens[b] and has its own
+    particle count N.  out has shape (replicas, len(record_times),
+    n_sites).  The particles are exchangeable, so the counts are a Markov
+    chain of their own.  Each step gives every live replica one event: a
+    site x chosen with probability proportional to c_x * site_rate[x], then
+    a move by the first u < row[j] rule of cum_move, as in ``_run``.  An
+    absorption attempt revives the particle onto a uniformly chosen other
+    particle, drawn with an integer in [0, N - 1) from c - e_x; a revival
+    onto its own site is an event that leaves the counts unchanged.
 
     Between record times the replicas still live are those whose next
     event falls at or before the record time.  An event drawn past it is
     dropped and the clock restarts there, which the memoryless holding time
-    makes exact.  Snapshots are right-continuous.  Returns the number of
-    events applied.
+    makes exact.  Snapshots are right-continuous.
+
+    Each step draws block by block, for the block's live replicas in
+    replica order: gen.exponential(1.0, live) for the holding times, then
+    gen.random(k) for the site and gen.random(k) for the move of the k
+    that fire, then gen.integers(0, N - 1, kills) if any are revived.  A
+    block with no live replica draws nothing until the next record time.
+    So every block draws, and ends, as it would in a run of its own.
+    Returns the number of events applied.
     """
     n_reps, n_sites = counts.shape
-    n_particles = int(counts[0].sum())
+    n_blocks = len(gens)
+    block_sizes = np.diff(bounds).tolist()
+    owner = np.repeat(np.arange(n_blocks), block_sizes)
+    n_particles = counts[bounds[:-1]].sum(axis=1).tolist()
+    waits = [functools.partial(g.exponential, 1.0) for g in gens]
+    uniforms = [g.random for g in gens]
+    donors_of = [functools.partial(g.integers, 0, n - 1)
+                 for g, n in zip(gens, n_particles)]
     rate = site_rate[:, None]
     # Rows of cum_move are sorted, so the first j with u < row[j] is the
     # number of the row's entries <= u; n_sites means an absorption attempt.
@@ -196,6 +231,7 @@ def run_counts(gen, counts, site_rate, cum_move, record_times, out):
     with np.errstate(divide="ignore", invalid="ignore"):
         for k, horizon in enumerate(np.asarray(record_times).tolist()):
             live = np.arange(n_reps)
+            sizes = block_sizes
             c = state
             t = np.full(n_reps, start)
             while True:
@@ -203,26 +239,27 @@ def run_counts(gen, counts, site_rate, cum_move, record_times, out):
                 # for every u < 1, so the first running sum above u is never
                 # an empty site's.  A replica with total 0 has no events.
                 cum = _running_sums(c * rate)
-                t_next = t + gen.exponential(1.0, live.size) / cum[-1]
+                t_next = t + _draws(waits, sizes) / cum[-1]
                 fire = t_next <= horizon
                 if not fire.all():
                     state[:, live[~fire]] = c[:, ~fire]
                     if not fire.any():
                         break
+                    sizes = _per_block(owner, live, fire, n_blocks)
                     live = live[fire]
                     c = c.compress(fire, axis=1)
                     cum = cum.compress(fire, axis=1)
                     t_next = t_next[fire]
                 t = t_next
                 n_live = live.size
-                u = gen.random(n_live) * cum[-1]
+                u = _draws(uniforms, sizes) * cum[-1]
                 x = (cum <= u).sum(axis=0)
-                y = (move_rows.take(x, axis=1) <= gen.random(n_live)).sum(axis=0)
+                y = (move_rows.take(x, axis=1) <= _draws(uniforms, sizes)).sum(axis=0)
                 kill = y == n_sites
                 if kill.any():
                     donors = c.compress(kill, axis=1)
                     donors[x[kill], np.arange(donors.shape[1])] -= 1.0
-                    j = gen.integers(0, n_particles - 1, donors.shape[1])
+                    j = _draws(donors_of, _per_block(owner, live, kill, n_blocks))
                     y[kill] = (_running_sums(donors) <= j).sum(axis=0)
                 replica = np.arange(n_live)
                 c[x, replica] -= 1.0

@@ -23,6 +23,7 @@ from .parallel import map_replicas  # noqa: F401
 from .seeding import ReplicaSeed, as_replica_seed
 from .semigroup import conditioned_law, qsd
 from .simulator import (  # noqa: F401
+    _count_cells,
     configuration_from_profile,
     simulate,
     simulate_counts,
@@ -176,26 +177,38 @@ def convergence_experiment(
     that profile's SE).  The target uses the realized m(xi_0), not the
     requested profile, so rounding in the expansion cancels out.  The k-th
     N and j-th profile run on ``seed.offset((k P + j) replicas)`` for P
-    profiles.
+    profiles, as ``simulate_counts`` would run them one by one; all cells
+    step in shared lockstep groups (see ``simulator._count_cells``).  An
+    unsorted or repeated n_list, or a t that is not finite and
+    nonnegative, raises ValueError before any draw.
     """
     if replicas < 2:
         raise ValueError("replicas must be at least 2")
     if not profiles:
         raise ValueError("need at least one profile")
+    if not (np.isfinite(t) and t >= 0.0):
+        raise ValueError("time must be finite and nonnegative")
+    n_arr = np.asarray(n_list, dtype=np.int64)
+    if np.any(np.diff(n_arr) <= 0):
+        raise ValueError("n_list must be strictly increasing")
     seed = as_replica_seed(seed)
     profiles = [check_distribution(p, chain.n) for p in profiles]
-    n_arr = np.asarray(n_list, dtype=np.int64)
+
+    cells = []
+    targets = []
+    for n_particles in n_arr.tolist():
+        for profile in profiles:
+            xi0 = configuration_from_profile(profile, n_particles, chain.states)
+            targets.append(conditioned_law(chain, empirical_measure(xi0, chain.n), t))
+            cells.append((xi0, seed.offset(len(cells) * replicas)))
+    counts = _count_cells(chain, cells, np.array([float(t)]), replicas)[:, :, 0]
 
     estimates = np.empty(n_arr.size)
     std_errors = np.empty(n_arr.size)
     for k, n_particles in enumerate(n_arr.tolist()):
         best = (-np.inf, 0.0)
-        for j, profile in enumerate(profiles):
-            xi0 = configuration_from_profile(profile, n_particles, chain.states)
-            target = conditioned_law(chain, empirical_measure(xi0, chain.n), t)
-            cell_seed = seed.offset((k * len(profiles) + j) * replicas)
-            counts = simulate_counts(chain, xi0, [t], replicas, cell_seed)[:, 0]
-            dists = np.abs(counts / n_particles - target).sum(axis=1)
+        for j in range(k * len(profiles), (k + 1) * len(profiles)):
+            dists = np.abs(counts[j] / n_particles - targets[j]).sum(axis=1)
             mean = float(dists.mean())
             if mean > best[0]:
                 best = (mean, float(dists.std(ddof=1) / np.sqrt(replicas)))

@@ -147,20 +147,47 @@ def simulate_counts(
     entry [r, k, x] counts the particles at site x at record_times[k] in
     replica r.  Times must be nondecreasing and start at or after 0;
     snapshots are right-continuous.  Replicas run in blocks of
-    ``BLOCK_REPLICAS`` on the generators of ``ReplicaSeed.blocks``, so the
-    output depends only on the seed and the arguments.
+    ``BLOCK_REPLICAS`` on the generators of ``ReplicaSeed.blocks``, each
+    block in the draw order of ``_kernels.run_counts``, so the output
+    depends only on the seed and the arguments.  ``convergence_experiment``
+    packs the small blocks of several such runs into one lockstep loop of
+    at most ``BLOCK_REPLICAS`` replicas, and gets the counts of each run.
     """
     pos = validate_configuration(xi0, chain.n)
     times = _record_times(record_times)
     replicas = operator.index(replicas)
     if replicas < 1:
         raise ValueError("replicas must be at least 1")
-    start = np.bincount(pos, minlength=chain.n)
-    out = np.empty((replicas, times.size, chain.n), dtype=np.int64)
-    for first, stop, gen in as_replica_seed(seed).blocks(replicas, BLOCK_REPLICAS):
-        counts = np.tile(start, (stop - first, 1))
-        _kernels.run_counts(gen, counts, chain.site_rates, chain.move_table,
-                            times, out[first:stop])
+    return _count_cells(chain, [(pos, seed)], times, replicas)[0]
+
+
+def _count_cells(chain, cells, times, replicas):
+    # Site counts of several cells, each a (configuration, seed) pair run
+    # as simulate_counts runs it, in one array of shape (cells, replicas,
+    # times, n_sites).  The cells' blocks are packed, in order, into
+    # lockstep groups of at most BLOCK_REPLICAS replicas; run_counts steps
+    # a group's blocks together, each on its own generator, so every cell's
+    # counts are those of its own simulate_counts call.
+    groups = []
+    for pos, seed in cells:
+        start = np.bincount(pos, minlength=chain.n)
+        for first, stop, gen in as_replica_seed(seed).blocks(replicas, BLOCK_REPLICAS):
+            size = stop - first
+            if not groups or filled + size > BLOCK_REPLICAS:
+                groups.append([])
+                filled = 0
+            groups[-1].append((size, start, gen))
+            filled += size
+    out = np.empty((len(cells), replicas, times.size, chain.n), dtype=np.int64)
+    rows = out.reshape(-1, times.size, chain.n)
+    lo = 0
+    for group in groups:
+        sizes, starts, gens = zip(*group)
+        hi = lo + sum(sizes)
+        counts = np.repeat(np.stack(starts), sizes, axis=0)
+        _kernels.run_counts(list(gens), np.cumsum((0,) + sizes), counts,
+                            chain.site_rates, chain.move_table, times, rows[lo:hi])
+        lo = hi
     return out
 
 

@@ -248,6 +248,32 @@ class TestConvergenceExperiment:
             )
 
 
+    @pytest.mark.parametrize("n_list", [[40, 10], [10, 10], [10, 40, 20]])
+    def test_unsorted_n_list_refused_before_drawing(
+            self, golden_chain, monkeypatch, n_list):
+        # Such a list used to simulate every cell and only then fail in
+        # ConvergenceCurve.
+        def no_draws(*args):
+            raise AssertionError("simulated before refusing n_list")
+
+        monkeypatch.setattr(estimators, "_count_cells", no_draws)
+        with pytest.raises(ValueError, match="n_list must be strictly increasing"):
+            convergence_experiment(golden_chain, extreme_profiles(2), 1.0,
+                                   n_list, 200, seed=1)
+
+    @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf, -1.0])
+    def test_bad_time_refused_before_drawing(self, golden_chain, monkeypatch, t):
+        # A nan or infinite t used to raise HorizonOverflowError from
+        # transient_vector.
+        def no_draws(*args):
+            raise AssertionError("simulated before refusing the time")
+
+        monkeypatch.setattr(estimators, "_count_cells", no_draws)
+        with pytest.raises(ValueError, match="time must be finite and nonnegative"):
+            convergence_experiment(golden_chain, extreme_profiles(2), t,
+                                   [10, 20], 200, seed=1)
+
+
 class TestQsdProfileExperiment:
     def test_decreasing_in_n(self, golden_chain):
         curve = qsd_profile_experiment(

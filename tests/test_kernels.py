@@ -15,6 +15,7 @@ import pytest
 
 from fvqsd import (
     _kernels,
+    simulator,
     sample_marks,
     simulate,
     simulate_counts,
@@ -22,7 +23,7 @@ from fvqsd import (
     transition_tables,
 )
 from fvqsd.graphical import evolve
-from fvqsd.seeding import ReplicaSeed
+from fvqsd.seeding import BLOCK_REPLICAS, ReplicaSeed
 
 from conftest import FIVE_SITE
 
@@ -66,11 +67,89 @@ def test_count_workload_digest(golden_chain, three_site_chain):
 def test_run_counts_counts_events(golden_chain):
     counts = np.tile([40, 0], (3, 1))
     out = np.empty((3, 1, 2), dtype=np.int64)
-    n_events = _kernels.run_counts(ReplicaSeed(7, 0).generator(), counts,
-                                   golden_chain.site_rates,
+    n_events = _kernels.run_counts([ReplicaSeed(7, 0).generator()], [0, 3],
+                                   counts, golden_chain.site_rates,
                                    golden_chain.move_table, [2.0], out)
     np.testing.assert_array_equal(out.sum(axis=2), 40)
     assert n_events == 361
+
+
+def _one_block_at_a_time(chain, cells, times, replicas):
+    # Each cell's blocks of ReplicaSeed.blocks, each run alone; returns the
+    # counts, the events and each block's next draw after its run.
+    out = np.empty((len(cells), replicas, len(times), chain.n), dtype=np.int64)
+    n_events = 0
+    next_draws = []
+    for cell, (xi0, seed) in enumerate(cells):
+        start = np.bincount(xi0, minlength=chain.n)
+        for first, stop, gen in seed.blocks(replicas, BLOCK_REPLICAS):
+            counts = np.tile(start, (stop - first, 1))
+            n_events += _kernels.run_counts(
+                [gen], [0, stop - first], counts, chain.site_rates,
+                chain.move_table, times, out[cell, first:stop])
+            next_draws.append(gen.random())
+    return out, n_events, next_draws
+
+
+def _packed(chain, cells, times, replicas, monkeypatch):
+    # simulator._count_cells, with each lockstep group's row bounds, its
+    # events and each block's next draw after the group's run.
+    groups = []
+    events = []
+    next_draws = []
+    run_counts = _kernels.run_counts
+
+    def spy(gens, bounds, *args):
+        groups.append(list(bounds))
+        events.append(run_counts(gens, bounds, *args))
+        next_draws.extend(gen.random() for gen in gens)
+        return events[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(_kernels, "run_counts", spy)
+        out = simulator._count_cells(chain, cells, np.asarray(times), replicas)
+    return out, sum(events), next_draws, groups
+
+
+@pytest.mark.parametrize("times", [[0.25, 0.5, 1.0, 2.0], [0.0, 0.5, 0.5, 3.0]],
+                         ids=["increasing", "zero-and-repeat"])
+@pytest.mark.parametrize("replicas", [1, 7, 400, 2500])
+def test_packed_blocks_match_one_block_at_a_time(
+        three_site_chain, monkeypatch, replicas, times):
+    # Cells of mixed N share lockstep groups, and every count, the event
+    # total and every block's next draw equal those of each block run
+    # alone.  At 2500 replicas each cell has two full blocks and a half
+    # one, and every group holds one block.
+    chain = three_site_chain
+    cells = [(np.arange(n, dtype=np.int64) % chain.n, ReplicaSeed(11, 5 * n))
+             for n in (2, 5, 17, 60)]
+    packed, events, draws, groups = _packed(chain, cells, times, replicas,
+                                            monkeypatch)
+    expected, n_events, next_draws = _one_block_at_a_time(
+        chain, cells, np.asarray(times), replicas)
+    np.testing.assert_array_equal(packed, expected)
+    assert events == n_events > 0
+    assert draws == next_draws
+    assert max(bounds[-1] for bounds in groups) <= BLOCK_REPLICAS
+    assert sum(len(bounds) - 1 for bounds in groups) == len(cells) * (
+        -(-replicas // BLOCK_REPLICAS))
+    if 2 * replicas <= BLOCK_REPLICAS:
+        assert len(groups[0]) - 1 == min(len(cells), BLOCK_REPLICAS // replicas)
+
+
+def test_packed_single_site_cells(single_site_chain, monkeypatch):
+    # One site: every event is a revival onto that site, so the counts
+    # never move, packed or not.
+    cells = [(np.zeros(n, dtype=np.int64), ReplicaSeed(4, n)) for n in (2, 9)]
+    packed, events, draws, groups = _packed(single_site_chain, cells,
+                                            [0.5, 2.0], 300, monkeypatch)
+    expected, n_events, next_draws = _one_block_at_a_time(
+        single_site_chain, cells, np.array([0.5, 2.0]), 300)
+    np.testing.assert_array_equal(packed, expected)
+    np.testing.assert_array_equal(packed[:, :, :, 0], [[[2] * 2] * 300,
+                                                       [[9] * 2] * 300])
+    assert events == n_events and draws == next_draws
+    assert groups == [[0, 300, 600]]
 
 
 def test_run_events_counts_events(golden_chain):
