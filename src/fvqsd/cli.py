@@ -40,6 +40,7 @@ from .errors import (
     HorizonOverflowError,
 )
 from .estimators import (
+    N_BATCHES,
     ConvergenceCurve,
     convergence_experiment,
     correlation_experiment,
@@ -181,7 +182,7 @@ _POSITIVE = _number(0.0, strict=True)
 _N_LIST = _list_of(_PARTICLES, increasing=True)
 _STATIONARY = (
     Param("burn_in", _POSITIVE),
-    Param("n_samples", _integer(40)),
+    Param("n_samples", _integer(2 * N_BATCHES)),
     Param("spacing", _POSITIVE),
 )
 

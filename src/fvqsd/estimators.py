@@ -58,6 +58,11 @@ def extreme_profiles(n: int) -> list[NDArray[np.float64]]:
 N_BATCHES = 20
 
 
+def _check_batches(n_samples: int) -> None:
+    if n_samples < 2 * N_BATCHES:
+        raise ValueError(f"need at least {2 * N_BATCHES} samples, 2 per batch")
+
+
 def batch_means_se(samples: ArrayLike) -> float:
     """Standard error for autocorrelated samples via batch means.
 
@@ -65,8 +70,7 @@ def batch_means_se(samples: ArrayLike) -> float:
     and returns std(batch means)/sqrt(N_BATCHES).
     """
     x = np.asarray(samples, dtype=np.float64)
-    if x.size < 2 * N_BATCHES:
-        raise ValueError("need at least 2 samples per batch")
+    _check_batches(x.size)
     size = x.size // N_BATCHES
     means = x[: size * N_BATCHES].reshape(N_BATCHES, size).mean(axis=1)
     return float(means.std(ddof=1) / np.sqrt(N_BATCHES))
@@ -227,12 +231,17 @@ def qsd_profile_experiment(
     """Stationary mean of ||m - nu||_TV per particle count.
 
     One long trajectory per N, the k-th on ``seed.offset(k)``; batch-means
-    standard errors since the samples are autocorrelated.  A QSD that did
-    not converge raises QsdNotConvergedError.
+    standard errors since the samples are autocorrelated.  An unsorted or
+    repeated n_list, or fewer than 2 samples per batch, raises ValueError
+    before any draw; a QSD that did not converge raises
+    QsdNotConvergedError.
     """
+    n_arr = np.asarray(n_list, dtype=np.int64)
+    if np.any(np.diff(n_arr) <= 0):
+        raise ValueError("n_list must be strictly increasing")
+    _check_batches(n_samples)
     solution = qsd(chain).require_converged()
     seed = as_replica_seed(seed)
-    n_arr = np.asarray(n_list, dtype=np.int64)
     estimates = np.empty(n_arr.size)
     std_errors = np.empty(n_arr.size)
     for k, n_particles in enumerate(n_arr):
@@ -263,10 +272,12 @@ def product_moment_experiment(
     seed: ReplicaSeed | int,
 ) -> ProductMomentEstimate:
     """Stationary mean of the product of m over a site subset, with the
-    matching product of quasi-stationary weights as reference.  A QSD that
-    did not converge raises QsdNotConvergedError."""
+    matching product of quasi-stationary weights as reference.  Fewer than
+    2 samples per batch raise ValueError before any draw; a QSD that did
+    not converge raises QsdNotConvergedError."""
     if not sites:
         raise ValueError("need at least one site")
+    _check_batches(n_samples)
     idx = [_resolve_site(chain, s) for s in sites]
     if len(set(idx)) != len(idx):
         raise ValueError("sites must be distinct")

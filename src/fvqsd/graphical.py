@@ -28,10 +28,10 @@ particle by the horizon is computable by a backward scan over the
 (particle, partner) pairs alone.
 
 Internal events add nobody to an influence set, and neither does a copy
-event whose particle lies outside it, so ``influence_experiment`` draws no
-realization: each block of replicas has one stream, from which a lockstep
-backward scan draws, per replica and step, only the next copy event whose
-particle is in one of the two sets it follows.
+event whose particle lies outside it.  Labels are exchangeable, so the two
+sets that ``influence_experiment`` follows matter only through their sizes
+and whether they have met: it draws no realization, and scans that small
+chain per replica, in lockstep blocks with one stream each.
 """
 from __future__ import annotations
 
@@ -49,10 +49,6 @@ from .errors import HorizonOverflowError
 from .parallel import map_replicas  # noqa: F401
 from .seeding import BLOCK_REPLICAS, ReplicaSeed, as_replica_seed
 from .simulator import validate_configuration
-
-# influence_experiment caps its blocks so that one block's membership
-# array holds at most this many bytes (16 MiB).
-SCAN_BYTES = 2**24
 
 __all__ = [
     "MarkRealization",
@@ -130,16 +126,6 @@ def _event_count(
         ) from None
 
 
-def _copy_targets(
-    gen: np.random.Generator, n_particles: int, particle: NDArray[np.int64]
-) -> NDArray[np.int64]:
-    # One target per copy event of particle.  Shifting the draws at or
-    # above the particle makes them uniform over the other N - 1 labels.
-    target = gen.integers(0, n_particles - 1, particle.size)
-    target += target >= particle
-    return target
-
-
 def sample_marks(
     chain: AbsorbingChain,
     n_particles: int,
@@ -168,7 +154,10 @@ def sample_marks(
     rate = c_rate + chain.max_internal_rate
     particle = gen.integers(
         0, n_particles, _event_count(gen, n_particles * (rate * horizon)))
-    target = _copy_targets(gen, n_particles, particle)
+    # Shifting the draws at or above the particle makes the targets
+    # uniform over the other N - 1 labels.
+    target = gen.integers(0, n_particles - 1, particle.size)
+    target += target >= particle
     is_copy = gen.random(particle.size) * rate < c_rate
     draws = gen.random((particle.size, n))
     # u * C < absorption(x) is set with probability absorption(x) / C.
@@ -249,61 +238,36 @@ def _influence_samples(
 ) -> tuple[NDArray[np.int64], NDArray[np.bool_]]:
     # Per replica, |set of 0| and whether it meets the set of 1, for a
     # per-particle copy-event mass = C * t; influence_experiment documents
-    # the thinned scan, its blocks and their streams.  A block's membership
-    # array is the prefix of buffer viewed as (2, B, N): row [r, b] is the
-    # set of label r in replica b.
+    # the chain, its blocks and their streams.  Its rates are in units of
+    # C / (N - 1), so the clock stops at C t / (N - 1).
     n = n_particles
-    rows = min(BLOCK_REPLICAS, max(1, SCAN_BYTES // (2 * n)), replicas)
-    buffer = np.empty(2 * rows * n, dtype=np.bool_)
+    horizon = mass / (n - 1)
     sizes = np.empty(replicas, dtype=np.int64)
     overlaps = np.empty(replicas, dtype=np.bool_)
-    for first, stop, gen in seed.blocks(replicas, rows):
-        b = stop - first
-        member = buffer[:2 * b * n].reshape(2, b, n)
-        member.fill(False)
-        member[0, :, 0] = True
-        member[1, :, 1] = True
-        # The replicas still scanning, in replica order: where their row
-        # of the set of 0 starts in buffer, their clock in units of C t,
-        # |set of 0|, and the labels of U in the order they joined it
-        # (the first |U| entries of a row of joined).
-        start = np.arange(b) * n
-        clock = np.zeros(b)
-        size0 = np.ones(b, dtype=np.int64)
-        joined = np.zeros((b, 8), dtype=np.int64)
-        joined[:, 1] = 1
-        count = np.full(b, 2, dtype=np.int64)
-        while start.size:
-            a = start.size
-            clock += gen.standard_exponential(a) / count
-            particle = joined[np.arange(a), gen.integers(0, count)]
-            target = _copy_targets(gen, n, particle)
-            live = clock < mass
-            # One gather: the particle and the target in the set of 0,
-            # then both in the set of 1.
-            at = np.concatenate([start + particle, start + target])
-            at = np.concatenate([at, at + b * n]).reshape(4, a)
-            held = buffer[at]
-            # The target joins each set that holds the particle.
-            grows = held[::2]
-            grows &= live
-            buffer[at[1::2][grows]] = True
-            size0 += grows[0] & ~held[1]
-            # The particle is in U, so a target outside U joins it.
-            new = live & ~(held[1] | held[3])
-            joined[new, count[new]] = target[new]
-            count += new
-            # A full row doubles the list of every replica still scanning.
-            if count.max() == joined.shape[1]:
-                joined = np.concatenate([joined, np.empty_like(joined)], axis=1)
-            keep = live & (size0 < n)
-            if not keep.all():
-                start, clock, size0, joined, count = (
-                    start[keep], clock[keep], size0[keep], joined[keep], count[keep])
-        sizes[first:stop] = np.count_nonzero(member[0], axis=1)
-        # In place, so no temporary of the block's size.
-        overlaps[first:stop] = np.logical_and(
-            member[0], member[1], out=member[0]).any(axis=1)
+    for first, stop, gen in seed.blocks(replicas, BLOCK_REPLICAS):
+        # The replicas still scanning, in replica order: their place in
+        # the output, their clock, a and b (0 once the sets have met).
+        # Floats, so that a (N - a) cannot overflow.
+        at = np.arange(first, stop)
+        clock = np.zeros(at.size)
+        a = np.ones(at.size)
+        b = np.ones(at.size)
+        while at.size:
+            free = n - a - b
+            grow = a * free
+            meet = grow + 2.0 * a * b
+            total = meet + b * free
+            clock += gen.standard_exponential(at.size) / total
+            x = gen.random(at.size) * total
+            live = clock < horizon
+            a += live & (x < grow + a * b)
+            b += live & (x >= meet)
+            b[live & (x >= grow) & (x < meet)] = 0.0
+            done = ~live | (a == n)
+            sizes[at[done]] = a[done]
+            overlaps[at[done]] = b[done] == 0.0
+            keep = ~done
+            at, clock, a, b = at[keep], clock[keep], a[keep], b[keep]
     return sizes, overlaps
 
 
@@ -324,28 +288,26 @@ def influence_experiment(
     normal approximation.  A horizon at which exp(2 C t) is not a finite
     double raises HorizonOverflowError before any draw.
 
-    The backward scan is thinned.  Only a copy event whose particle is in
-    U = (set of 0) | (set of 1) can grow a set, and such events arrive at
-    rate C |U|.  So at each step a replica's clock, in units of C t,
-    advances by Exp(1) / |U|; the particle is a uniform member of U and
-    the target is uniform over the other N - 1 labels, and it joins each
-    set that holds the particle.  A skipped event's particle is in neither
-    set and adds nobody, so by Poisson thinning this is the law of the
-    scan over all copy events.  A replica stops once its clock reaches
-    C t, or once its set of 0 holds all N labels (it then meets the set
-    of 1), so its cost stays bounded at any horizon.
+    The backward scan runs on set sizes.  Only a copy event whose
+    particle is in one of the two sets can grow one, and its target is
+    uniform over the other N - 1 labels.  So, with rates in units of
+    C/(N - 1), while the sets are disjoint with a = |set of 0| and
+    b = |set of 1|, a grows alone at rate a (N - a - b), b alone at
+    b (N - a - b), and the sets meet at 2 a b, half of these events adding
+    one to a (a member of 0 copies onto a member of 1).  Once they have met
+    only a matters, so b is set to 0: the same rates then give a (N - a),
+    and a size of 0 marks the meeting.  A replica stops once its clock
+    reaches C t, or once a = N, so its cost stays bounded at any horizon:
+    about 2 (e^{C t} - 1) events whatever N is.
 
-    Replicas are scanned in lockstep, in blocks of
-    B = min(BLOCK_REPLICAS, max(1, SCAN_BYTES // (2 N))) on a (2, B, N)
-    boolean membership array, so a block holds at most SCAN_BYTES bytes of
-    membership unless N alone exceeds it.  Each block draws from its
-    generator of ``ReplicaSeed.blocks``.  At each step, the A replicas
-    still scanning, in replica order, draw A standard exponentials (the
-    gaps, each divided by its replica's |U|), then A integers below each
-    replica's |U| (the particle's place in the list of U's labels, in the
-    order they joined U, starting 0, 1), then A targets (integers below
-    N - 1, shifted past the particle).  A replica whose clock reaches C t
-    drops out without that step's event.
+    Replicas are scanned in lockstep, in blocks of BLOCK_REPLICAS, each
+    block drawing from its generator of ``ReplicaSeed.blocks``.  At each
+    step, the A replicas still scanning, in replica order, draw A standard
+    exponentials (the gaps, each divided by its replica's total rate),
+    then A uniforms u.  With the rates laid end to end in the order a grows
+    alone, the sets meet and a grows, the sets meet and b grows, b grows
+    alone, the event is the one whose slice holds u times the total rate.
+    A replica whose clock reaches C t drops out without that step's event.
     """
     replicas = operator.index(replicas)
     if replicas < 2:

@@ -245,6 +245,17 @@ def test_largest_accepted_horizon_writes_finite_outputs(tmp_path, kind, params):
     assert "nan" not in (out / "plot.svg").read_text()
 
 
+def test_overlap_at_huge_n_exits_zero(tmp_path):
+    # N = 2**40 used to end in a numpy allocation traceback: the scan kept
+    # two label sets of N booleans per replica.
+    cfg = write_config(tmp_path, kind="overlap", chain=GOLDEN, parameters=dict(
+        OVERLAP, n_particles=2**40, t=1e-6))
+    out = tmp_path / "out"
+    assert main(["overlap", "--config", str(cfg), "--out", str(out)]) == 0
+    cell, = read_summary(out)["results"]["cells"]
+    assert cell["n_particles"] == 2**40 and cell["overlap"] == 0.0
+
+
 # File contents that json cannot decode: bytes that are not UTF-8, arrays
 # nested deeper than the recursion limit, an integer literal longer than
 # the interpreter's digit limit.
@@ -487,9 +498,9 @@ STABLE_HASHES = {
     "convergence": ('0da572d0fa4fdf69', '34687217529ec5fd', '14d9d9d5424e6ccc'),
     "convergence-profiles": ('d69f9f44810c6828', '693ad05488839254', 'f418c9e7d8ae5399'),
     "qsd_profile": ('1cd5e18471211b02', '751cc0e7f8f13702', '7912144c4ad8bd0e'),
-    "overlap-scalars": ('2fe7774c6fca887f', '4a80bf2545dde319', '1dcfcfc54154b93c'),
-    "overlap-n_list": ('6304e5088723e4a6', 'f8889791d89af9b7', 'e9033bb96d7e43b1'),
-    "overlap-t_grid": ('8662fee7c4bae45d', 'c79fa3b7fc8f18e1', 'c809828092424bd4'),
+    "overlap-scalars": ('ae25f769caa512e5', '90e00ed6e6faa45b', '711236dfbd579a8d'),
+    "overlap-n_list": ('da445c94f1db879f', '1b1fa2593d09018d', '6575e4d7b9ca8a95'),
+    "overlap-t_grid": ('31a1d80d751860ed', '655d413302b2f675', '1d13da260bc3a542'),
     "product_moment-one-site": ('4b3ea265f82c4700', '6a78f6fe0c8de695', '579e19d09925afda'),
     "product_moment": ('4d41a138fa53e0d1', 'c2f7faa54da11957', '36feee2bcfdf1d33'),
     "product_moment-three-sites": ('003e634ca58146bf', '1749891a0fa54c76', 'f99847d19c478cc9'),

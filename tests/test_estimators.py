@@ -26,7 +26,8 @@ from fvqsd import (
     validate_chain,
 )
 from fvqsd import estimators
-from fvqsd.errors import HorizonOverflowError, QsdNotConvergedError
+from fvqsd.cli import PARAMETERS
+from fvqsd.errors import ConfigError, HorizonOverflowError, QsdNotConvergedError
 from fvqsd.simulator import configuration_from_profile
 
 import _pilots
@@ -306,6 +307,18 @@ class TestQsdProfileExperiment:
         assert lhs <= rhs + slack
 
 
+    @pytest.mark.parametrize("n_list", [[1000, 10], [10, 10], [10, 40, 20]])
+    def test_unsorted_n_list_refused_before_drawing(
+            self, golden_chain, monkeypatch, n_list):
+        # Such a list used to run the sampler at every N and only then fail
+        # in ConvergenceCurve.
+        def no_draws(*args):
+            raise AssertionError("sampled before refusing n_list")
+
+        monkeypatch.setattr(estimators, "stationary_sampler", no_draws)
+        with pytest.raises(ValueError, match="n_list must be strictly increasing"):
+            qsd_profile_experiment(golden_chain, n_list, 1.0, 40, 0.5, seed=1)
+
     def test_reductions_match_per_sample_calls(
             self, golden_chain, three_site_chain, five_site_chain):
         # stationary_sampler counts all its samples with one bincount, and
@@ -335,6 +348,33 @@ class TestQsdProfileExperiment:
                                            spacing, seed)
             assert curve.estimates[0] == dists.mean(), chain.states
             assert curve.std_errors[0] == batch_means_se(dists)
+
+
+class TestBatchMinimum:
+    """Both stationary kinds refuse too few samples for batch_means_se
+    before running the sampler (they used to run it first)."""
+
+    @staticmethod
+    def no_draws(*args):
+        raise AssertionError("sampled before refusing n_samples")
+
+    @pytest.mark.parametrize("n_samples", [10, 2 * estimators.N_BATCHES - 1])
+    def test_short_runs_refused_before_drawing(
+            self, golden_chain, monkeypatch, n_samples):
+        monkeypatch.setattr(estimators, "stationary_sampler", self.no_draws)
+        with pytest.raises(ValueError, match="2 per batch"):
+            qsd_profile_experiment(golden_chain, [10], 1.0, n_samples, 0.5, seed=1)
+        with pytest.raises(ValueError, match="2 per batch"):
+            product_moment_experiment(golden_chain, ["1"], 10, 1.0, n_samples,
+                                      0.5, seed=1)
+
+    def test_cli_minimum_is_the_estimators(self):
+        for kind in ("qsd_profile", "product_moment"):
+            convert = next(p.convert for p in PARAMETERS[kind]
+                           if p.name == "n_samples")
+            assert convert(2 * estimators.N_BATCHES, "n_samples", None) == 40
+            with pytest.raises(ConfigError, match="at least 40"):
+                convert(2 * estimators.N_BATCHES - 1, "n_samples", None)
 
 
 class TestUnconvergedQsd:

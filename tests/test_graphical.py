@@ -19,7 +19,7 @@ from fvqsd import (
 )
 from fvqsd import graphical
 from fvqsd.errors import HorizonOverflowError
-from fvqsd.graphical import SCAN_BYTES, _influence_samples
+from fvqsd.graphical import _influence_samples
 from fvqsd.simulator import BLOCK_REPLICAS
 
 import _pilots
@@ -60,39 +60,54 @@ def hand_marks(*events, n_particles=2, n_states=2):
     )
 
 
-def thinned_scan(n_particles, mass, replicas, seed):
-    """Straight-line reference for influence_experiment's thinned scan.
+def size_chain_scan(n_particles, mass, replicas, seed):
+    """Straight-line reference for influence_experiment's size chain.
 
     Per replica, its sets of labels 0 and 1 and the (particle, target)
     pairs it applied, from the horizon back, re-drawn in the documented
     block order: at each step, the replicas still scanning draw their
-    gaps, then their particles' places in U's list, then their targets.
-    N is small enough for blocks of BLOCK_REPLICAS replicas.
+    gaps, then their uniforms.  Each event is put on labels: its particle
+    is the least member of the set that fires, and its target the least
+    member of the other set (the sets meet) or the least label outside
+    the sets that still count (a set grows).  N is small enough for
+    blocks of BLOCK_REPLICAS replicas and for exact float rates.
     """
+    n = n_particles
+    horizon = mass / (n - 1)
     out = []
     for first in range(0, replicas, BLOCK_REPLICAS):
-        gen = ReplicaSeed(seed.master_seed, seed.replica_index + first).generator()
-        scans = [{"sets": ({0}, {1}), "joined": [0, 1], "clock": 0.0, "pairs": []}
+        gen = seed.offset(first).generator()
+        scans = [{"sets": ({0}, {1}), "clock": 0.0, "pairs": []}
                  for _ in range(min(BLOCK_REPLICAS, replicas - first))]
         scanning = scans
         while scanning:
             gaps = gen.standard_exponential(len(scanning))
-            places = gen.integers(0, [len(scan["joined"]) for scan in scanning])
-            draws = gen.integers(0, n_particles - 1, len(scanning))
+            draws = gen.random(len(scanning))
             still = []
-            for scan, gap, place, draw in zip(scanning, gaps, places, draws):
-                scan["clock"] += gap / len(scan["joined"])
-                if scan["clock"] >= mass:
+            for scan, gap, draw in zip(scanning, gaps, draws):
+                zero, one = scan["sets"]
+                # After the sets meet, only the set of 0 counts.
+                counted = zero if zero & one else zero | one
+                a, b = len(zero), len(counted) - len(zero)
+                free = n - a - b
+                # a grows alone; the sets meet, a growing; they meet, b
+                # growing; b grows alone.
+                rates = (a * free, a * b, a * b, b * free)
+                total = float(sum(rates))
+                scan["clock"] += gap / total
+                if scan["clock"] >= horizon:
                     continue
-                particle = scan["joined"][place]
-                target = int(draw) + int(draw >= particle)
+                x = draw * total
+                event = sum(x >= edge for edge in itertools.accumulate(rates[:3]))
+                outside = min(set(range(n)) - counted, default=None)
+                particle, target = (
+                    (min(zero), outside), (min(zero), min(one)),
+                    (min(one), min(zero)), (min(one), outside))[event]
                 scan["pairs"].append((particle, target))
                 for members in scan["sets"]:
                     if particle in members:
                         members.add(target)
-                if target not in scan["joined"]:
-                    scan["joined"].append(target)
-                if len(scan["sets"][0]) < n_particles:
+                if len(zero) < n:
                     still.append(scan)
             scanning = still
         out.extend(scans)
@@ -495,7 +510,7 @@ class TestInfluenceExperiment:
         reps = BLOCK_REPLICAS + 37
         seed = ReplicaSeed(31, 7)
         mass = three_site_chain.max_absorption_rate * t
-        scans = thinned_scan(n, mass, reps, seed)
+        scans = size_chain_scan(n, mass, reps, seed)
         sizes = np.array([len(scan["sets"][0]) for scan in scans])
         overlaps = np.array([bool(scan["sets"][0] & scan["sets"][1])
                              for scan in scans])
@@ -554,19 +569,17 @@ class TestInfluenceExperiment:
         assert overlap.bound > 1e300
         assert size.mean_size == 3.0 and overlap.probability == 1.0
 
-    def test_block_rows_keep_membership_under_cap(self, golden_chain):
-        # At N = 2**20 the cap allows 8 rows a block (16 MiB); 20 rows in
-        # one block would hold 40 MiB.  The rest of the peak is numpy's
-        # reduction buffers (64 KiB) and the O(B) per-step arrays.
-        n = 2**20
+    def test_huge_n_scans_in_little_memory(self, golden_chain):
+        # The scan holds a few numbers per replica whatever N is: label
+        # sets at N = 2**40 would take 2 TiB a block.
         tracemalloc.start()
         try:
-            influence_experiment(golden_chain, n, 1e-7, 20, 3)
+            size, overlap = influence_experiment(golden_chain, 2**40, 1e-6, 2000, 3)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert SCAN_BYTES // (2 * n) == 8
-        assert SCAN_BYTES <= peak <= SCAN_BYTES + 2**17, peak
+        assert peak < 2**20, peak
+        assert 1.0 <= size.mean_size < 1.01 and overlap.probability == 0.0
 
     def test_overlap_matches_exact(self, three_site_chain):
         # C = 1.5, N = 6, t = 0.3: 20k replicas against the pair chain.
@@ -627,6 +640,19 @@ class TestOverlapOracle:
         for n in (2, 3, 5, 11, 41, 101, 201):
             for t in (0.05, 0.1, 0.25, 0.5, 1.0, 2.0, 3.0):
                 assert overlap_probability(n, 1.0, t) <= self.bound(n, t), (n, t)
+
+    def test_sampled_overlap_matches_pair_chain(self, golden_chain):
+        # Label-level sets from sample_marks, with no size chain in between:
+        # 10k realizations on the golden chain (C = 1), N = 5, t = 0.5.
+        n, t, reps = 5, 0.5, 10000
+        met = sum(
+            np.any(np.logical_and.reduce(influence_matrix(
+                sample_marks(golden_chain, n, t, ReplicaSeed(4343, r)),
+                roots=[0, 1])))
+            for r in range(reps))
+        exact = overlap_probability(n, 1.0, t)
+        se = np.sqrt(exact * (1.0 - exact) / reps)
+        assert abs(met / reps - exact) < 4 * se, (met / reps, exact)
 
     def test_recorded_pilot_overlaps_match_exact(self):
         # The criterion-06 pilot record, against the exact overlap.
