@@ -38,8 +38,12 @@ Randomness is drawn only through np.random.Generator methods in a fixed
 order, so a seeded generator reproduces its trajectories bit for bit.
 
 The graphical engine draws nothing here: ``apply_marks`` replays a mark
-realization's event table in order, and ``influence_matrix_kernel`` scans
-its (particle, partner) pairs backward.
+realization's event table in order, reading the site maps as one flat
+list with a row offset per event, and ``influence_matrix_kernel`` scans
+its (particle, partner) pairs backward once for all roots: each label
+holds a Python-int bitmask of the roots whose set contains it, so the
+scan makes one pass over the events, not one per root, and the N masks
+unpack into the (roots, N) matrix at the end.
 """
 from __future__ import annotations
 
@@ -277,8 +281,11 @@ def apply_marks(positions, particle, partner, maps):
     current site of partner[e] where that entry is -1.
     """
     pos = positions.tolist()
-    for i, j, row in zip(particle.tolist(), partner.tolist(), maps.tolist()):
-        y = row[pos[i]]
+    # Row e of maps starts at e * n_sites of the flat table.
+    flat = maps.ravel().tolist()
+    rows = range(0, len(flat), maps.shape[1])
+    for i, j, row in zip(particle.tolist(), partner.tolist(), rows):
+        y = flat[row + pos[i]]
         pos[i] = pos[j] if y < 0 else y
     positions[:] = pos
     return positions
@@ -292,14 +299,20 @@ def influence_matrix_kernel(roots, n_particles, particle, partner, out):
     horizon.  particle and partner list the events in replay order; the
     scan walks them backward and, whenever a current member is an event's
     particle, adds its partner, whether or not the event takes the
-    partner's site at runtime.
+    partner's site at runtime.  All roots share one pass: bit r of label
+    j's mask says whether j is in row r, so an event ORs its particle's
+    mask into its partner's.
     """
-    events = list(zip(particle.tolist()[::-1], partner.tolist()[::-1]))
+    member = [0] * n_particles
     for r, root in enumerate(roots.tolist()):
-        member = [False] * n_particles
-        member[root] = True
-        for i, j in events:
-            if member[i]:
-                member[j] = True
-        out[r] = member
+        member[root] |= 1 << r
+    for i, j in zip(reversed(particle.tolist()), reversed(partner.tolist())):
+        if member[i]:
+            member[j] |= member[i]
+    # Label j's mask as little-endian bytes is row j of the transpose.
+    width = (len(roots) + 7) // 8
+    packed = np.frombuffer(b"".join(m.to_bytes(width, "little") for m in member),
+                           dtype=np.uint8).reshape(n_particles, width)
+    bits = np.unpackbits(packed, axis=1, count=len(roots), bitorder="little")
+    out[...] = bits.T
     return out

@@ -501,33 +501,31 @@ def _run_overlap(ctx: RunContext):
     rows = []
     checks = []
     cells = []
-    for n_particles in n_values:
-        for t in t_values:
-            size, overlap = influence_experiment(
-                ctx.chain, n_particles, t, replicas,
-                ctx.seed.offset(len(cells) * replicas),
-            )
-            for experiment, estimate, est in (
-                ("overlap", overlap.probability, overlap),
-                ("influence_size", size.mean_size, size),
-            ):
-                rows.append(dict(
-                    experiment=experiment, N=n_particles, t=t,
-                    estimate=estimate, se=est.std_error, bound=est.bound,
-                    replicas=replicas,
-                ))
-                checks.append(_check(
-                    f"{experiment}_within_bound[N={n_particles},t={t:g}]",
-                    estimate,
-                    est.bound + 3.0 * est.std_error,
-                ))
-            cells.append({
-                "n_particles": n_particles, "t": t,
-                "overlap": overlap.probability, "overlap_bound": overlap.bound,
-                "overlap_ci": [overlap.ci_low, overlap.ci_high],
-                "mean_influence_size": size.mean_size,
-                "size_bound": size.bound,
-            })
+    grid = [(n, t) for n in n_values for t in t_values]
+    estimates = influence_experiment(
+        ctx.chain, n_values, t_values, replicas, ctx.seed)
+    for (n_particles, t), (size, overlap) in zip(grid, estimates):
+        for experiment, estimate, est in (
+            ("overlap", overlap.probability, overlap),
+            ("influence_size", size.mean_size, size),
+        ):
+            rows.append(dict(
+                experiment=experiment, N=n_particles, t=t,
+                estimate=estimate, se=est.std_error, bound=est.bound,
+                replicas=replicas,
+            ))
+            checks.append(_check(
+                f"{experiment}_within_bound[N={n_particles},t={t:g}]",
+                estimate,
+                est.bound + 3.0 * est.std_error,
+            ))
+        cells.append({
+            "n_particles": n_particles, "t": t,
+            "overlap": overlap.probability, "overlap_bound": overlap.bound,
+            "overlap_ci": [overlap.ci_low, overlap.ci_high],
+            "mean_influence_size": size.mean_size,
+            "size_bound": size.bound,
+        })
     # One N and several t: plot against t.  Otherwise plot against N, at
     # the first t of the grid.
     if len(t_values) > 1 and len(n_values) == 1:
@@ -724,8 +722,9 @@ def main(argv: list[str] | None = None) -> int:
             threads=args.threads,
             seed=args.seed,
         )
-    except (FvqsdError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (FvqsdError, OSError, MemoryError) as exc:
+        # Python's own MemoryError has no message; numpy's names the size.
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

@@ -31,11 +31,15 @@ Internal events add nobody to an influence set, and neither does a copy
 event whose particle lies outside it.  Labels are exchangeable, so the two
 sets that ``influence_experiment`` follows matter only through their sizes
 and whether they have met: it draws no realization, and scans that small
-chain per replica, in lockstep blocks with one stream each.
+chain per replica.  It takes a grid of (N, t) cells, cell k keyed from
+``seed.offset(k * replicas)``, and steps every block of every cell in one
+lockstep loop; each block keeps its own stream, N and horizon, and draws
+in the order it would draw alone.
 """
 from __future__ import annotations
 
 import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -234,59 +238,82 @@ class InfluenceSizeEstimate:
 
 
 def _influence_samples(
-    n_particles: int, mass: float, replicas: int, seed: ReplicaSeed
+    cells: list[tuple[int, float]], replicas: int, seed: ReplicaSeed
 ) -> tuple[NDArray[np.int64], NDArray[np.bool_]]:
-    # Per replica, |set of 0| and whether it meets the set of 1, for a
-    # per-particle copy-event mass = C * t; influence_experiment documents
-    # the chain, its blocks and their streams.  Its rates are in units of
-    # C / (N - 1), so the clock stops at C t / (N - 1).
-    n = n_particles
-    horizon = mass / (n - 1)
-    sizes = np.empty(replicas, dtype=np.int64)
-    overlaps = np.empty(replicas, dtype=np.bool_)
-    for first, stop, gen in seed.blocks(replicas, BLOCK_REPLICAS):
-        # The replicas still scanning, in replica order: their place in
-        # the output, their clock, a and b (0 once the sets have met).
-        # Floats, so that a (N - a) cannot overflow.
-        at = np.arange(first, stop)
-        clock = np.zeros(at.size)
-        a = np.ones(at.size)
-        b = np.ones(at.size)
-        while at.size:
-            free = n - a - b
-            grow = a * free
-            meet = grow + 2.0 * a * b
-            total = meet + b * free
-            clock += gen.standard_exponential(at.size) / total
-            x = gen.random(at.size) * total
-            live = clock < horizon
-            a += live & (x < grow + a * b)
-            b += live & (x >= meet)
-            b[live & (x >= grow) & (x < meet)] = 0.0
-            done = ~live | (a == n)
+    # Per replica of each (N, mass) cell, |set of 0| and whether it meets
+    # the set of 1, for a per-particle copy-event mass = C * t, as arrays
+    # of shape (cells, replicas); influence_experiment documents the chain,
+    # the streams and the draw order.  Rates are in units of C / (N - 1),
+    # so a cell's clock stops at C t / (N - 1).
+    blocks = [
+        (float(n), mass / (n - 1), stop - first, gen)
+        for k, (n, mass) in enumerate(cells)
+        for first, stop, gen in seed.offset(k * replicas).blocks(
+            replicas, BLOCK_REPLICAS)
+    ]
+    block_n, block_horizon, block_sizes, gens = zip(*blocks)
+    gaps = [g.standard_exponential for g in gens]
+    uniforms = [g.random for g in gens]
+    sizes = np.empty(len(cells) * replicas, dtype=np.int64)
+    overlaps = np.empty(sizes.size, dtype=np.bool_)
+    # Block b writes [bounds[b], bounds[b + 1]) of the output.
+    bounds = np.cumsum((0,) + block_sizes)
+    live_counts = list(block_sizes)
+    # The replicas still scanning, in replica order: their place in the
+    # output, and a row each of their N, horizon, clock, a and b (0 once
+    # the sets have met).  Floats, so that a (N - a) cannot overflow.
+    at = np.arange(sizes.size)
+    state = np.stack([np.repeat(block_n, block_sizes),
+                      np.repeat(block_horizon, block_sizes),
+                      np.zeros(at.size), np.ones(at.size), np.ones(at.size)])
+    while at.size:
+        n, horizon, clock, a, b = state
+        ab = a * b
+        free = n - a - b
+        grow = a * free
+        meet = grow + 2.0 * ab
+        total = meet + b * free
+        clock += _kernels._draws(gaps, live_counts) / total
+        x = _kernels._draws(uniforms, live_counts) * total
+        live = clock < horizon
+        a += live & (x < grow + ab)
+        b += live & (x >= meet)
+        b[live & (x >= grow) & (x < meet)] = 0.0
+        done = ~live | (a == n)
+        if done.any():
             sizes[at[done]] = a[done]
             overlaps[at[done]] = b[done] == 0.0
             keep = ~done
-            at, clock, a, b = at[keep], clock[keep], a[keep], b[keep]
-    return sizes, overlaps
+            at = at[keep]
+            state = state.compress(keep, axis=1)
+            live_counts = np.diff(at.searchsorted(bounds)).tolist()
+    return (sizes.reshape(len(cells), replicas),
+            overlaps.reshape(len(cells), replicas))
 
 
 def influence_experiment(
     chain: AbsorbingChain,
-    n_particles: int,
-    t: float,
+    n_list: Sequence[int],
+    t_grid: Sequence[float],
     replicas: int,
     seed: ReplicaSeed | int,
-) -> tuple[InfluenceSizeEstimate, OverlapEstimate]:
-    """Monte Carlo check data for the two influence-set bounds.
+) -> list[tuple[InfluenceSizeEstimate, OverlapEstimate]]:
+    """Monte Carlo check data for the two influence-set bounds, per cell.
+
+    The cells are the pairs (N, t), N from ``n_list`` and t from
+    ``t_grid``, counted in ``n_list`` order, then ``t_grid`` order; one
+    (InfluenceSizeEstimate, OverlapEstimate) pair comes back per cell, in
+    that order.  Cell k's replicas draw from ``seed.offset(k * replicas)``,
+    so a one-cell call with that seed reproduces cell k.
 
     Each replica computes the influence sets of labels 0 and 1
     (exchangeability makes the choice irrelevant) from its copy events:
     the mean of |set of 0| is compared against exp(C t) and the frequency
     of the two sets intersecting against (exp(2 C t) - 1)/(N - 1), where C
     is the chain's maximal absorption rate.  The overlap CI is the 95%
-    normal approximation.  A horizon at which exp(2 C t) is not a finite
-    double raises HorizonOverflowError before any draw.
+    normal approximation.  Every cell is checked before any draw: a
+    horizon at which exp(2 C t) is not a finite double raises
+    HorizonOverflowError.
 
     The backward scan runs on set sizes.  Only a copy event whose
     particle is in one of the two sets can grow one, and its target is
@@ -300,37 +327,45 @@ def influence_experiment(
     reaches C t, or once a = N, so its cost stays bounded at any horizon:
     about 2 (e^{C t} - 1) events whatever N is.
 
-    Replicas are scanned in lockstep, in blocks of BLOCK_REPLICAS, each
-    block drawing from its generator of ``ReplicaSeed.blocks``.  At each
-    step, the A replicas still scanning, in replica order, draw A standard
-    exponentials (the gaps, each divided by its replica's total rate),
-    then A uniforms u.  With the rates laid end to end in the order a grows
-    alone, the sets meet and a grows, the sets meet and b grows, b grows
-    alone, the event is the one whose slice holds u times the total rate.
-    A replica whose clock reaches C t drops out without that step's event.
+    Each cell's replicas come in blocks of BLOCK_REPLICAS, each drawing
+    from its generator of ``ReplicaSeed.blocks``, and every block of every
+    cell is scanned in one lockstep loop, each with its own N and horizon.
+    At each step, each block whose A replicas are still scanning draws,
+    for them in replica order, A standard exponentials (the gaps, each
+    divided by its replica's total rate), then A uniforms u.  That is the
+    order in which the block draws when it is scanned alone, so packing
+    the blocks changes no result.  With the rates laid end to end in the
+    order a grows alone, the sets meet and a grows, the sets meet and b
+    grows, b grows alone, the event is the one whose slice holds u times
+    the total rate.  A replica whose clock reaches C t drops out without
+    that step's event.
     """
     replicas = operator.index(replicas)
     if replicas < 2:
         raise ValueError("replicas must be at least 2")
-    n_particles, t = _check_size(n_particles, t)
-    check_bound_horizon(chain, t)
+    cells = [_check_size(n, t) for n in n_list for t in t_grid]
+    if not cells:
+        raise ValueError("n_list and t_grid must be nonempty")
+    for _, t in cells:
+        check_bound_horizon(chain, t)
     c_rate = chain.max_absorption_rate
     sizes, overlaps = _influence_samples(
-        n_particles, c_rate * t, replicas, as_replica_seed(seed))
-
-    size_est = InfluenceSizeEstimate(
-        mean_size=float(sizes.mean()),
-        std_error=float(sizes.std(ddof=1) / np.sqrt(replicas)),
-        bound=float(np.exp(c_rate * t)),
-    )
-    p_hat = float(overlaps.mean())
-    p_se = float(np.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / replicas))
-    n_bound = (np.exp(2.0 * c_rate * t) - 1.0) / (n_particles - 1)
-    overlap_est = OverlapEstimate(
-        probability=p_hat,
-        std_error=p_se,
-        ci_low=max(0.0, p_hat - 1.96 * p_se),
-        ci_high=min(1.0, p_hat + 1.96 * p_se),
-        bound=float(n_bound),
-    )
-    return size_est, overlap_est
+        [(n, c_rate * t) for n, t in cells], replicas, as_replica_seed(seed))
+    out = []
+    for (n_particles, t), cell_sizes, cell_overlaps in zip(cells, sizes, overlaps):
+        size_est = InfluenceSizeEstimate(
+            mean_size=float(cell_sizes.mean()),
+            std_error=float(cell_sizes.std(ddof=1) / np.sqrt(replicas)),
+            bound=float(np.exp(c_rate * t)),
+        )
+        p_hat = float(cell_overlaps.mean())
+        p_se = float(np.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / replicas))
+        n_bound = (np.exp(2.0 * c_rate * t) - 1.0) / (n_particles - 1)
+        out.append((size_est, OverlapEstimate(
+            probability=p_hat,
+            std_error=p_se,
+            ci_low=max(0.0, p_hat - 1.96 * p_se),
+            ci_high=min(1.0, p_hat + 1.96 * p_se),
+            bound=float(n_bound),
+        )))
+    return out

@@ -183,8 +183,8 @@ def influence_pilot():
     index = 0
     for n in INFLUENCE_GRID["n_values"]:
         for t in INFLUENCE_GRID["t_values"]:
-            size, overlap = influence_experiment(
-                chain, n, t, INFLUENCE_GRID["replicas"],
+            [(size, overlap)] = influence_experiment(
+                chain, [n], [t], INFLUENCE_GRID["replicas"],
                 ReplicaSeed(MASTER_SEED + 3, index))
             index += 1
             size_margin = size.bound + 3 * size.std_error - size.mean_size

@@ -207,6 +207,28 @@ def test_malformed_input_exits_one_with_one_line(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("message, line", [
+    ("Unable to allocate 7.28 TiB for an array with shape (1000000000000,) "
+     "and data type int64", "error: Unable to allocate 7.28 TiB"),
+    ("", "error: MemoryError"),
+], ids=["numpy", "bare"])
+def test_out_of_memory_exits_one_with_one_line(
+        tmp_path, capsys, monkeypatch, message, line):
+    # replicas: 10**12 used to end in numpy's multi-line traceback.  The
+    # scan raises in its place, so nothing large is allocated.
+    def out_of_memory(*args):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(fvqsd.graphical, "_influence_samples", out_of_memory)
+    cfg = write_config(tmp_path, kind="overlap", chain=GOLDEN, parameters={
+        "n_particles": 4, "t": 0.5, "replicas": 10**12})
+    out = tmp_path / "out"
+    assert main(["overlap", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(line) and len(err.splitlines()) == 1, err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     [], ["simulate"], ["validate"], ["bogus"], ["qsd", "--config", "c.json", "--bogus"],
 ], ids=["no-command", "no-config", "validate-no-config", "unknown-command",

@@ -114,6 +114,59 @@ def size_chain_scan(n_particles, mass, replicas, seed):
     return out
 
 
+def one_block_at_a_time(cells, replicas, seed):
+    """Each (N, mass) cell's blocks of ReplicaSeed.blocks, keyed as
+    influence_experiment keys them, each scanned alone by the straight
+    per-block loop; returns the sizes and overlaps, shape (cells,
+    replicas), and each block's next draw after its scan."""
+    sizes = np.empty((len(cells), replicas), dtype=np.int64)
+    overlaps = np.empty((len(cells), replicas), dtype=np.bool_)
+    next_draws = []
+    for k, (n, mass) in enumerate(cells):
+        horizon = mass / (n - 1)
+        for first, stop, gen in seed.offset(k * replicas).blocks(
+                replicas, BLOCK_REPLICAS):
+            at = np.arange(first, stop)
+            clock = np.zeros(at.size)
+            a = np.ones(at.size)
+            b = np.ones(at.size)
+            while at.size:
+                free = n - a - b
+                grow = a * free
+                meet = grow + 2.0 * a * b
+                total = meet + b * free
+                clock += gen.standard_exponential(at.size) / total
+                x = gen.random(at.size) * total
+                live = clock < horizon
+                a += live & (x < grow + a * b)
+                b += live & (x >= meet)
+                b[live & (x >= grow) & (x < meet)] = 0.0
+                done = ~live | (a == n)
+                sizes[k, at[done]] = a[done]
+                overlaps[k, at[done]] = b[done] == 0.0
+                keep = ~done
+                at, clock, a, b = at[keep], clock[keep], a[keep], b[keep]
+            next_draws.append(gen.random())
+    return sizes, overlaps, next_draws
+
+
+def packed_scan(cells, replicas, seed, monkeypatch):
+    """_influence_samples on the cells, and each block's next draw after
+    the packed scan."""
+    gens = []
+    blocks = ReplicaSeed.blocks
+
+    def spy(self, *args):
+        for first, stop, gen in blocks(self, *args):
+            gens.append(gen)
+            yield first, stop, gen
+
+    with monkeypatch.context() as patch:
+        patch.setattr(ReplicaSeed, "blocks", spy)
+        sizes, overlaps = _influence_samples(cells, replicas, seed)
+    return sizes, overlaps, [gen.random() for gen in gens]
+
+
 def pooled_chi_square(counts, expected, least=10.0):
     """Chi-square of counts against expected, over runs of adjacent cells
     pooled until each holds at least ``least`` expected counts (a short
@@ -152,10 +205,13 @@ class TestSampleMarks:
         # at the 5.5-particle rate) and to end in a numpy TypeError inside
         # influence_experiment's scan.
         for call in (lambda: sample_marks(golden_chain, 5.5, 1.0, 3),
-                     lambda: influence_experiment(golden_chain, 5.5, 0.5, 10, 3),
-                     lambda: influence_experiment(golden_chain, 5, 0.5, 10.5, 3)):
+                     lambda: influence_experiment(golden_chain, [5.5], [0.5], 10, 3),
+                     lambda: influence_experiment(golden_chain, [5], [0.5], 10.5, 3)):
             with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
                 call()
+        for n_list, t_grid in (([], [0.5]), ([5], [])):
+            with pytest.raises(ValueError, match="must be nonempty"):
+                influence_experiment(golden_chain, n_list, t_grid, 10, 3)
 
     def test_horizon_zero_empty(self, golden_chain):
         marks = sample_marks(golden_chain, 5, 0.0, 0)
@@ -174,8 +230,8 @@ class TestSampleMarks:
         b = sample_marks(golden_chain, 6, 2.0, ReplicaSeed(12))
         np.testing.assert_array_equal(a.partner, b.partner)
         np.testing.assert_array_equal(a.maps, b.maps)
-        assert influence_experiment(golden_chain, 6, 0.5, 4, seed) == \
-            influence_experiment(golden_chain, 6, 0.5, 4, ReplicaSeed(12))
+        assert influence_experiment(golden_chain, [6], [0.5], 4, seed) == \
+            influence_experiment(golden_chain, [6], [0.5], 4, ReplicaSeed(12))
 
     def test_golden_fields_are_degenerate(self, golden_chain):
         # absorption = (1, 0) and C = 1: the indicator always fires at
@@ -303,7 +359,7 @@ class TestSampleMarks:
         with pytest.raises(HorizonOverflowError, match="Poisson range"):
             sample_marks(golden_chain, 4, 1e20, 0)
         with pytest.raises(HorizonOverflowError):
-            influence_experiment(golden_chain, 4, 1e20, 2, 0)
+            influence_experiment(golden_chain, [4], [1e20], 2, 0)
 
     def test_negative_target_rejected(self):
         # A negative label would be read as label N - 1 by the kernels.
@@ -493,8 +549,8 @@ class TestCoupling:
 
 class TestInfluenceExperiment:
     def test_bounds_and_ci(self, golden_chain):
-        size, overlap = influence_experiment(
-            golden_chain, 41, 0.25, replicas=400, seed=5
+        [(size, overlap)] = influence_experiment(
+            golden_chain, [41], [0.25], replicas=400, seed=5
         )
         assert size.mean_size <= size.bound + 3 * size.std_error
         assert overlap.probability <= overlap.bound + 3 * overlap.std_error
@@ -524,10 +580,10 @@ class TestInfluenceExperiment:
             assert rows[0].sum() == size
             assert np.any(rows[0] & rows[1]) == overlap
         assert 0.0 < overlaps.mean() < 1.0 and sizes.max() > 1
-        lockstep = _influence_samples(n, mass, reps, seed)
+        lockstep = [v[0] for v in _influence_samples([(n, mass)], reps, seed)]
         np.testing.assert_array_equal(lockstep[0], sizes)
         np.testing.assert_array_equal(lockstep[1], overlaps)
-        size, overlap = influence_experiment(three_site_chain, n, t, reps, seed)
+        [(size, overlap)] = influence_experiment(three_site_chain, [n], [t], reps, seed)
         assert size.mean_size == sizes.mean()
         assert size.std_error == sizes.std(ddof=1) / np.sqrt(reps)
         assert overlap.probability == overlaps.mean()
@@ -537,7 +593,7 @@ class TestInfluenceExperiment:
         # The |set of 0| histogram against the birth chain's law, and the
         # overlap frequency against the pair chain, at C = 1 and t = mass.
         reps = 20000
-        sizes, overlaps = _influence_samples(n, mass, reps, ReplicaSeed(1919))
+        (sizes,), (overlaps,) = _influence_samples([(n, mass)], reps, ReplicaSeed(1919))
         law = series_expm(influence_size_generator(n, 1.0), mass)[0]
         chi2, quantile = pooled_chi_square(
             np.bincount(sizes - 1, minlength=n), reps * law)
@@ -549,7 +605,7 @@ class TestInfluenceExperiment:
     def test_saturating_scan_ends_full(self):
         # At C t = 40 every set of 0 reaches all N = 3 labels, where the
         # scan stops, and so meets the set of 1.
-        sizes, overlaps = _influence_samples(3, 40.0, 2000, ReplicaSeed(1919))
+        (sizes,), (overlaps,) = _influence_samples([(3, 40.0)], 2000, ReplicaSeed(1919))
         assert (sizes == 3).all() and overlaps.all()
 
     def test_overflowing_horizon_refused_before_drawing(
@@ -561,10 +617,10 @@ class TestInfluenceExperiment:
 
         monkeypatch.setattr(graphical, "_influence_samples", no_draws)
         with pytest.raises(HorizonOverflowError, match="overflows at 2 C t = 800"):
-            influence_experiment(golden_chain, 4, 400.0, 2, 0)
+            influence_experiment(golden_chain, [4], [400.0], 2, 0)
 
     def test_largest_horizon_stays_finite(self, golden_chain):
-        size, overlap = influence_experiment(golden_chain, 3, LARGEST_T, 4, 0)
+        [(size, overlap)] = influence_experiment(golden_chain, [3], [LARGEST_T], 4, 0)
         assert np.isfinite(size.bound) and np.isfinite(overlap.bound)
         assert overlap.bound > 1e300
         assert size.mean_size == 3.0 and overlap.probability == 1.0
@@ -574,7 +630,7 @@ class TestInfluenceExperiment:
         # sets at N = 2**40 would take 2 TiB a block.
         tracemalloc.start()
         try:
-            size, overlap = influence_experiment(golden_chain, 2**40, 1e-6, 2000, 3)
+            [(size, overlap)] = influence_experiment(golden_chain, [2**40], [1e-6], 2000, 3)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -584,11 +640,41 @@ class TestInfluenceExperiment:
     def test_overlap_matches_exact(self, three_site_chain):
         # C = 1.5, N = 6, t = 0.3: 20k replicas against the pair chain.
         n, t, reps = 6, 0.3, 20000
-        _, overlap = influence_experiment(
-            three_site_chain, n, t, reps, ReplicaSeed(2024, 0))
+        [(_, overlap)] = influence_experiment(
+            three_site_chain, [n], [t], reps, ReplicaSeed(2024, 0))
         exact = overlap_probability(n, 1.5, t)
         se = np.sqrt(exact * (1.0 - exact) / reps)
         assert abs(overlap.probability - exact) < 4 * se, (overlap, exact)
+
+
+    @pytest.mark.parametrize("replicas", [1, 2, 999, 2500])
+    def test_packed_scan_matches_one_block_at_a_time(
+            self, golden_chain, monkeypatch, replicas):
+        # Cells of mixed N and C t, one saturating (N = 3, C t = 40) and
+        # one of horizon 0, in one lockstep loop: every size and overlap,
+        # and every block's next draw, equal those of each block scanned
+        # alone.  At 2500 replicas each cell has two full blocks and a
+        # half one.
+        seed = ReplicaSeed(77, 3)
+        cells = [(3, 40.0), (201, 3.0), (9, 1.2), (2, 0.5), (41, 0.0), (101, 2.0)]
+        sizes, overlaps, draws = packed_scan(cells, replicas, seed, monkeypatch)
+        expected_sizes, expected_overlaps, next_draws = one_block_at_a_time(
+            cells, replicas, seed)
+        np.testing.assert_array_equal(sizes, expected_sizes)
+        np.testing.assert_array_equal(overlaps, expected_overlaps)
+        assert draws == next_draws
+        assert len(draws) == len(cells) * -(-replicas // BLOCK_REPLICAS)
+        assert (sizes[0] == 3).all() and (sizes[4] == 1).all()
+        if replicas < 2:
+            return
+        # Cell k of a grid call draws from seed.offset(k * replicas).
+        n_list, t_grid = [3, 41], [0.5, 40.0]
+        grid = influence_experiment(golden_chain, n_list, t_grid, replicas, seed)
+        cells = [(n, t) for n in n_list for t in t_grid]
+        assert grid == [
+            influence_experiment(golden_chain, [n], [t], replicas,
+                                 seed.offset(k * replicas))[0]
+            for k, (n, t) in enumerate(cells)]
 
 
 class TestOverlapOracle:
@@ -714,8 +800,8 @@ class TestInfluenceSizeOracle:
     def test_lockstep_law_chi_square(self, golden_chain):
         # The same cell through influence_experiment's block scan.
         n, t, reps = 5, 1.0, 20000
-        sizes, _ = _influence_samples(
-            n, golden_chain.max_absorption_rate * t, reps, ReplicaSeed(4242))
+        (sizes,), _ = _influence_samples(
+            [(n, golden_chain.max_absorption_rate * t)], reps, ReplicaSeed(4242))
         counts = np.bincount(sizes - 1, minlength=n)
         expected = reps * exact_influence_size_law(n, 1.0, t)
         assert expected.min() > 5.0

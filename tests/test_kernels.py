@@ -447,18 +447,25 @@ def test_event_loop_across_chunks():
 
 @pytest.mark.parametrize("n", [2, 10, 41, 160])
 def test_mark_kernels_match_reference(oracle_chain, n):
-    marks = sample_marks(oracle_chain, n_particles=n, horizon=1.5, seed=n)
-    start = np.arange(n, dtype=np.int64) % oracle_chain.n
-    pos = start.copy()
-    table = (marks.particle, marks.partner, marks.maps)
-    assert _kernels.apply_marks(pos, *table) is pos
-    ref = _reference_apply_marks(start.copy(), *table)
-    np.testing.assert_array_equal(pos, ref)
+    # All roots in reverse order, duplicate roots, and a subset that does
+    # not start at label 0, on a table of events and on an empty one
+    # (horizon 0).
+    labels = np.arange(n, dtype=np.int64)
+    for horizon in (1.5, 0.0):
+        marks = sample_marks(oracle_chain, n_particles=n, horizon=horizon, seed=n)
+        assert (marks.n_events > 0) == (horizon > 0.0)
+        start = labels % oracle_chain.n
+        pos = start.copy()
+        table = (marks.particle, marks.partner, marks.maps)
+        assert _kernels.apply_marks(pos, *table) is pos
+        ref = _reference_apply_marks(start.copy(), *table)
+        np.testing.assert_array_equal(pos, ref)
 
-    roots = np.arange(n, dtype=np.int64)[::-1].copy()
-    pairs = (marks.particle, marks.partner)
-    out = np.ones((n, n), dtype=np.bool_)
-    assert _kernels.influence_matrix_kernel(roots, n, *pairs, out) is out
-    ref = _reference_influence_matrix(roots, n, *pairs,
-                                      np.ones((n, n), dtype=np.bool_))
-    np.testing.assert_array_equal(out, ref)
+        pairs = (marks.particle, marks.partner)
+        for roots in (labels[::-1].copy(), labels[[n - 1, 0, n - 1, 1, 0]],
+                      labels[n // 2:]):
+            out = np.ones((roots.size, n), dtype=np.bool_)
+            assert _kernels.influence_matrix_kernel(roots, n, *pairs, out) is out
+            ref = _reference_influence_matrix(
+                roots, n, *pairs, np.ones((roots.size, n), dtype=np.bool_))
+            np.testing.assert_array_equal(out, ref)
