@@ -31,10 +31,8 @@ Internal events add nobody to an influence set, and neither does a copy
 event whose particle lies outside it.  Labels are exchangeable, so the two
 sets that ``influence_experiment`` follows matter only through their sizes
 and whether they have met: it draws no realization, and scans that small
-chain per replica.  It takes a grid of (N, t) cells, cell k keyed from
-``seed.offset(k * replicas)``, and steps every block of every cell in one
-lockstep loop; each block keeps its own stream, N and horizon, and draws
-in the order it would draw alone.
+chain per replica, every block of replicas of every (N, t) cell in one
+lockstep loop, each block on its own stream.
 """
 from __future__ import annotations
 
@@ -258,7 +256,7 @@ def _influence_samples(
     overlaps = np.empty(sizes.size, dtype=np.bool_)
     # Block b writes [bounds[b], bounds[b + 1]) of the output.
     bounds = np.cumsum((0,) + block_sizes)
-    live_counts = list(block_sizes)
+    live_counts = block_sizes
     # The replicas still scanning, in replica order: their place in the
     # output, and a row each of their N, horizon, clock, a and b (0 once
     # the sets have met).  Floats, so that a (N - a) cannot overflow.
