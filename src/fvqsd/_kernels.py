@@ -31,9 +31,12 @@ to h and run_recorded at times ending at h consume the same draws.
 
 ``run_counts`` runs the same dynamics on site counts alone, for blocks of
 replicas in lockstep: each step is a few numpy calls across all the
-blocks, not a Python loop per replica.  Each block draws from its own
-generator in the order it would draw alone, so packing small blocks into
-one loop saves numpy's per-call overhead and changes no count.
+blocks, not a Python loop per replica, so a step costs about the same
+whether it carries one block or many.  Each block draws from its own
+generator in the order it would draw alone (its site and move uniforms
+in one call), so packing blocks into one loop, as
+``seeding.lockstep_groups`` does, saves numpy's per-call overhead and
+changes no count.
 Randomness is drawn only through np.random.Generator methods in a fixed
 order, so a seeded generator reproduces its trajectories bit for bit.
 
@@ -167,13 +170,14 @@ def _running_sums(rows):
     return rows
 
 
-def _draws(draw, sizes):
-    # draw[b](sizes[b]) for each block b with sizes[b] > 0, joined in block
-    # order.  A one-block group calls its generator directly.
+def _draws(draw, sizes, lead=()):
+    # draw[b](lead + (sizes[b],)) for each block b with sizes[b] > 0,
+    # joined along the last axis in block order.  A one-block group calls
+    # its generator directly.
     if len(draw) == 1:
-        return draw[0](sizes[0])
-    parts = [d(n) for d, n in zip(draw, sizes) if n]
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+        return draw[0](lead + (sizes[0],))
+    parts = [d(lead + (n,)) for d, n in zip(draw, sizes) if n]
+    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1)
 
 
 def _per_block(owner, live, mask, n_blocks):
@@ -204,19 +208,22 @@ def run_counts(gens, bounds, counts, site_rate, cum_move, record_times, out):
     makes exact.  Snapshots are right-continuous.
 
     Each step draws block by block, for the block's live replicas in
-    replica order: gen.exponential(1.0, live) for the holding times, then
-    gen.random(k) for the site and gen.random(k) for the move of the k
-    that fire, then gen.integers(0, N - 1, kills) if any are revived.  A
+    replica order: gen.standard_exponential(live) for the holding times,
+    then one gen.random((2, k)) for the k that fire, row 0 picking the
+    site and row 1 the move, then gen.integers(0, N - 1, kills) if any are
+    revived.  (gen.random((2, k)) gives the values of gen.random(k) for
+    the sites and then gen.random(k) for the moves, in that order.)  A
     block with no live replica draws nothing until the next record time.
-    So every block draws, and ends, as it would in a run of its own.
-    Returns the number of events applied.
+    So every block draws, and ends, as it would in a run of its own, and
+    how blocks are grouped changes no count.  Returns the number of
+    events applied.
     """
     n_reps, n_sites = counts.shape
     n_blocks = len(gens)
     block_sizes = np.diff(bounds).tolist()
     owner = np.repeat(np.arange(n_blocks), block_sizes)
     n_particles = counts[bounds[:-1]].sum(axis=1).tolist()
-    waits = [functools.partial(g.exponential, 1.0) for g in gens]
+    waits = [g.standard_exponential for g in gens]
     uniforms = [g.random for g in gens]
     donors_of = [functools.partial(g.integers, 0, n - 1)
                  for g, n in zip(gens, n_particles)]
@@ -230,6 +237,7 @@ def run_counts(gens, bounds, counts, site_rate, cum_move, record_times, out):
     # first one stops, then a compressed copy whose rows go back to state
     # as they stop.
     state = np.ascontiguousarray(counts.T, dtype=np.float64)
+    every = np.arange(n_reps)
     start = 0.0
     n_events = 0
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -256,18 +264,21 @@ def run_counts(gens, bounds, counts, site_rate, cum_move, record_times, out):
                     t_next = t_next[fire]
                 t = t_next
                 n_live = live.size
-                u = _draws(uniforms, sizes) * cum[-1]
-                x = (cum <= u).sum(axis=0)
-                y = (move_rows.take(x, axis=1) <= _draws(uniforms, sizes)).sum(axis=0)
+                u, v = _draws(uniforms, sizes, (2,))
+                x = (cum <= u * cum[-1]).sum(axis=0)
+                y = (move_rows.take(x, axis=1) <= v).sum(axis=0)
                 kill = y == n_sites
                 if kill.any():
                     donors = c.compress(kill, axis=1)
                     donors[x[kill], np.arange(donors.shape[1])] -= 1.0
                     j = _draws(donors_of, _per_block(owner, live, kill, n_blocks))
                     y[kill] = (_running_sums(donors) <= j).sum(axis=0)
-                replica = np.arange(n_live)
-                c[x, replica] -= 1.0
-                c[y, replica] += 1.0
+                # c is state or a compressed copy, C-contiguous either way,
+                # so its entry (s, r) is flat[s * n_live + r].
+                flat = c.reshape(-1)
+                replica = every[:n_live]
+                flat[x * n_live + replica] -= 1.0
+                flat[y * n_live + replica] += 1.0
                 n_events += n_live
             out[:, k] = state.T
             start = horizon

@@ -94,16 +94,20 @@ class Param:
 
 # Positions and counts are int64, so no integer parameter may exceed this.
 _INT64_MAX = 2**63 - 1
+# A kind that places N labelled particles holds their positions in one
+# int64 array, and no numpy array holds more than 2^63 - 1 bytes.
+_POSITIONS_MAX = _INT64_MAX // 8
 
 
-def _integer(minimum: int) -> Converter:
+def _integer(minimum: int, maximum: int = _INT64_MAX) -> Converter:
     def convert(value: Any, where: str, chain: AbsorbingChain) -> int:
         if isinstance(value, bool) or not isinstance(value, int):
             raise ConfigError(f"{where} must be an integer")
         if value < minimum:
             raise ConfigError(f"{where} must be at least {minimum}")
-        if value > _INT64_MAX:
-            raise ConfigError(f"{where} must be at most 2^63 - 1")
+        if value > maximum:
+            # Both maxima are 2^k - 1.
+            raise ConfigError(f"{where} must be at most 2^{maximum.bit_length()} - 1")
         return value
     return convert
 
@@ -167,7 +171,9 @@ def _profile_spec(value: Any, where: str, chain: AbsorbingChain) -> Any:
     return value
 
 
-_PARTICLES = _integer(2)
+_PARTICLES = _integer(2, _POSITIONS_MAX)
+# overlap's scan holds a few numbers per replica whatever N is.
+_SCANNED_PARTICLES = _integer(2)
 _HORIZON = _number(0.0)
 
 
@@ -219,7 +225,8 @@ PARAMETERS: dict[str, tuple[Param, ...]] = {
     ),
     "qsd_profile": (Param("n_list", _N_LIST),) + _STATIONARY,
     "overlap": (
-        Param("n_list", _N_LIST, scalar=("n_particles", _PARTICLES)),
+        Param("n_list", _list_of(_SCANNED_PARTICLES, increasing=True),
+              scalar=("n_particles", _SCANNED_PARTICLES)),
         Param("t_grid", _list_of(_bound_horizon), scalar=("t", _bound_horizon)),
         Param("replicas", _integer(2)),
     ),

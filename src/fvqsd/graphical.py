@@ -31,8 +31,9 @@ Internal events add nobody to an influence set, and neither does a copy
 event whose particle lies outside it.  Labels are exchangeable, so the two
 sets that ``influence_experiment`` follows matter only through their sizes
 and whether they have met: it draws no realization, and scans that small
-chain per replica, every block of replicas of every (N, t) cell in one
-lockstep loop, each block on its own stream.
+chain per replica, the blocks of replicas of all (N, t) cells packed
+into lockstep groups of at most ``seeding.GROUP_REPLICAS`` replicas, each
+block on its own stream.
 """
 from __future__ import annotations
 
@@ -49,7 +50,7 @@ from .errors import HorizonOverflowError
 # map_replicas is unused here but stays importable: perfbench's tracer
 # patches it by attribute.
 from .parallel import map_replicas  # noqa: F401
-from .seeding import BLOCK_REPLICAS, ReplicaSeed, as_replica_seed
+from .seeding import BLOCK_REPLICAS, ReplicaSeed, as_replica_seed, lockstep_groups
 from .simulator import validate_configuration
 
 __all__ = [
@@ -243,18 +244,27 @@ def _influence_samples(
     # of shape (cells, replicas); influence_experiment documents the chain,
     # the streams and the draw order.  Rates are in units of C / (N - 1),
     # so a cell's clock stops at C t / (N - 1).
-    blocks = [
-        (float(n), mass / (n - 1), stop - first, gen)
-        for k, (n, mass) in enumerate(cells)
-        for first, stop, gen in seed.offset(k * replicas).blocks(
-            replicas, BLOCK_REPLICAS)
-    ]
-    block_n, block_horizon, block_sizes, gens = zip(*blocks)
-    gaps = [g.standard_exponential for g in gens]
-    uniforms = [g.random for g in gens]
     sizes = np.empty(len(cells) * replicas, dtype=np.int64)
     overlaps = np.empty(sizes.size, dtype=np.bool_)
-    # Block b writes [bounds[b], bounds[b + 1]) of the output.
+    seeds = [seed.offset(k * replicas) for k in range(len(cells))]
+    lo = 0
+    for group in lockstep_groups(seeds, replicas, BLOCK_REPLICAS):
+        owners, block_sizes, gens = zip(*group)
+        hi = lo + sum(block_sizes)
+        n = [float(cells[k][0]) for k in owners]
+        horizon = [cells[k][1] / (cells[k][0] - 1) for k in owners]
+        _scan(n, horizon, block_sizes, gens, sizes[lo:hi], overlaps[lo:hi])
+        lo = hi
+    return (sizes.reshape(len(cells), replicas),
+            overlaps.reshape(len(cells), replicas))
+
+
+def _scan(block_n, block_horizon, block_sizes, gens, sizes, overlaps):
+    # One lockstep loop over a group's blocks, block b with its own N,
+    # horizon and generator, writing rows [bounds[b], bounds[b + 1]) of
+    # sizes and overlaps.
+    gaps = [g.standard_exponential for g in gens]
+    uniforms = [g.random for g in gens]
     bounds = np.cumsum((0,) + block_sizes)
     live_counts = block_sizes
     # The replicas still scanning, in replica order: their place in the
@@ -285,8 +295,6 @@ def _influence_samples(
             at = at[keep]
             state = state.compress(keep, axis=1)
             live_counts = np.diff(at.searchsorted(bounds)).tolist()
-    return (sizes.reshape(len(cells), replicas),
-            overlaps.reshape(len(cells), replicas))
 
 
 def influence_experiment(
@@ -326,13 +334,16 @@ def influence_experiment(
     about 2 (e^{C t} - 1) events whatever N is.
 
     Each cell's replicas come in blocks of BLOCK_REPLICAS, each drawing
-    from its generator of ``ReplicaSeed.blocks``, and every block of every
-    cell is scanned in one lockstep loop, each with its own N and horizon.
-    At each step, each block whose A replicas are still scanning draws,
-    for them in replica order, A standard exponentials (the gaps, each
-    divided by its replica's total rate), then A uniforms u.  That is the
-    order in which the block draws when it is scanned alone, so packing
-    the blocks changes no result.  With the rates laid end to end in the
+    from its generator of ``ReplicaSeed.blocks``.  The blocks of all
+    cells, in order, are packed into lockstep groups of at most
+    ``seeding.GROUP_REPLICAS`` replicas (``seeding.lockstep_groups``, the
+    count engine's rule), and each group is scanned in one loop, each
+    block with its own N and horizon; so the scan holds one group's
+    replicas at a time, about 140 bytes each.  At each step, each block
+    whose A replicas are still scanning draws, for them in replica order,
+    A standard exponentials (the gaps, each divided by its replica's total
+    rate), then A uniforms u.  That is the order in which the block draws
+    when it is scanned alone, so the grouping changes no result.  With the rates laid end to end in the
     order a grows alone, the sets meet and a grows, the sets meet and b
     grows, b grows alone, the event is the one whose slice holds u times
     the total rate.  A replica whose clock reaches C t drops out without

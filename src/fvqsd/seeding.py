@@ -4,12 +4,14 @@ Every Monte Carlo replica owns an independent counter-based stream derived
 purely from (master_seed, replica_index), so a replica's draws do not
 depend on which replicas ran before it.  Offsets and blocks of replicas
 get their streams from :meth:`ReplicaSeed.offset` and
-:meth:`ReplicaSeed.blocks`, and from nowhere else.
+:meth:`ReplicaSeed.blocks`, and from nowhere else.  :func:`lockstep_groups`
+packs blocks into the groups that the count engine and the influence scan
+each step in one loop.
 """
 from __future__ import annotations
 
 import operator
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,8 +19,16 @@ import numpy as np
 __all__ = ["ReplicaSeed", "as_replica_seed"]
 
 # Replicas per block of the count engine and of the influence scan: each
-# block is one lockstep run on one generator.
+# block draws from one generator.
 BLOCK_REPLICAS = 1000
+
+# Most replicas stepped in one lockstep loop of either engine.  Both hold
+# a few numbers per replica while they step: about 140 bytes in the
+# influence scan, and in the count engine about 190 on a two-site chain
+# and 230 on a three-site one, some 50 more per site.  So a full group's
+# working set is 9-15 MiB on such chains, however many replicas a call
+# runs.
+GROUP_REPLICAS = 2**16
 
 
 @dataclass(frozen=True)
@@ -60,6 +70,27 @@ class ReplicaSeed:
         later block reproduces that block of the longer run."""
         for first in range(0, replicas, size):
             yield first, min(first + size, replicas), self.offset(first).generator()
+
+
+def lockstep_groups(
+    seeds: Sequence[ReplicaSeed], replicas: int, size: int
+) -> Iterator[list[tuple[int, int, np.random.Generator]]]:
+    """The blocks of ``replicas`` replicas of each seed, as
+    ``seed.blocks(replicas, size)`` gives them, packed in order into
+    lockstep groups of at most ``GROUP_REPLICAS`` replicas.  Yields each
+    group as a list of ``(cell, replicas, generator)``, one per block,
+    ``cell`` being the index of the block's seed."""
+    group: list[tuple[int, int, np.random.Generator]] = []
+    filled = 0
+    for cell, seed in enumerate(seeds):
+        for first, stop, gen in seed.blocks(replicas, size):
+            if group and filled + stop - first > GROUP_REPLICAS:
+                yield group
+                group, filled = [], 0
+            group.append((cell, stop - first, gen))
+            filled += stop - first
+    if group:
+        yield group
 
 
 def as_replica_seed(seed: ReplicaSeed | int) -> ReplicaSeed:

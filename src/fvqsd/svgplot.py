@@ -67,7 +67,10 @@ def line_plot(
         y_lo, y_hi = y_lo - pad, y_hi + pad
     x_lo, x_hi = float(xs.min()), float(xs.max())
     if x_hi - x_lo < 1e-12:
-        x_lo, x_hi = x_lo - 1.0, x_hi + 1.0
+        # One each way, or more where doubles are spaced wider than that
+        # (N = 2^62 is a multiple of 1024), so the axis has a length.
+        step = max(1.0, 2.0 * float(np.spacing(abs(x_lo))))
+        x_lo, x_hi = x_lo - step, x_hi + step
 
     plot_w = _WIDTH - _LEFT - _RIGHT
     plot_h = _HEIGHT - _TOP - _BOTTOM

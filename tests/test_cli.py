@@ -181,6 +181,11 @@ MALFORMED = {
     "threads-flag-zero": ("correlation", CORRELATION, 0, ["--threads", "0"]),
     "threads-flag-negative": ("correlation", CORRELATION, 0, ["--threads", "-3"]),
     "simulate-n_particles-2^64": ("simulate", dict(SIMULATE, n_particles=2**64), 0, []),
+    # N positions of 8 bytes each would pass numpy's largest array size, so
+    # these used to end in numpy's "array is too big" traceback.
+    "simulate-n_particles-2^62": ("simulate", dict(SIMULATE, n_particles=2**62), 0, []),
+    "correlation-n_particles-2^62":
+        ("correlation", dict(CORRELATION, n_particles=2**62), 0, []),
     "semigroup-t_grid-1e308": ("semigroup", {"initial": "1",
                                              "t_grid": [1.0, 2.0, 3.0, 1e308]}, 0, []),
     "overlap-n_particles-4-t-1e20": ("overlap", {"n_particles": 4, "t": 1e20,
@@ -276,6 +281,16 @@ def test_overlap_at_huge_n_exits_zero(tmp_path):
     assert main(["overlap", "--config", str(cfg), "--out", str(out)]) == 0
     cell, = read_summary(out)["results"]["cells"]
     assert cell["n_particles"] == 2**40 and cell["overlap"] == 0.0
+
+
+def test_overlap_past_double_spacing_exits_zero(tmp_path):
+    # At N = 2**62 the plot's one-point axis, N - 1 to N + 1, used to
+    # round to zero length and end in a ZeroDivisionError traceback.
+    cfg = write_config(tmp_path, kind="overlap", chain=GOLDEN, parameters=dict(
+        OVERLAP, n_particles=2**62, t=1e-6))
+    out = tmp_path / "out"
+    assert main(["overlap", "--config", str(cfg), "--out", str(out)]) == 0
+    assert "nan" not in (out / "plot.svg").read_text()
 
 
 # File contents that json cannot decode: bytes that are not UTF-8, arrays

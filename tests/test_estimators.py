@@ -25,7 +25,7 @@ from fvqsd import (
     tv_distance,
     validate_chain,
 )
-from fvqsd import estimators
+from fvqsd import _kernels, estimators
 from fvqsd.cli import PARAMETERS
 from fvqsd.errors import ConfigError, HorizonOverflowError, QsdNotConvergedError
 from fvqsd.simulator import configuration_from_profile
@@ -273,6 +273,21 @@ class TestConvergenceExperiment:
         with pytest.raises(ValueError, match="time must be finite and nonnegative"):
             convergence_experiment(golden_chain, extreme_profiles(2), t,
                                    [10, 20], 200, seed=1)
+
+    def test_grid_steps_in_one_loop(self, golden_chain, monkeypatch):
+        # Three profiles at three N, 200 replicas each: the nine cells'
+        # blocks share one lockstep loop, where they used to take two.
+        loops = []
+        run_counts = _kernels.run_counts
+
+        def spy(gens, bounds, *args):
+            loops.append(list(bounds))
+            return run_counts(gens, bounds, *args)
+
+        monkeypatch.setattr(_kernels, "run_counts", spy)
+        convergence_experiment(golden_chain, extreme_profiles(2), 1.0,
+                               [10, 20, 40], 200, seed=1)
+        assert loops == [list(range(0, 1801, 200))]
 
 
 class TestQsdProfileExperiment:

@@ -17,7 +17,7 @@ from fvqsd import (
     sample_marks,
     simulate,
 )
-from fvqsd import graphical
+from fvqsd import graphical, seeding
 from fvqsd.errors import HorizonOverflowError
 from fvqsd.graphical import _influence_samples
 from fvqsd.simulator import BLOCK_REPLICAS
@@ -151,20 +151,27 @@ def one_block_at_a_time(cells, replicas, seed):
 
 
 def packed_scan(cells, replicas, seed, monkeypatch):
-    """_influence_samples on the cells, and each block's next draw after
-    the packed scan."""
+    """_influence_samples on the cells, each block's next draw after the
+    packed scan, and the replicas of each lockstep group."""
     gens = []
+    groups = []
     blocks = ReplicaSeed.blocks
+    scan = graphical._scan
 
     def spy(self, *args):
         for first, stop, gen in blocks(self, *args):
             gens.append(gen)
             yield first, stop, gen
 
+    def scan_spy(block_n, block_horizon, block_sizes, *args):
+        groups.append(sum(block_sizes))
+        scan(block_n, block_horizon, block_sizes, *args)
+
     with monkeypatch.context() as patch:
         patch.setattr(ReplicaSeed, "blocks", spy)
+        patch.setattr(graphical, "_scan", scan_spy)
         sizes, overlaps = _influence_samples(cells, replicas, seed)
-    return sizes, overlaps, [gen.random() for gen in gens]
+    return sizes, overlaps, [gen.random() for gen in gens], groups
 
 
 def pooled_chi_square(counts, expected, least=10.0):
@@ -637,6 +644,21 @@ class TestInfluenceExperiment:
         assert peak < 2**20, peak
         assert 1.0 <= size.mean_size < 1.01 and overlap.probability == 0.0
 
+    def test_grid_above_the_cap_scans_in_bounded_memory(self):
+        # The scan holds about 140 bytes per replica of one lockstep group,
+        # and the output 9 per replica of the grid.  Four cells of
+        # GROUP_REPLICAS used to run as one group: 31 MiB here, against
+        # 10 MiB in groups.
+        replicas = seeding.GROUP_REPLICAS
+        tracemalloc.start()
+        try:
+            sizes, _ = _influence_samples([(101, 1e-6)] * 4, replicas, ReplicaSeed(3))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 160 * replicas + 9 * sizes.size, peak
+        assert sizes.shape == (4, replicas) and (sizes <= 2).all()
+
     def test_overlap_matches_exact(self, three_site_chain):
         # C = 1.5, N = 6, t = 0.3: 20k replicas against the pair chain.
         n, t, reps = 6, 0.3, 20000
@@ -647,17 +669,15 @@ class TestInfluenceExperiment:
         assert abs(overlap.probability - exact) < 4 * se, (overlap, exact)
 
 
-    @pytest.mark.parametrize("replicas", [1, 2, 999, 2500])
-    def test_packed_scan_matches_one_block_at_a_time(
-            self, golden_chain, monkeypatch, replicas):
-        # Cells of mixed N and C t, one saturating (N = 3, C t = 40) and
-        # one of horizon 0, in one lockstep loop: every size and overlap,
-        # and every block's next draw, equal those of each block scanned
-        # alone.  At 2500 replicas each cell has two full blocks and a
-        # half one.
-        seed = ReplicaSeed(77, 3)
+    @staticmethod
+    def match_one_block_at_a_time(replicas, seed, monkeypatch):
+        """Cells of mixed N and C t, one saturating (N = 3, C t = 40) and
+        one of horizon 0, in lockstep groups: every size and overlap, and
+        every block's next draw, equal those of each block scanned alone.
+        Returns the replicas of each group."""
         cells = [(3, 40.0), (201, 3.0), (9, 1.2), (2, 0.5), (41, 0.0), (101, 2.0)]
-        sizes, overlaps, draws = packed_scan(cells, replicas, seed, monkeypatch)
+        sizes, overlaps, draws, groups = packed_scan(cells, replicas, seed,
+                                                     monkeypatch)
         expected_sizes, expected_overlaps, next_draws = one_block_at_a_time(
             cells, replicas, seed)
         np.testing.assert_array_equal(sizes, expected_sizes)
@@ -665,6 +685,19 @@ class TestInfluenceExperiment:
         assert draws == next_draws
         assert len(draws) == len(cells) * -(-replicas // BLOCK_REPLICAS)
         assert (sizes[0] == 3).all() and (sizes[4] == 1).all()
+        assert max(groups) <= seeding.GROUP_REPLICAS
+        assert sum(groups) == len(cells) * replicas
+        return groups
+
+    @pytest.mark.parametrize("replicas", [1, 2, 999, 2500])
+    def test_packed_scan_matches_one_block_at_a_time(
+            self, golden_chain, monkeypatch, replicas):
+        # At 2500 replicas each cell has two full blocks and a half one.
+        # All of a call's blocks fit under the cap, so they scan in one
+        # loop.
+        seed = ReplicaSeed(77, 3)
+        groups = self.match_one_block_at_a_time(replicas, seed, monkeypatch)
+        assert len(groups) == 1
         if replicas < 2:
             return
         # Cell k of a grid call draws from seed.offset(k * replicas).
@@ -675,6 +708,15 @@ class TestInfluenceExperiment:
             influence_experiment(golden_chain, [n], [t], replicas,
                                  seed.offset(k * replicas))[0]
             for k, (n, t) in enumerate(cells)]
+
+    @pytest.mark.parametrize("replicas", [999, 2500])
+    def test_small_cap_splits_a_scan_into_groups(self, monkeypatch, replicas):
+        # A cap of 1500 replicas splits the six cells' blocks into several
+        # groups, and no size, overlap or draw moves.
+        monkeypatch.setattr(seeding, "GROUP_REPLICAS", 1500)
+        groups = self.match_one_block_at_a_time(replicas, ReplicaSeed(77, 3),
+                                                monkeypatch)
+        assert len(groups) > 1
 
 
 class TestOverlapOracle:

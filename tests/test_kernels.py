@@ -15,6 +15,7 @@ import pytest
 
 from fvqsd import (
     _kernels,
+    seeding,
     simulator,
     sample_marks,
     simulate,
@@ -111,16 +112,11 @@ def _packed(chain, cells, times, replicas, monkeypatch):
     return out, sum(events), next_draws, groups
 
 
-@pytest.mark.parametrize("times", [[0.25, 0.5, 1.0, 2.0], [0.0, 0.5, 0.5, 3.0]],
-                         ids=["increasing", "zero-and-repeat"])
-@pytest.mark.parametrize("replicas", [1, 7, 400, 2500])
-def test_packed_blocks_match_one_block_at_a_time(
-        three_site_chain, monkeypatch, replicas, times):
-    # Cells of mixed N share lockstep groups, and every count, the event
-    # total and every block's next draw equal those of each block run
-    # alone.  At 2500 replicas each cell has two full blocks and a half
-    # one, and every group holds one block.
-    chain = three_site_chain
+def _match_one_block_at_a_time(chain, replicas, times, monkeypatch):
+    # Cells of mixed N in lockstep groups: every count, the event total
+    # and every block's next draw equal those of each block run alone, and
+    # groups are filled in order up to the cap.  Returns each group's row
+    # bounds.
     cells = [(np.arange(n, dtype=np.int64) % chain.n, ReplicaSeed(11, 5 * n))
              for n in (2, 5, 17, 60)]
     packed, events, draws, groups = _packed(chain, cells, times, replicas,
@@ -130,11 +126,36 @@ def test_packed_blocks_match_one_block_at_a_time(
     np.testing.assert_array_equal(packed, expected)
     assert events == n_events > 0
     assert draws == next_draws
-    assert max(bounds[-1] for bounds in groups) <= BLOCK_REPLICAS
+    assert max(bounds[-1] for bounds in groups) <= seeding.GROUP_REPLICAS
     assert sum(len(bounds) - 1 for bounds in groups) == len(cells) * (
         -(-replicas // BLOCK_REPLICAS))
-    if 2 * replicas <= BLOCK_REPLICAS:
-        assert len(groups[0]) - 1 == min(len(cells), BLOCK_REPLICAS // replicas)
+    # Each group but the last would overflow with the next one's first block.
+    for group, after in zip(groups, groups[1:]):
+        assert group[-1] + after[1] > seeding.GROUP_REPLICAS
+    return groups
+
+
+@pytest.mark.parametrize("times", [[0.25, 0.5, 1.0, 2.0], [0.0, 0.5, 0.5, 3.0]],
+                         ids=["increasing", "zero-and-repeat"])
+@pytest.mark.parametrize("replicas", [1, 7, 400, 2500])
+def test_packed_blocks_match_one_block_at_a_time(
+        three_site_chain, monkeypatch, replicas, times):
+    # At 2500 replicas each cell has two full blocks and a half one.  All
+    # of a call's blocks fit under the cap, so they step in one loop.
+    groups = _match_one_block_at_a_time(three_site_chain, replicas, times,
+                                        monkeypatch)
+    assert len(groups) == 1
+
+
+@pytest.mark.parametrize("replicas", [400, 2500])
+def test_small_cap_splits_a_call_into_groups(
+        three_site_chain, monkeypatch, replicas):
+    # A cap of 1200 replicas splits the four cells' blocks into several
+    # groups, and no count or draw moves.
+    monkeypatch.setattr(seeding, "GROUP_REPLICAS", 1200)
+    groups = _match_one_block_at_a_time(three_site_chain, replicas,
+                                        [0.0, 0.5, 0.5, 3.0], monkeypatch)
+    assert len(groups) > 1
 
 
 def test_packed_single_site_cells(single_site_chain, monkeypatch):
