@@ -29,18 +29,15 @@ then one gen.random((3, m)) for (u1, u2, u3), with m sized from the time
 left to the last record time and at most ``CHUNK_EPOCHS``.  So run_events
 to h and run_recorded at times ending at h consume the same draws.
 
-``run_counts`` runs the same dynamics on site counts alone, for blocks of
-replicas in lockstep: each step is a few numpy calls across all the
-blocks, not a Python loop per replica, so a step costs about the same
-whether it carries one block or many.  Each block draws from its own
-generator in the order it would draw alone (its site and move uniforms
-in one call), so packing blocks into one loop, as
-``seeding.lockstep_groups`` does, saves numpy's per-call overhead and
-changes no count.
+``run_counts`` runs the same dynamics on site counts alone, and
+``scan_sizes`` the influence size chain, each for one lockstep group of
+``seeding.lockstep_groups``: each step is a few numpy calls across all
+the group's blocks, not a Python loop per replica, and each block draws
+from its own generator in the order it would draw alone.
 Randomness is drawn only through np.random.Generator methods in a fixed
 order, so a seeded generator reproduces its trajectories bit for bit.
 
-The graphical engine draws nothing here: ``apply_marks`` replays a mark
+The mark kernels draw nothing: ``apply_marks`` replays a mark
 realization's event table in order, reading the site maps as one flat
 list with a row offset per event, and ``influence_matrix_kernel`` scans
 its (particle, partner) pairs backward once for all roots: each label
@@ -61,6 +58,7 @@ __all__ = [
     "run_events",
     "run_recorded",
     "run_counts",
+    "scan_sizes",
     "apply_marks",
     "influence_matrix_kernel",
 ]
@@ -180,12 +178,11 @@ def _draws(draw, sizes, lead=()):
     return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1)
 
 
-def _per_block(owner, live, mask, n_blocks):
-    # How many of the live replicas where mask holds each block holds;
-    # owner gives each replica's block.
-    if n_blocks == 1:
-        return [int(np.count_nonzero(mask))]
-    return np.bincount(owner[live[mask]], minlength=n_blocks).tolist()
+def _block_counts(live, bounds):
+    # How many of the sorted live rows each block holds; one block holds all.
+    if len(bounds) == 2:
+        return [live.size]
+    return np.diff(live.searchsorted(bounds)).tolist()
 
 
 def run_counts(gens, bounds, counts, site_rate, cum_move, record_times, out):
@@ -219,9 +216,7 @@ def run_counts(gens, bounds, counts, site_rate, cum_move, record_times, out):
     events applied.
     """
     n_reps, n_sites = counts.shape
-    n_blocks = len(gens)
     block_sizes = np.diff(bounds).tolist()
-    owner = np.repeat(np.arange(n_blocks), block_sizes)
     n_particles = counts[bounds[:-1]].sum(axis=1).tolist()
     waits = [g.standard_exponential for g in gens]
     uniforms = [g.random for g in gens]
@@ -242,7 +237,7 @@ def run_counts(gens, bounds, counts, site_rate, cum_move, record_times, out):
     n_events = 0
     with np.errstate(divide="ignore", invalid="ignore"):
         for k, horizon in enumerate(np.asarray(record_times).tolist()):
-            live = np.arange(n_reps)
+            live = every
             sizes = block_sizes
             c = state
             t = np.full(n_reps, start)
@@ -257,8 +252,8 @@ def run_counts(gens, bounds, counts, site_rate, cum_move, record_times, out):
                     state[:, live[~fire]] = c[:, ~fire]
                     if not fire.any():
                         break
-                    sizes = _per_block(owner, live, fire, n_blocks)
                     live = live[fire]
+                    sizes = _block_counts(live, bounds)
                     c = c.compress(fire, axis=1)
                     cum = cum.compress(fire, axis=1)
                     t_next = t_next[fire]
@@ -271,7 +266,7 @@ def run_counts(gens, bounds, counts, site_rate, cum_move, record_times, out):
                 if kill.any():
                     donors = c.compress(kill, axis=1)
                     donors[x[kill], np.arange(donors.shape[1])] -= 1.0
-                    j = _draws(donors_of, _per_block(owner, live, kill, n_blocks))
+                    j = _draws(donors_of, _block_counts(live[kill], bounds))
                     y[kill] = (_running_sums(donors) <= j).sum(axis=0)
                 # c is state or a compressed copy, C-contiguous either way,
                 # so its entry (s, r) is flat[s * n_live + r].
@@ -283,6 +278,48 @@ def run_counts(gens, bounds, counts, site_rate, cum_move, record_times, out):
             out[:, k] = state.T
             start = horizon
     return n_events
+
+
+def scan_sizes(gens, bounds, block_n, block_horizon, sizes, overlaps):
+    """The influence size chain of blocks of replicas, stepped in lockstep.
+
+    Block b is rows [bounds[b], bounds[b + 1]) of sizes (|set of 0|) and
+    overlaps (whether the sets met), draws from gens[b] and has its own N
+    block_n[b] and horizon block_horizon[b].  ``graphical.influence_experiment``
+    documents the chain and the draw order.
+    """
+    gaps = [g.standard_exponential for g in gens]
+    uniforms = [g.random for g in gens]
+    block_sizes = np.diff(bounds)
+    # The replicas still scanning, in replica order: their row, and a row
+    # each of their N, horizon, clock, a and b (0 once the sets have met).
+    # Floats, so that a (N - a) cannot overflow.
+    at = np.arange(sizes.size)
+    live_counts = block_sizes.tolist()
+    state = np.stack([np.repeat(block_n, block_sizes),
+                      np.repeat(block_horizon, block_sizes),
+                      np.zeros(at.size), np.ones(at.size), np.ones(at.size)])
+    while at.size:
+        n, horizon, clock, a, b = state
+        ab = a * b
+        free = n - a - b
+        grow = a * free
+        meet = grow + 2.0 * ab
+        total = meet + b * free
+        clock += _draws(gaps, live_counts) / total
+        x = _draws(uniforms, live_counts) * total
+        live = clock < horizon
+        a += live & (x < grow + ab)
+        b += live & (x >= meet)
+        b[live & (x >= grow) & (x < meet)] = 0.0
+        done = ~live | (a == n)
+        if done.any():
+            sizes[at[done]] = a[done]
+            overlaps[at[done]] = b[done] == 0.0
+            keep = ~done
+            at = at[keep]
+            state = state.compress(keep, axis=1)
+            live_counts = _block_counts(at, bounds)
 
 
 def apply_marks(positions, particle, partner, maps):

@@ -182,8 +182,7 @@ def convergence_experiment(
     requested profile, so rounding in the expansion cancels out.  The k-th
     N and j-th profile run on ``seed.offset((k P + j) replicas)`` for P
     profiles, as ``simulate_counts`` would run them one by one; all cells
-    step in shared lockstep groups (see ``simulator._count_cells``), one
-    loop for up to ``seeding.GROUP_REPLICAS`` replicas in all.  An
+    share the lockstep groups of ``seeding.lockstep_groups``.  An
     unsorted or repeated n_list, or a t that is not finite and
     nonnegative, raises ValueError before any draw.
     """

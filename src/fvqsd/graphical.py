@@ -31,9 +31,8 @@ Internal events add nobody to an influence set, and neither does a copy
 event whose particle lies outside it.  Labels are exchangeable, so the two
 sets that ``influence_experiment`` follows matter only through their sizes
 and whether they have met: it draws no realization, and scans that small
-chain per replica, the blocks of replicas of all (N, t) cells packed
-into lockstep groups of at most ``seeding.GROUP_REPLICAS`` replicas, each
-block on its own stream.
+chain per replica (``_kernels.scan_sizes``, in the lockstep groups of
+``seeding.lockstep_groups``).
 """
 from __future__ import annotations
 
@@ -50,7 +49,7 @@ from .errors import HorizonOverflowError
 # map_replicas is unused here but stays importable: perfbench's tracer
 # patches it by attribute.
 from .parallel import map_replicas  # noqa: F401
-from .seeding import BLOCK_REPLICAS, ReplicaSeed, as_replica_seed, lockstep_groups
+from .seeding import ReplicaSeed, as_replica_seed, lockstep_groups
 from .simulator import validate_configuration
 
 __all__ = [
@@ -247,54 +246,13 @@ def _influence_samples(
     sizes = np.empty(len(cells) * replicas, dtype=np.int64)
     overlaps = np.empty(sizes.size, dtype=np.bool_)
     seeds = [seed.offset(k * replicas) for k in range(len(cells))]
-    lo = 0
-    for group in lockstep_groups(seeds, replicas, BLOCK_REPLICAS):
-        owners, block_sizes, gens = zip(*group)
-        hi = lo + sum(block_sizes)
-        n = [float(cells[k][0]) for k in owners]
-        horizon = [cells[k][1] / (cells[k][0] - 1) for k in owners]
-        _scan(n, horizon, block_sizes, gens, sizes[lo:hi], overlaps[lo:hi])
-        lo = hi
+    n = [float(n_particles) for n_particles, _ in cells]
+    horizon = [mass / (n_particles - 1) for n_particles, mass in cells]
+    for rows, owners, bounds, gens in lockstep_groups(seeds, replicas):
+        _kernels.scan_sizes(gens, bounds, [n[k] for k in owners],
+                            [horizon[k] for k in owners], sizes[rows], overlaps[rows])
     return (sizes.reshape(len(cells), replicas),
             overlaps.reshape(len(cells), replicas))
-
-
-def _scan(block_n, block_horizon, block_sizes, gens, sizes, overlaps):
-    # One lockstep loop over a group's blocks, block b with its own N,
-    # horizon and generator, writing rows [bounds[b], bounds[b + 1]) of
-    # sizes and overlaps.
-    gaps = [g.standard_exponential for g in gens]
-    uniforms = [g.random for g in gens]
-    bounds = np.cumsum((0,) + block_sizes)
-    live_counts = block_sizes
-    # The replicas still scanning, in replica order: their place in the
-    # output, and a row each of their N, horizon, clock, a and b (0 once
-    # the sets have met).  Floats, so that a (N - a) cannot overflow.
-    at = np.arange(sizes.size)
-    state = np.stack([np.repeat(block_n, block_sizes),
-                      np.repeat(block_horizon, block_sizes),
-                      np.zeros(at.size), np.ones(at.size), np.ones(at.size)])
-    while at.size:
-        n, horizon, clock, a, b = state
-        ab = a * b
-        free = n - a - b
-        grow = a * free
-        meet = grow + 2.0 * ab
-        total = meet + b * free
-        clock += _kernels._draws(gaps, live_counts) / total
-        x = _kernels._draws(uniforms, live_counts) * total
-        live = clock < horizon
-        a += live & (x < grow + ab)
-        b += live & (x >= meet)
-        b[live & (x >= grow) & (x < meet)] = 0.0
-        done = ~live | (a == n)
-        if done.any():
-            sizes[at[done]] = a[done]
-            overlaps[at[done]] = b[done] == 0.0
-            keep = ~done
-            at = at[keep]
-            state = state.compress(keep, axis=1)
-            live_counts = np.diff(at.searchsorted(bounds)).tolist()
 
 
 def influence_experiment(
@@ -333,19 +291,13 @@ def influence_experiment(
     reaches C t, or once a = N, so its cost stays bounded at any horizon:
     about 2 (e^{C t} - 1) events whatever N is.
 
-    Each cell's replicas come in blocks of BLOCK_REPLICAS, each drawing
-    from its generator of ``ReplicaSeed.blocks``.  The blocks of all
-    cells, in order, are packed into lockstep groups of at most
-    ``seeding.GROUP_REPLICAS`` replicas (``seeding.lockstep_groups``, the
-    count engine's rule), and each group is scanned in one loop, each
-    block with its own N and horizon; so the scan holds one group's
-    replicas at a time, about 140 bytes each.  At each step, each block
-    whose A replicas are still scanning draws, for them in replica order,
-    A standard exponentials (the gaps, each divided by its replica's total
-    rate), then A uniforms u.  That is the order in which the block draws
-    when it is scanned alone, so the grouping changes no result.  With the rates laid end to end in the
-    order a grows alone, the sets meet and a grows, the sets meet and b
-    grows, b grows alone, the event is the one whose slice holds u times
+    The cells' replicas are scanned in the lockstep groups of
+    ``seeding.lockstep_groups``.  At each step, each block whose A
+    replicas are still scanning draws, for them in replica order, A
+    standard exponentials (the gaps, each divided by its replica's total
+    rate), then A uniforms u.  With the rates laid end to end in the order
+    a grows alone, the sets meet and a grows, the sets meet and b grows,
+    b grows alone, the event is the one whose slice holds u times
     the total rate.  A replica whose clock reaches C t drops out without
     that step's event.
     """

@@ -5,8 +5,7 @@ purely from (master_seed, replica_index), so a replica's draws do not
 depend on which replicas ran before it.  Offsets and blocks of replicas
 get their streams from :meth:`ReplicaSeed.offset` and
 :meth:`ReplicaSeed.blocks`, and from nowhere else.  :func:`lockstep_groups`
-packs blocks into the groups that the count engine and the influence scan
-each step in one loop.
+states how both packed engines group blocks.
 """
 from __future__ import annotations
 
@@ -73,24 +72,39 @@ class ReplicaSeed:
 
 
 def lockstep_groups(
-    seeds: Sequence[ReplicaSeed], replicas: int, size: int
-) -> Iterator[list[tuple[int, int, np.random.Generator]]]:
-    """The blocks of ``replicas`` replicas of each seed, as
-    ``seed.blocks(replicas, size)`` gives them, packed in order into
-    lockstep groups of at most ``GROUP_REPLICAS`` replicas.  Yields each
-    group as a list of ``(cell, replicas, generator)``, one per block,
-    ``cell`` being the index of the block's seed."""
-    group: list[tuple[int, int, np.random.Generator]] = []
-    filled = 0
+    seeds: Sequence[ReplicaSeed], replicas: int
+) -> Iterator[tuple[slice, list[int], np.ndarray, list[np.random.Generator]]]:
+    """The lockstep groups of the count engine and of the influence scan.
+
+    This is the one statement of the rule.  Cell k runs ``replicas``
+    replicas on ``seeds[k]``, in the blocks of
+    ``seeds[k].blocks(replicas, BLOCK_REPLICAS)``, each on its own
+    generator.  The blocks of all cells, cell by cell, are packed in order
+    into groups of at most ``GROUP_REPLICAS`` replicas; a group closes
+    when its next block would overflow it.  ``_kernels.run_counts`` or
+    ``_kernels.scan_sizes`` steps each group in one loop, in which every
+    block draws as it would in a run of its own.  So the grouping changes
+    no result, and a loop holds one group's replicas however many a call
+    runs.
+
+    Yields ``(rows, cells, bounds, gens)`` per group: ``rows`` is its
+    slice of the ``len(seeds) * replicas`` replicas, cell by cell;
+    ``cells[b]`` is the cell of block b, ``gens[b]`` its generator, and
+    ``bounds`` the array of block bounds in ``rows``, from 0 to its length.
+    """
+    cells, bounds, gens = [], [0], []
+    lo = 0
     for cell, seed in enumerate(seeds):
-        for first, stop, gen in seed.blocks(replicas, size):
-            if group and filled + stop - first > GROUP_REPLICAS:
-                yield group
-                group, filled = [], 0
-            group.append((cell, stop - first, gen))
-            filled += stop - first
-    if group:
-        yield group
+        for first, stop, gen in seed.blocks(replicas, BLOCK_REPLICAS):
+            if gens and bounds[-1] + stop - first > GROUP_REPLICAS:
+                yield slice(lo, lo + bounds[-1]), cells, np.array(bounds), gens
+                lo += bounds[-1]
+                cells, bounds, gens = [], [0], []
+            cells.append(cell)
+            bounds.append(bounds[-1] + stop - first)
+            gens.append(gen)
+    if gens:
+        yield slice(lo, lo + bounds[-1]), cells, np.array(bounds), gens
 
 
 def as_replica_seed(seed: ReplicaSeed | int) -> ReplicaSeed:

@@ -281,7 +281,9 @@ def decay_rate_estimate(
     Fits a straight line to log of the total-variation distance over the
     given increasing time grid (at least 4 points) and returns the
     sign-flipped slope together with the intercept and R^2.  Distances at
-    the numerical floor raise DistanceUnderflowError; shrink the grid.
+    the numerical floor raise DistanceUnderflowError; shrink the grid.  A
+    grid whose squared spread about its mean is 0 or not a finite double
+    (too narrow or too wide for the slope) raises UnsortedTimesError.
     A QSD solution that did not converge, passed or computed, raises
     QsdNotConvergedError.
     """
@@ -292,6 +294,11 @@ def decay_rate_estimate(
         raise ValueError("t_grid times must be positive")
     if np.any(np.diff(times) <= 0.0):
         raise UnsortedTimesError("t_grid must be strictly increasing")
+    with np.errstate(over="ignore", invalid="ignore"):
+        t_centered = times - times.mean()
+        spread = float(t_centered @ t_centered)
+    if not 0.0 < spread < np.inf:
+        raise UnsortedTimesError("t_grid's spread squares to 0 or overflows a double")
     if solution is None:
         solution = qsd(chain)
     nu = solution.require_converged().nu
@@ -303,8 +310,7 @@ def decay_rate_estimate(
             "distance at or below 1e-12 on the grid; shrink the grid"
         )
     y = np.log(distances)
-    t_centered = times - times.mean()
-    slope = float(t_centered @ (y - y.mean()) / (t_centered @ t_centered))
+    slope = float(t_centered @ (y - y.mean()) / spread)
     intercept = float(y.mean() - slope * times.mean())
     ss_res = float(np.sum((y - (slope * times + intercept)) ** 2))
     ss_tot = float(np.sum((y - y.mean()) ** 2))

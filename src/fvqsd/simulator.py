@@ -25,7 +25,7 @@ from .errors import UnsortedTimesError
 # empirical_measure is unused here but stays importable: perfbench's tracer
 # patches it by attribute.
 from .measures import check_distribution, empirical_measure  # noqa: F401
-from .seeding import BLOCK_REPLICAS, ReplicaSeed, as_replica_seed, lockstep_groups
+from .seeding import ReplicaSeed, as_replica_seed, lockstep_groups
 
 __all__ = [
     "TransitionTables",
@@ -146,14 +146,10 @@ def simulate_counts(
     Returns an int64 array of shape (replicas, len(record_times), n_sites):
     entry [r, k, x] counts the particles at site x at record_times[k] in
     replica r.  Times must be nondecreasing and start at or after 0;
-    snapshots are right-continuous.  Replicas run in blocks of
-    ``BLOCK_REPLICAS`` on the generators of ``ReplicaSeed.blocks``, each
-    block in the draw order of ``_kernels.run_counts``, so the output
-    depends only on the seed and the arguments.  The blocks step together
-    in lockstep groups of at most ``seeding.GROUP_REPLICAS`` replicas;
-    ``convergence_experiment`` packs the blocks of several such runs into
-    the same groups (one loop for a grid of up to that many replicas),
-    and gets the counts of each run.
+    snapshots are right-continuous.  Replicas run in the lockstep groups
+    of ``seeding.lockstep_groups``, each block in the draw order of
+    ``_kernels.run_counts``, so the output depends only on the seed and
+    the arguments.
     """
     pos = validate_configuration(xi0, chain.n)
     times = _record_times(record_times)
@@ -166,22 +162,15 @@ def simulate_counts(
 def _count_cells(chain, cells, times, replicas):
     # Site counts of several cells, each a (configuration, seed) pair run
     # as simulate_counts runs it, in one array of shape (cells, replicas,
-    # times, n_sites).  The cells' blocks are packed, in order, into the
-    # lockstep groups of seeding.lockstep_groups; run_counts steps a
-    # group's blocks together, each on its own generator, so every cell's
-    # counts are those of its own simulate_counts call.
-    starts = [np.bincount(pos, minlength=chain.n) for pos, _ in cells]
+    # times, n_sites), the cells' blocks sharing lockstep groups.
+    starts = np.stack([np.bincount(pos, minlength=chain.n) for pos, _ in cells])
     seeds = [as_replica_seed(seed) for _, seed in cells]
     out = np.empty((len(cells), replicas, times.size, chain.n), dtype=np.int64)
-    rows = out.reshape(-1, times.size, chain.n)
-    lo = 0
-    for group in lockstep_groups(seeds, replicas, BLOCK_REPLICAS):
-        owners, sizes, gens = zip(*group)
-        hi = lo + sum(sizes)
-        counts = np.repeat(np.stack([starts[k] for k in owners]), sizes, axis=0)
-        _kernels.run_counts(list(gens), np.cumsum((0,) + sizes), counts,
-                            chain.site_rates, chain.move_table, times, rows[lo:hi])
-        lo = hi
+    flat = out.reshape(-1, times.size, chain.n)
+    for rows, owners, bounds, gens in lockstep_groups(seeds, replicas):
+        counts = starts[owners].repeat(np.diff(bounds), axis=0)
+        _kernels.run_counts(gens, bounds, counts, chain.site_rates,
+                            chain.move_table, times, flat[rows])
     return out
 
 

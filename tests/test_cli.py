@@ -188,6 +188,10 @@ MALFORMED = {
         ("correlation", dict(CORRELATION, n_particles=2**62), 0, []),
     "semigroup-t_grid-1e308": ("semigroup", {"initial": "1",
                                              "t_grid": [1.0, 2.0, 3.0, 1e308]}, 0, []),
+    # The grid's spread squares to 0, so the decay fit's slope was NaN,
+    # written as invalid JSON with exit 0.
+    "semigroup-t_grid-1e-300": ("semigroup", {"initial": "1", "t_grid": [
+        1e-300, 2e-300, 3e-300, 4e-300]}, 0, []),
     "overlap-n_particles-4-t-1e20": ("overlap", {"n_particles": 4, "t": 1e20,
                                                  "replicas": 2}, 0, []),
     # 2 C t = 800 is above log(DBL_MAX), so the bound e^(2 C t) overflows.

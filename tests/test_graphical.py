@@ -17,10 +17,10 @@ from fvqsd import (
     sample_marks,
     simulate,
 )
-from fvqsd import graphical, seeding
+from fvqsd import _kernels, graphical, seeding
 from fvqsd.errors import HorizonOverflowError
 from fvqsd.graphical import _influence_samples
-from fvqsd.simulator import BLOCK_REPLICAS
+from fvqsd.seeding import BLOCK_REPLICAS
 
 import _pilots
 from _oracles import (
@@ -156,20 +156,20 @@ def packed_scan(cells, replicas, seed, monkeypatch):
     gens = []
     groups = []
     blocks = ReplicaSeed.blocks
-    scan = graphical._scan
+    scan = _kernels.scan_sizes
 
     def spy(self, *args):
         for first, stop, gen in blocks(self, *args):
             gens.append(gen)
             yield first, stop, gen
 
-    def scan_spy(block_n, block_horizon, block_sizes, *args):
-        groups.append(sum(block_sizes))
-        scan(block_n, block_horizon, block_sizes, *args)
+    def scan_spy(group_gens, bounds, *args):
+        groups.append(int(bounds[-1]))
+        scan(group_gens, bounds, *args)
 
     with monkeypatch.context() as patch:
         patch.setattr(ReplicaSeed, "blocks", spy)
-        patch.setattr(graphical, "_scan", scan_spy)
+        patch.setattr(_kernels, "scan_sizes", scan_spy)
         sizes, overlaps = _influence_samples(cells, replicas, seed)
     return sizes, overlaps, [gen.random() for gen in gens], groups
 

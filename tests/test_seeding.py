@@ -3,8 +3,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from fvqsd import ReplicaSeed
-from fvqsd.seeding import as_replica_seed
+from fvqsd import ReplicaSeed, seeding
+from fvqsd.seeding import as_replica_seed, lockstep_groups
 
 
 def first_draws(gen):
@@ -60,3 +60,43 @@ class TestBlocks:
         whole = [first_draws(gen) for _, _, gen in ReplicaSeed(9, 0).blocks(12, 4)]
         tail = [first_draws(gen) for _, _, gen in ReplicaSeed(9, 4).blocks(8, 4)]
         np.testing.assert_array_equal(whole[1:], tail)
+
+
+class TestLockstepGroups:
+    SEEDS = [ReplicaSeed(9, 0), ReplicaSeed(9, 50), ReplicaSeed(3, 7)]
+
+    @pytest.mark.parametrize("replicas, cap, filled", [
+        (7, 12, [11, 10]),
+        (10, 10, [10, 10, 10]),
+        (3, 4, [3, 3, 3]),
+        (9, 100, [27]),
+    ], ids=["across-cells", "exact-fill", "one-block-each", "one-group"])
+    def test_groups_pack_the_blocks_in_order(self, monkeypatch, replicas, cap,
+                                             filled):
+        # Blocks of 4 replicas, three cells, groups of at most cap.
+        monkeypatch.setattr(seeding, "BLOCK_REPLICAS", 4)
+        monkeypatch.setattr(seeding, "GROUP_REPLICAS", cap)
+        groups = list(lockstep_groups(self.SEEDS, replicas))
+        expected = [(cell, stop - first, gen) for cell, seed in enumerate(self.SEEDS)
+                    for first, stop, gen in seed.blocks(replicas, 4)]
+        packed = []
+        stop = 0
+        for rows, cells, bounds, gens in groups:
+            # The rows tile the cells' replicas in order.
+            assert rows.start == stop and rows.step is None
+            stop = rows.stop
+            assert bounds[0] == 0 and bounds[-1] == rows.stop - rows.start <= cap
+            assert len(cells) == len(gens) == len(bounds) - 1
+            packed.extend(zip(cells, np.diff(bounds).tolist(), gens))
+        assert stop == len(self.SEEDS) * replicas
+        assert [bounds[-1] for _, _, bounds, _ in groups] == filled
+        assert [block[:2] for block in packed] == [block[:2] for block in expected]
+        for (_, _, gen), (_, _, own) in zip(packed, expected):
+            np.testing.assert_array_equal(first_draws(gen), first_draws(own))
+        # Each group but the last would overflow with the next one's first
+        # block.
+        for (_, _, bounds, _), (_, _, after, _) in zip(groups, groups[1:]):
+            assert bounds[-1] + after[1] > cap
+
+    def test_zero_replicas_yield_nothing(self):
+        assert list(lockstep_groups(self.SEEDS, 0)) == []

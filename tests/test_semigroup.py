@@ -388,6 +388,23 @@ class TestDecayRateEstimate:
         with pytest.raises(ValueError):
             decay_rate_estimate(golden_chain, mu, [0.0, 1.0, 2.0, 3.0])
 
+    @pytest.mark.parametrize("grid", [[1e-300, 2e-300, 3e-300, 4e-300],
+                                      [1.0, 2.0, 3.0, 1e300]],
+                             ids=["spread-underflows", "spread-overflows"])
+    def test_grid_spread_must_square_finite(self, monkeypatch, grid):
+        # A spread of 1e-300 squares to 0, and the slope used to come out
+        # as 0/0 = NaN; one of 1e300 squares to inf.  Both are refused
+        # before any conditioned law is computed.
+        chain = validate_chain({"states": ["a", "b"], "rates": [[0, 1], [1, 0]],
+                                "absorption": [1, 0.5]})
+
+        def no_law(*args):
+            raise AssertionError("conditioned_law called")
+
+        monkeypatch.setattr("fvqsd.semigroup.conditioned_law", no_law)
+        with pytest.raises(UnsortedTimesError, match="spread"):
+            decay_rate_estimate(chain, [1.0, 0.0], grid)
+
     def test_distances_match_direct(self, golden_chain):
         times = [0.5, 1.0, 1.5, 2.0]
         sol = qsd(golden_chain)

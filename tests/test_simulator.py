@@ -322,9 +322,9 @@ class TestSimulateCounts:
         # Block b of a run starting at replica i is keyed by i + b *
         # BLOCK_REPLICAS, so a run that starts at a later block reproduces
         # that block of the longer run.
-        from fvqsd import simulator
+        from fvqsd import seeding
 
-        monkeypatch.setattr(simulator, "BLOCK_REPLICAS", 4)
+        monkeypatch.setattr(seeding, "BLOCK_REPLICAS", 4)
         xi0 = np.zeros(6, dtype=np.int64)
         a = simulate_counts(golden_chain, xi0, [1.0], 10, ReplicaSeed(9, 0))
         b = simulate_counts(golden_chain, xi0, [1.0], 10, ReplicaSeed(9, 0))
