@@ -33,7 +33,8 @@ to h and run_recorded at times ending at h consume the same draws.
 ``scan_sizes`` the influence size chain, each for one lockstep group of
 ``seeding.lockstep_groups``: each step is a few numpy calls across all
 the group's blocks, not a Python loop per replica, and each block draws
-from its own generator in the order it would draw alone.
+from its own generator in the order it would draw alone.  Each states
+its measured bytes per replica beside it, by which the groups are sized.
 Randomness is drawn only through np.random.Generator methods in a fixed
 order, so a seeded generator reproduces its trajectories bit for bit.
 
@@ -185,19 +186,27 @@ def _block_counts(live, bounds):
     return np.diff(live.searchsorted(bounds)).tolist()
 
 
-def run_counts(gens, bounds, counts, site_rate, cum_move, record_times, out):
+def count_replica_bytes(n_sites):
+    # Peak bytes per replica of run_counts's working set, measured with
+    # tracemalloc on rings of 1-200 sites: 139 on one site, then about 80
+    # plus 44 per site (163 on two, 2251 on 50, 8818 on 200).
+    return 100 + 44 * n_sites
+
+
+def run_counts(gens, bounds, starts, site_rate, cum_move, record_times, out):
     """Exact site-count dynamics of blocks of replicas, stepped in lockstep.
 
-    counts holds the starting counts, shape (replicas, n_sites); block b is
-    rows [bounds[b], bounds[b + 1]), draws from gens[b] and has its own
-    particle count N.  out has shape (replicas, len(record_times),
-    n_sites).  The particles are exchangeable, so the counts are a Markov
-    chain of their own.  Each step gives every live replica one event: a
-    site x chosen with probability proportional to c_x * site_rate[x], then
-    a move by the first u < row[j] rule of cum_move, as in ``_run``.  An
-    absorption attempt revives the particle onto a uniformly chosen other
-    particle, drawn with an integer in [0, N - 1) from c - e_x; a revival
-    onto its own site is an event that leaves the counts unchanged.
+    Block b is rows [bounds[b], bounds[b + 1]) of the replicas, draws from
+    gens[b] and starts each replica from the site counts starts[b], whose
+    sum is its particle count N.  out has shape (replicas,
+    len(record_times), n_sites).  The particles are exchangeable, so the
+    counts are a Markov chain of their own.  Each step gives every live
+    replica one event: a site x chosen with probability proportional to
+    c_x * site_rate[x], then a move by the first u < row[j] rule of
+    cum_move, as in ``_run``.  An absorption attempt revives the particle
+    onto a uniformly chosen other particle, drawn with an integer in
+    [0, N - 1) from c - e_x; a revival onto its own site is an event that
+    leaves the counts unchanged.
 
     Between record times the replicas still live are those whose next
     event falls at or before the record time.  An event drawn past it is
@@ -215,9 +224,9 @@ def run_counts(gens, bounds, counts, site_rate, cum_move, record_times, out):
     how blocks are grouped changes no count.  Returns the number of
     events applied.
     """
-    n_reps, n_sites = counts.shape
+    n_reps, n_sites = bounds[-1], len(site_rate)
     block_sizes = np.diff(bounds).tolist()
-    n_particles = counts[bounds[:-1]].sum(axis=1).tolist()
+    n_particles = starts.sum(axis=1).tolist()
     waits = [g.standard_exponential for g in gens]
     uniforms = [g.random for g in gens]
     donors_of = [functools.partial(g.integers, 0, n - 1)
@@ -231,7 +240,7 @@ def run_counts(gens, bounds, counts, site_rate, cum_move, record_times, out):
     # along replicas.  c holds the live replicas: state itself until the
     # first one stops, then a compressed copy whose rows go back to state
     # as they stop.
-    state = np.ascontiguousarray(counts.T, dtype=np.float64)
+    state = np.repeat(starts.T.astype(np.float64), block_sizes, axis=1)
     every = np.arange(n_reps)
     start = 0.0
     n_events = 0
@@ -278,6 +287,11 @@ def run_counts(gens, bounds, counts, site_rate, cum_move, record_times, out):
             out[:, k] = state.T
             start = horizon
     return n_events
+
+
+# Peak bytes per replica of scan_sizes's working set, measured with
+# tracemalloc: 116-148, whatever N and the horizon.
+SCAN_REPLICA_BYTES = 160
 
 
 def scan_sizes(gens, bounds, block_n, block_horizon, sizes, overlaps):

@@ -15,10 +15,10 @@ import numpy as np
 from numpy.typing import ArrayLike, NDArray
 
 from .chain import AbsorbingChain, check_bound_horizon
-# map_replicas, simulate and tv_distance are unused here but stay
-# importable: perfbench's tracer patches them by attribute.
-from .measures import check_distribution, empirical_measure
-from .measures import tv_distance  # noqa: F401
+# empirical_measure, map_replicas, simulate and tv_distance are unused
+# here but stay importable: perfbench's tracer patches them by attribute.
+from .measures import check_distribution
+from .measures import empirical_measure, tv_distance  # noqa: F401
 from .parallel import map_replicas  # noqa: F401
 from .seeding import ReplicaSeed, as_replica_seed
 from .semigroup import conditioned_law, qsd
@@ -152,6 +152,15 @@ def correlation_experiment(
     )
 
 
+def _n_values(n_list: list[int]) -> NDArray[np.int64]:
+    n_arr = np.asarray(n_list, dtype=np.int64)
+    if n_arr.size == 0:
+        raise ValueError("n_list must be nonempty")
+    if np.any(np.diff(n_arr) <= 0):
+        raise ValueError("n_list must be strictly increasing")
+    return n_arr
+
+
 @dataclass(frozen=True)
 class ConvergenceCurve:
     """Estimates indexed by particle count, N strictly increasing."""
@@ -179,12 +188,12 @@ def convergence_experiment(
     configuration; the Monte Carlo mean of ||m(xi_t) - T_t m(xi_0)||_TV is
     taken over replicas, and the curve records the max over profiles (with
     that profile's SE).  The target uses the realized m(xi_0), not the
-    requested profile, so rounding in the expansion cancels out.  The k-th
-    N and j-th profile run on ``seed.offset((k P + j) replicas)`` for P
-    profiles, as ``simulate_counts`` would run them one by one; all cells
-    share the lockstep groups of ``seeding.lockstep_groups``.  An
-    unsorted or repeated n_list, or a t that is not finite and
-    nonnegative, raises ValueError before any draw.
+    requested profile, so rounding in the expansion cancels out.  The
+    cells, N-major and profile-minor, run on the grid of
+    ``seeding.lockstep_groups`` on ``seed``, each as ``simulate_counts``
+    would run it on its stream.  An empty, unsorted or repeated n_list,
+    or a t that is not finite and nonnegative, raises ValueError before
+    any draw.
     """
     if replicas < 2:
         raise ValueError("replicas must be at least 2")
@@ -192,32 +201,24 @@ def convergence_experiment(
         raise ValueError("need at least one profile")
     if not (np.isfinite(t) and t >= 0.0):
         raise ValueError("time must be finite and nonnegative")
-    n_arr = np.asarray(n_list, dtype=np.int64)
-    if np.any(np.diff(n_arr) <= 0):
-        raise ValueError("n_list must be strictly increasing")
-    seed = as_replica_seed(seed)
+    n_arr = _n_values(n_list)
     profiles = [check_distribution(p, chain.n) for p in profiles]
-
-    cells = []
-    targets = []
-    for n_particles in n_arr.tolist():
-        for profile in profiles:
-            xi0 = configuration_from_profile(profile, n_particles, chain.states)
-            targets.append(conditioned_law(chain, empirical_measure(xi0, chain.n), t))
-            cells.append((xi0, seed.offset(len(cells) * replicas)))
-    counts = _count_cells(chain, cells, np.array([float(t)]), replicas)[:, :, 0]
-
-    estimates = np.empty(n_arr.size)
-    std_errors = np.empty(n_arr.size)
-    for k, n_particles in enumerate(n_arr.tolist()):
-        best = (-np.inf, 0.0)
-        for j in range(k * len(profiles), (k + 1) * len(profiles)):
-            dists = np.abs(counts[j] / n_particles - targets[j]).sum(axis=1)
-            mean = float(dists.mean())
-            if mean > best[0]:
-                best = (mean, float(dists.std(ddof=1) / np.sqrt(replicas)))
-        estimates[k], std_errors[k] = best
-    return ConvergenceCurve(n_arr, estimates, std_errors)
+    cell_n = n_arr.repeat(len(profiles))[:, None]
+    starts = np.stack([np.bincount(configuration_from_profile(p, n, chain.states),
+                                   minlength=chain.n)
+                       for n in n_arr.tolist() for p in profiles])
+    # start / N is empirical_measure of the cell's configuration, bit for bit.
+    targets = np.stack([conditioned_law(chain, m0, t) for m0 in starts / cell_n])
+    times = np.array([float(t)])
+    counts = _count_cells(chain, starts, seed, times, replicas)[:, :, 0]
+    # One cell at a time, so the float temporaries stay one cell's size.
+    dists = np.stack([np.abs(c / n - target).sum(axis=1)
+                      for c, n, target in zip(counts, cell_n[:, 0], targets)])
+    means = dists.mean(axis=1).reshape(n_arr.size, -1)
+    errors = (dists.std(axis=1, ddof=1) / np.sqrt(replicas)).reshape(n_arr.size, -1)
+    # Per N, the worst profile is the first with the largest mean.
+    worst = (np.arange(n_arr.size), means.argmax(axis=1))
+    return ConvergenceCurve(n_arr, means[worst], errors[worst])
 
 
 def qsd_profile_experiment(
@@ -231,14 +232,12 @@ def qsd_profile_experiment(
     """Stationary mean of ||m - nu||_TV per particle count.
 
     One long trajectory per N, the k-th on ``seed.offset(k)``; batch-means
-    standard errors since the samples are autocorrelated.  An unsorted or
-    repeated n_list, or fewer than 2 samples per batch, raises ValueError
-    before any draw; a QSD that did not converge raises
-    QsdNotConvergedError.
+    standard errors since the samples are autocorrelated.  An empty,
+    unsorted or repeated n_list, or fewer than 2 samples per batch, raises
+    ValueError before any draw or solve; a QSD that did not converge
+    raises QsdNotConvergedError.
     """
-    n_arr = np.asarray(n_list, dtype=np.int64)
-    if np.any(np.diff(n_arr) <= 0):
-        raise ValueError("n_list must be strictly increasing")
+    n_arr = _n_values(n_list)
     _check_batches(n_samples)
     solution = qsd(chain).require_converged()
     seed = as_replica_seed(seed)

@@ -186,9 +186,8 @@ def evolve(xi0: ArrayLike, marks: MarkRealization) -> NDArray[np.int64]:
             f"configuration has {pos.size} particles, marks have "
             f"{marks.n_particles}"
         )
-    out = pos.copy()
-    _kernels.apply_marks(out, marks.particle, marks.partner, marks.maps)
-    return out
+    _kernels.apply_marks(pos, marks.particle, marks.partner, marks.maps)
+    return pos
 
 
 def influence_matrix(
@@ -240,15 +239,15 @@ def _influence_samples(
 ) -> tuple[NDArray[np.int64], NDArray[np.bool_]]:
     # Per replica of each (N, mass) cell, |set of 0| and whether it meets
     # the set of 1, for a per-particle copy-event mass = C * t, as arrays
-    # of shape (cells, replicas); influence_experiment documents the chain,
-    # the streams and the draw order.  Rates are in units of C / (N - 1),
-    # so a cell's clock stops at C t / (N - 1).
+    # of shape (cells, replicas), the cells on the grid of lockstep_groups;
+    # influence_experiment documents the chain and the draw order.  Rates
+    # are in units of C / (N - 1), so a cell's clock stops at C t / (N - 1).
     sizes = np.empty(len(cells) * replicas, dtype=np.int64)
     overlaps = np.empty(sizes.size, dtype=np.bool_)
-    seeds = [seed.offset(k * replicas) for k in range(len(cells))]
     n = [float(n_particles) for n_particles, _ in cells]
     horizon = [mass / (n_particles - 1) for n_particles, mass in cells]
-    for rows, owners, bounds, gens in lockstep_groups(seeds, replicas):
+    for rows, owners, bounds, gens in lockstep_groups(
+            seed, len(cells), replicas, _kernels.SCAN_REPLICA_BYTES):
         _kernels.scan_sizes(gens, bounds, [n[k] for k in owners],
                             [horizon[k] for k in owners], sizes[rows], overlaps[rows])
     return (sizes.reshape(len(cells), replicas),
@@ -267,8 +266,8 @@ def influence_experiment(
     The cells are the pairs (N, t), N from ``n_list`` and t from
     ``t_grid``, counted in ``n_list`` order, then ``t_grid`` order; one
     (InfluenceSizeEstimate, OverlapEstimate) pair comes back per cell, in
-    that order.  Cell k's replicas draw from ``seed.offset(k * replicas)``,
-    so a one-cell call with that seed reproduces cell k.
+    that order.  The cells run on the grid of ``seeding.lockstep_groups``
+    on ``seed``, so a one-cell call on cell k's stream reproduces it.
 
     Each replica computes the influence sets of labels 0 and 1
     (exchangeability makes the choice irrelevant) from its copy events:

@@ -5,12 +5,13 @@ purely from (master_seed, replica_index), so a replica's draws do not
 depend on which replicas ran before it.  Offsets and blocks of replicas
 get their streams from :meth:`ReplicaSeed.offset` and
 :meth:`ReplicaSeed.blocks`, and from nowhere else.  :func:`lockstep_groups`
-states how both packed engines group blocks.
+states the replica grid of both packed engines: each cell's stream, and
+how their blocks are grouped.
 """
 from __future__ import annotations
 
 import operator
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,13 +22,13 @@ __all__ = ["ReplicaSeed", "as_replica_seed"]
 # block draws from one generator.
 BLOCK_REPLICAS = 1000
 
-# Most replicas stepped in one lockstep loop of either engine.  Both hold
-# a few numbers per replica while they step: about 140 bytes in the
-# influence scan, and in the count engine about 190 on a two-site chain
-# and 230 on a three-site one, some 50 more per site.  So a full group's
-# working set is 9-15 MiB on such chains, however many replicas a call
-# runs.
-GROUP_REPLICAS = 2**16
+# Most bytes of working set in one lockstep loop of either engine, at the
+# bytes per replica that ``_kernels`` states beside each loop.  Measured
+# peaks per replica are 116-148 bytes in the influence scan, and in the
+# count engine 163 on two sites, 206 on three and some 44 more per site
+# (8818 on 200).  So a group holds some 89000 replicas on a two-site
+# chain and one block of 1000 on a 200-site one, however many a call runs.
+GROUP_BYTES = 2**24
 
 
 @dataclass(frozen=True)
@@ -72,39 +73,41 @@ class ReplicaSeed:
 
 
 def lockstep_groups(
-    seeds: Sequence[ReplicaSeed], replicas: int
+    seed: ReplicaSeed, cells: int, replicas: int, replica_bytes: int
 ) -> Iterator[tuple[slice, list[int], np.ndarray, list[np.random.Generator]]]:
-    """The lockstep groups of the count engine and of the influence scan.
+    """The replica grid of the count engine and of the influence scan.
 
     This is the one statement of the rule.  Cell k runs ``replicas``
-    replicas on ``seeds[k]``, in the blocks of
-    ``seeds[k].blocks(replicas, BLOCK_REPLICAS)``, each on its own
-    generator.  The blocks of all cells, cell by cell, are packed in order
-    into groups of at most ``GROUP_REPLICAS`` replicas; a group closes
-    when its next block would overflow it.  ``_kernels.run_counts`` or
-    ``_kernels.scan_sizes`` steps each group in one loop, in which every
-    block draws as it would in a run of its own.  So the grouping changes
-    no result, and a loop holds one group's replicas however many a call
-    runs.
+    replicas on ``seed.offset(k * replicas)``, in the blocks of its
+    ``blocks(replicas, BLOCK_REPLICAS)``, each on its own generator; so a
+    one-cell call on that seed reproduces cell k.  The blocks of all
+    cells, cell by cell, are packed in order into groups; a group closes
+    when its next block would take it past ``GROUP_BYTES`` at
+    ``replica_bytes`` a replica, and holds at least one block.
+    ``_kernels.run_counts`` or ``_kernels.scan_sizes`` steps each group in
+    one loop, in which every block draws as it would in a run of its own.
+    So the grouping changes no result, and a loop holds one group's
+    working set however many replicas a call runs.
 
-    Yields ``(rows, cells, bounds, gens)`` per group: ``rows`` is its
-    slice of the ``len(seeds) * replicas`` replicas, cell by cell;
-    ``cells[b]`` is the cell of block b, ``gens[b]`` its generator, and
+    Yields ``(rows, owners, bounds, gens)`` per group: ``rows`` is its
+    slice of the ``cells * replicas`` replicas, cell by cell;
+    ``owners[b]`` is the cell of block b, ``gens[b]`` its generator, and
     ``bounds`` the array of block bounds in ``rows``, from 0 to its length.
     """
-    cells, bounds, gens = [], [0], []
+    owners, bounds, gens = [], [0], []
     lo = 0
-    for cell, seed in enumerate(seeds):
-        for first, stop, gen in seed.blocks(replicas, BLOCK_REPLICAS):
-            if gens and bounds[-1] + stop - first > GROUP_REPLICAS:
-                yield slice(lo, lo + bounds[-1]), cells, np.array(bounds), gens
+    for cell in range(cells):
+        for first, stop, gen in seed.offset(cell * replicas).blocks(
+                replicas, BLOCK_REPLICAS):
+            if gens and (bounds[-1] + stop - first) * replica_bytes > GROUP_BYTES:
+                yield slice(lo, lo + bounds[-1]), owners, np.array(bounds), gens
                 lo += bounds[-1]
-                cells, bounds, gens = [], [0], []
-            cells.append(cell)
+                owners, bounds, gens = [], [0], []
+            owners.append(cell)
             bounds.append(bounds[-1] + stop - first)
             gens.append(gen)
     if gens:
-        yield slice(lo, lo + bounds[-1]), cells, np.array(bounds), gens
+        yield slice(lo, lo + bounds[-1]), owners, np.array(bounds), gens
 
 
 def as_replica_seed(seed: ReplicaSeed | int) -> ReplicaSeed:

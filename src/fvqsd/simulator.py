@@ -53,6 +53,7 @@ def transition_tables(chain: AbsorbingChain) -> TransitionTables:
 
 
 def validate_configuration(xi0: ArrayLike, n_states: int) -> NDArray[np.int64]:
+    """``xi0`` as a new int64 array, which the caller may modify."""
     pos = np.asarray(xi0)
     if pos.ndim != 1 or pos.size < 2:
         raise ValueError("configuration needs at least 2 particles")
@@ -98,9 +99,8 @@ def simulate(
     if not np.isfinite(t) or t < 0.0:
         raise ValueError("time must be finite and nonnegative")
     gen = as_replica_seed(seed).generator()
-    out = pos.copy()
-    _kernels.run_events(gen, out, chain.site_rates, chain.move_table, t)
-    return out
+    _kernels.run_events(gen, pos, chain.site_rates, chain.move_table, t)
+    return pos
 
 
 def _record_times(record_times: ArrayLike) -> NDArray[np.float64]:
@@ -129,8 +129,7 @@ def simulate_trajectory(
     times = _record_times(record_times)
     gen = as_replica_seed(seed).generator()
     out = np.empty((times.size, pos.size), dtype=np.int64)
-    work = pos.copy()
-    _kernels.run_recorded(gen, work, chain.site_rates, chain.move_table, times, out)
+    _kernels.run_recorded(gen, pos, chain.site_rates, chain.move_table, times, out)
     return out
 
 
@@ -156,20 +155,21 @@ def simulate_counts(
     replicas = operator.index(replicas)
     if replicas < 1:
         raise ValueError("replicas must be at least 1")
-    return _count_cells(chain, [(pos, seed)], times, replicas)[0]
+    start = np.bincount(pos, minlength=chain.n)
+    return _count_cells(chain, start[None], seed, times, replicas)[0]
 
 
-def _count_cells(chain, cells, times, replicas):
-    # Site counts of several cells, each a (configuration, seed) pair run
-    # as simulate_counts runs it, in one array of shape (cells, replicas,
-    # times, n_sites), the cells' blocks sharing lockstep groups.
-    starts = np.stack([np.bincount(pos, minlength=chain.n) for pos, _ in cells])
-    seeds = [as_replica_seed(seed) for _, seed in cells]
-    out = np.empty((len(cells), replicas, times.size, chain.n), dtype=np.int64)
+def _count_cells(chain, starts, seed, times, replicas):
+    # Site counts of the cells of the grid of seeding.lockstep_groups,
+    # cell k starting from the site counts starts[k], as simulate_counts
+    # runs it on its stream, in one array of shape (cells, replicas,
+    # times, n_sites).
+    out = np.empty((len(starts), replicas, times.size, chain.n), dtype=np.int64)
     flat = out.reshape(-1, times.size, chain.n)
-    for rows, owners, bounds, gens in lockstep_groups(seeds, replicas):
-        counts = starts[owners].repeat(np.diff(bounds), axis=0)
-        _kernels.run_counts(gens, bounds, counts, chain.site_rates,
+    for rows, owners, bounds, gens in lockstep_groups(
+            as_replica_seed(seed), len(starts), replicas,
+            _kernels.count_replica_bytes(chain.n)):
+        _kernels.run_counts(gens, bounds, starts[owners], chain.site_rates,
                             chain.move_table, times, flat[rows])
     return out
 

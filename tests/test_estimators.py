@@ -20,6 +20,7 @@ from fvqsd import (
     product_moment_experiment,
     qsd,
     qsd_profile_experiment,
+    simulate_counts,
     simulate_trajectory,
     stationary_sampler,
     tv_distance,
@@ -249,16 +250,19 @@ class TestConvergenceExperiment:
             )
 
 
-    @pytest.mark.parametrize("n_list", [[40, 10], [10, 10], [10, 40, 20]])
+    @pytest.mark.parametrize("n_list, message", [
+        ([40, 10], "strictly increasing"), ([10, 10], "strictly increasing"),
+        ([10, 40, 20], "strictly increasing"), ([], "nonempty")],
+        ids=["n_list0", "n_list1", "n_list2", "n_list3"])
     def test_unsorted_n_list_refused_before_drawing(
-            self, golden_chain, monkeypatch, n_list):
-        # Such a list used to simulate every cell and only then fail in
-        # ConvergenceCurve.
+            self, golden_chain, monkeypatch, n_list, message):
+        # An unsorted list used to simulate every cell and only then fail
+        # in ConvergenceCurve, and an empty one failed inside numpy.
         def no_draws(*args):
             raise AssertionError("simulated before refusing n_list")
 
         monkeypatch.setattr(estimators, "_count_cells", no_draws)
-        with pytest.raises(ValueError, match="n_list must be strictly increasing"):
+        with pytest.raises(ValueError, match=f"^n_list must be {message}$"):
             convergence_experiment(golden_chain, extreme_profiles(2), 1.0,
                                    n_list, 200, seed=1)
 
@@ -288,6 +292,43 @@ class TestConvergenceExperiment:
         convergence_experiment(golden_chain, extreme_profiles(2), 1.0,
                                [10, 20, 40], 200, seed=1)
         assert loops == [list(range(0, 1801, 200))]
+
+    def test_cell_k_is_a_one_cell_call_on_its_stream(self, three_site_chain,
+                                                     monkeypatch):
+        # Cell k, N-major and profile-minor, is simulate_counts on
+        # seed.offset(k * replicas), bit for bit; and the curve is the
+        # per-cell reduction of those one-cell calls, also bit for bit.
+        chain, t, n_list, replicas = three_site_chain, 0.7, [3, 8], 1500
+        seed = ReplicaSeed(41, 6)
+        profiles = extreme_profiles(chain.n)
+        grids = []
+        count_cells = estimators._count_cells
+
+        def spy(*args):
+            grids.append(count_cells(*args))
+            return grids[-1]
+
+        monkeypatch.setattr(estimators, "_count_cells", spy)
+        curve = convergence_experiment(chain, profiles, t, n_list, replicas, seed)
+        [grid] = grids
+        assert grid.shape == (len(n_list) * len(profiles), replicas, 1, chain.n)
+        cells = [(n, p) for n in n_list for p in profiles]
+        worst = []
+        for k, (n, profile) in enumerate(cells):
+            xi0 = configuration_from_profile(profile, n, chain.states)
+            one = simulate_counts(chain, xi0, [t], replicas,
+                                  seed.offset(k * replicas))
+            np.testing.assert_array_equal(grid[k], one)
+            target = conditioned_law(chain, empirical_measure(xi0, chain.n), t)
+            dists = np.abs(one[:, 0] / n - target).sum(axis=1)
+            worst.append((float(dists.mean()),
+                          float(dists.std(ddof=1) / np.sqrt(replicas))))
+        for k in range(len(n_list)):
+            # max keeps the first of equal means.
+            estimate, error = max(worst[k * len(profiles):(k + 1) * len(profiles)],
+                                  key=lambda cell: cell[0])
+            assert curve.estimates[k] == estimate
+            assert curve.std_errors[k] == error
 
 
 class TestQsdProfileExperiment:
@@ -322,16 +363,21 @@ class TestQsdProfileExperiment:
         assert lhs <= rhs + slack
 
 
-    @pytest.mark.parametrize("n_list", [[1000, 10], [10, 10], [10, 40, 20]])
+    @pytest.mark.parametrize("n_list, message", [
+        ([1000, 10], "strictly increasing"), ([10, 10], "strictly increasing"),
+        ([10, 40, 20], "strictly increasing"), ([], "nonempty")],
+        ids=["n_list0", "n_list1", "n_list2", "n_list3"])
     def test_unsorted_n_list_refused_before_drawing(
-            self, golden_chain, monkeypatch, n_list):
-        # Such a list used to run the sampler at every N and only then fail
-        # in ConvergenceCurve.
+            self, golden_chain, monkeypatch, n_list, message):
+        # An unsorted list used to run the sampler at every N and only then
+        # fail in ConvergenceCurve, and an empty one solved the QSD and
+        # returned an empty curve.
         def no_draws(*args):
-            raise AssertionError("sampled before refusing n_list")
+            raise AssertionError("sampled or solved before refusing n_list")
 
         monkeypatch.setattr(estimators, "stationary_sampler", no_draws)
-        with pytest.raises(ValueError, match="n_list must be strictly increasing"):
+        monkeypatch.setattr(estimators, "qsd", no_draws)
+        with pytest.raises(ValueError, match=f"^n_list must be {message}$"):
             qsd_profile_experiment(golden_chain, n_list, 1.0, 40, 0.5, seed=1)
 
     def test_reductions_match_per_sample_calls(

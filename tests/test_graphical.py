@@ -645,11 +645,10 @@ class TestInfluenceExperiment:
         assert 1.0 <= size.mean_size < 1.01 and overlap.probability == 0.0
 
     def test_grid_above_the_cap_scans_in_bounded_memory(self):
-        # The scan holds about 140 bytes per replica of one lockstep group,
-        # and the output 9 per replica of the grid.  Four cells of
-        # GROUP_REPLICAS used to run as one group: 31 MiB here, against
-        # 10 MiB in groups.
-        replicas = seeding.GROUP_REPLICAS
+        # The scan holds at most 160 bytes per replica of one lockstep
+        # group, and the output 9 per replica of the grid.  Four cells of
+        # one full group each used to run as one group.
+        replicas = seeding.GROUP_BYTES // _kernels.SCAN_REPLICA_BYTES
         tracemalloc.start()
         try:
             sizes, _ = _influence_samples([(101, 1e-6)] * 4, replicas, ReplicaSeed(3))
@@ -685,7 +684,7 @@ class TestInfluenceExperiment:
         assert draws == next_draws
         assert len(draws) == len(cells) * -(-replicas // BLOCK_REPLICAS)
         assert (sizes[0] == 3).all() and (sizes[4] == 1).all()
-        assert max(groups) <= seeding.GROUP_REPLICAS
+        assert max(groups) * _kernels.SCAN_REPLICA_BYTES <= seeding.GROUP_BYTES
         assert sum(groups) == len(cells) * replicas
         return groups
 
@@ -713,7 +712,8 @@ class TestInfluenceExperiment:
     def test_small_cap_splits_a_scan_into_groups(self, monkeypatch, replicas):
         # A cap of 1500 replicas splits the six cells' blocks into several
         # groups, and no size, overlap or draw moves.
-        monkeypatch.setattr(seeding, "GROUP_REPLICAS", 1500)
+        monkeypatch.setattr(seeding, "GROUP_BYTES",
+                            1500 * _kernels.SCAN_REPLICA_BYTES)
         groups = self.match_one_block_at_a_time(replicas, ReplicaSeed(77, 3),
                                                 monkeypatch)
         assert len(groups) > 1

@@ -9,12 +9,17 @@ from __future__ import annotations
 
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from fvqsd import (
     _kernels,
+    convergence_experiment,
+    correlation_experiment,
+    extreme_profiles,
+    influence_experiment,
     seeding,
     simulator,
     sample_marks,
@@ -22,10 +27,12 @@ from fvqsd import (
     simulate_counts,
     simulate_trajectory,
     transition_tables,
+    validate_chain,
 )
 from fvqsd.graphical import evolve
 from fvqsd.seeding import BLOCK_REPLICAS, ReplicaSeed
 
+import _pilots
 from conftest import FIVE_SITE
 
 
@@ -66,33 +73,32 @@ def test_count_workload_digest(golden_chain, three_site_chain):
 
 
 def test_run_counts_counts_events(golden_chain):
-    counts = np.tile([40, 0], (3, 1))
     out = np.empty((3, 1, 2), dtype=np.int64)
     n_events = _kernels.run_counts([ReplicaSeed(7, 0).generator()], [0, 3],
-                                   counts, golden_chain.site_rates,
+                                   np.array([[40, 0]]), golden_chain.site_rates,
                                    golden_chain.move_table, [2.0], out)
     np.testing.assert_array_equal(out.sum(axis=2), 40)
     assert n_events == 361
 
 
-def _one_block_at_a_time(chain, cells, times, replicas):
-    # Each cell's blocks of ReplicaSeed.blocks, each run alone; returns the
-    # counts, the events and each block's next draw after its run.
-    out = np.empty((len(cells), replicas, len(times), chain.n), dtype=np.int64)
+def _one_block_at_a_time(chain, starts, seed, times, replicas):
+    # Each cell's blocks of ReplicaSeed.blocks, cell k on
+    # seed.offset(k * replicas), each run alone; returns the counts, the
+    # events and each block's next draw after its run.
+    out = np.empty((len(starts), replicas, len(times), chain.n), dtype=np.int64)
     n_events = 0
     next_draws = []
-    for cell, (xi0, seed) in enumerate(cells):
-        start = np.bincount(xi0, minlength=chain.n)
-        for first, stop, gen in seed.blocks(replicas, BLOCK_REPLICAS):
-            counts = np.tile(start, (stop - first, 1))
+    for cell, start in enumerate(starts):
+        for first, stop, gen in seed.offset(cell * replicas).blocks(
+                replicas, BLOCK_REPLICAS):
             n_events += _kernels.run_counts(
-                [gen], [0, stop - first], counts, chain.site_rates,
+                [gen], [0, stop - first], start[None], chain.site_rates,
                 chain.move_table, times, out[cell, first:stop])
             next_draws.append(gen.random())
     return out, n_events, next_draws
 
 
-def _packed(chain, cells, times, replicas, monkeypatch):
+def _packed(chain, starts, seed, times, replicas, monkeypatch):
     # simulator._count_cells, with each lockstep group's row bounds, its
     # events and each block's next draw after the group's run.
     groups = []
@@ -108,7 +114,8 @@ def _packed(chain, cells, times, replicas, monkeypatch):
 
     with monkeypatch.context() as patch:
         patch.setattr(_kernels, "run_counts", spy)
-        out = simulator._count_cells(chain, cells, np.asarray(times), replicas)
+        out = simulator._count_cells(chain, starts, seed, np.asarray(times),
+                                     replicas)
     return out, sum(events), next_draws, groups
 
 
@@ -117,21 +124,23 @@ def _match_one_block_at_a_time(chain, replicas, times, monkeypatch):
     # and every block's next draw equal those of each block run alone, and
     # groups are filled in order up to the cap.  Returns each group's row
     # bounds.
-    cells = [(np.arange(n, dtype=np.int64) % chain.n, ReplicaSeed(11, 5 * n))
-             for n in (2, 5, 17, 60)]
-    packed, events, draws, groups = _packed(chain, cells, times, replicas,
-                                            monkeypatch)
+    starts = np.stack([np.bincount(np.arange(n) % chain.n, minlength=chain.n)
+                       for n in (2, 5, 17, 60)])
+    seed = ReplicaSeed(11, 5)
+    packed, events, draws, groups = _packed(chain, starts, seed, times,
+                                            replicas, monkeypatch)
     expected, n_events, next_draws = _one_block_at_a_time(
-        chain, cells, np.asarray(times), replicas)
+        chain, starts, seed, np.asarray(times), replicas)
     np.testing.assert_array_equal(packed, expected)
     assert events == n_events > 0
     assert draws == next_draws
-    assert max(bounds[-1] for bounds in groups) <= seeding.GROUP_REPLICAS
-    assert sum(len(bounds) - 1 for bounds in groups) == len(cells) * (
+    replica_bytes = _kernels.count_replica_bytes(chain.n)
+    assert max(b[-1] for b in groups) * replica_bytes <= seeding.GROUP_BYTES
+    assert sum(len(bounds) - 1 for bounds in groups) == len(starts) * (
         -(-replicas // BLOCK_REPLICAS))
     # Each group but the last would overflow with the next one's first block.
     for group, after in zip(groups, groups[1:]):
-        assert group[-1] + after[1] > seeding.GROUP_REPLICAS
+        assert (group[-1] + after[1]) * replica_bytes > seeding.GROUP_BYTES
     return groups
 
 
@@ -152,7 +161,8 @@ def test_small_cap_splits_a_call_into_groups(
         three_site_chain, monkeypatch, replicas):
     # A cap of 1200 replicas splits the four cells' blocks into several
     # groups, and no count or draw moves.
-    monkeypatch.setattr(seeding, "GROUP_REPLICAS", 1200)
+    monkeypatch.setattr(seeding, "GROUP_BYTES",
+                        1200 * _kernels.count_replica_bytes(three_site_chain.n))
     groups = _match_one_block_at_a_time(three_site_chain, replicas,
                                         [0.0, 0.5, 0.5, 3.0], monkeypatch)
     assert len(groups) > 1
@@ -161,16 +171,89 @@ def test_small_cap_splits_a_call_into_groups(
 def test_packed_single_site_cells(single_site_chain, monkeypatch):
     # One site: every event is a revival onto that site, so the counts
     # never move, packed or not.
-    cells = [(np.zeros(n, dtype=np.int64), ReplicaSeed(4, n)) for n in (2, 9)]
-    packed, events, draws, groups = _packed(single_site_chain, cells,
+    starts, seed = np.array([[2], [9]]), ReplicaSeed(4, 2)
+    packed, events, draws, groups = _packed(single_site_chain, starts, seed,
                                             [0.5, 2.0], 300, monkeypatch)
     expected, n_events, next_draws = _one_block_at_a_time(
-        single_site_chain, cells, np.array([0.5, 2.0]), 300)
+        single_site_chain, starts, seed, np.array([0.5, 2.0]), 300)
     np.testing.assert_array_equal(packed, expected)
     np.testing.assert_array_equal(packed[:, :, :, 0], [[[2] * 2] * 300,
                                                        [[9] * 2] * 300])
     assert events == n_events and draws == next_draws
     assert groups == [[0, 300, 600]]
+
+
+def test_many_sites_hold_one_group_of_bytes():
+    # A 200-site ring, rate 1 each way, absorption 1 at site 0, where one
+    # group of 65536 replicas would hold 433 MiB.  Groups sized in bytes
+    # hold at most GROUP_BYTES, or one block.
+    n = 200
+    ring = np.roll(np.eye(n), 1, axis=1) + np.roll(np.eye(n), -1, axis=1)
+    chain = validate_chain({"states": [f"s{k:03d}" for k in range(n)],
+                            "rates": ring.tolist(),
+                            "absorption": np.eye(n)[0].tolist()})
+    block = BLOCK_REPLICAS * _kernels.count_replica_bytes(n)
+    tracemalloc.start()
+    try:
+        out = simulate_counts(chain, np.arange(10), [0.05], 2**16, 5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < seeding.GROUP_BYTES + block + out.nbytes, peak
+    np.testing.assert_array_equal(out.sum(axis=2), 10)
+
+
+def _group_count(monkeypatch, run):
+    # How many lockstep groups run() steps, with both packed kernels
+    # replaced by stand-ins that only fill their outputs: counts stay at
+    # the start, and every set of 0 stays {0}.
+    groups = []
+
+    def counts(gens, bounds, starts, site_rate, cum_move, record_times, out):
+        groups.append(bounds)
+        out[...] = starts.repeat(np.diff(bounds), axis=0)[:, None]
+
+    def sizes(gens, bounds, block_n, block_horizon, sizes, overlaps):
+        groups.append(bounds)
+        sizes[...] = 1
+        overlaps[...] = False
+
+    with monkeypatch.context() as patch:
+        patch.setattr(_kernels, "run_counts", counts)
+        patch.setattr(_kernels, "scan_sizes", sizes)
+        run()
+    return len(groups)
+
+
+@pytest.mark.parametrize("call, groups", [
+    ("fanout-convergence", [1]), ("fanout-correlation", [1]),
+    ("fanout-simulate", [1]), ("influence-overlap", [1]),
+    ("criterion-06", [1, 1, 1, 1]), ("criterion-07", [2])])
+def test_benchmark_and_criterion_grids_take_no_more_groups(
+        golden_chain, three_site_chain, monkeypatch, call, groups):
+    # perfbench's fanout and influence calls, and the grids of acceptance
+    # criteria 06 (one call per cell) and 07 (nine cells of 10^4), take
+    # the groups they took when groups were capped at 65536 replicas:
+    # sizing groups in bytes splits none of them further.
+    grid, cells = _pilots.INFLUENCE_GRID, _pilots.CONVERGENCE
+    runs = {
+        "fanout-convergence": [lambda: convergence_experiment(
+            golden_chain, extreme_profiles(2), 1.0, [10, 20, 40], 200, 1)],
+        "fanout-correlation": [lambda: correlation_experiment(
+            three_site_chain, np.arange(11) % 3, 0.5, "a", "c", 1000, 1)],
+        "fanout-simulate": [lambda: simulate_counts(
+            three_site_chain, np.arange(8) % 3, [0.25, 0.5, 1.0, 2.0], 400, 1)],
+        "influence-overlap": [lambda: influence_experiment(
+            golden_chain, [101, 201], [2.0, 3.0], 500, 1)],
+        "criterion-06": [
+            lambda n=n, t=t: influence_experiment(
+                golden_chain, [n], [t], grid["replicas"], 1)
+            for n in grid["n_values"] for t in grid["t_values"]],
+        "criterion-07": [lambda: convergence_experiment(
+            golden_chain, extreme_profiles(2), cells["t"], cells["n_list"],
+            cells["replicas"], 1)],
+    }[call]
+    assert [_group_count(monkeypatch, run) for run in runs] == groups
 
 
 def test_run_events_counts_events(golden_chain):

@@ -63,32 +63,38 @@ class TestBlocks:
 
 
 class TestLockstepGroups:
-    SEEDS = [ReplicaSeed(9, 0), ReplicaSeed(9, 50), ReplicaSeed(3, 7)]
+    SEED = ReplicaSeed(9, 50)
 
     @pytest.mark.parametrize("replicas, cap, filled", [
         (7, 12, [11, 10]),
         (10, 10, [10, 10, 10]),
         (3, 4, [3, 3, 3]),
         (9, 100, [27]),
-    ], ids=["across-cells", "exact-fill", "one-block-each", "one-group"])
+        (5, 2, [4, 1, 4, 1, 4, 1]),
+    ], ids=["across-cells", "exact-fill", "one-block-each", "one-group",
+            "block-above-cap"])
     def test_groups_pack_the_blocks_in_order(self, monkeypatch, replicas, cap,
                                              filled):
-        # Blocks of 4 replicas, three cells, groups of at most cap.
+        # Blocks of 4 replicas, three cells, groups of at most cap replicas
+        # of 3 bytes each, or one block.
         monkeypatch.setattr(seeding, "BLOCK_REPLICAS", 4)
-        monkeypatch.setattr(seeding, "GROUP_REPLICAS", cap)
-        groups = list(lockstep_groups(self.SEEDS, replicas))
-        expected = [(cell, stop - first, gen) for cell, seed in enumerate(self.SEEDS)
-                    for first, stop, gen in seed.blocks(replicas, 4)]
+        monkeypatch.setattr(seeding, "GROUP_BYTES", 3 * cap)
+        groups = list(lockstep_groups(self.SEED, 3, replicas, 3))
+        # Cell k is keyed at seed.offset(k * replicas).
+        expected = [(cell, stop - first, gen) for cell in range(3)
+                    for first, stop, gen in ReplicaSeed(9, 50 + cell * replicas)
+                    .blocks(replicas, 4)]
         packed = []
         stop = 0
         for rows, cells, bounds, gens in groups:
             # The rows tile the cells' replicas in order.
             assert rows.start == stop and rows.step is None
             stop = rows.stop
-            assert bounds[0] == 0 and bounds[-1] == rows.stop - rows.start <= cap
+            assert bounds[0] == 0 and bounds[-1] == rows.stop - rows.start
+            assert bounds[-1] <= cap or len(gens) == 1
             assert len(cells) == len(gens) == len(bounds) - 1
             packed.extend(zip(cells, np.diff(bounds).tolist(), gens))
-        assert stop == len(self.SEEDS) * replicas
+        assert stop == 3 * replicas
         assert [bounds[-1] for _, _, bounds, _ in groups] == filled
         assert [block[:2] for block in packed] == [block[:2] for block in expected]
         for (_, _, gen), (_, _, own) in zip(packed, expected):
@@ -99,4 +105,5 @@ class TestLockstepGroups:
             assert bounds[-1] + after[1] > cap
 
     def test_zero_replicas_yield_nothing(self):
-        assert list(lockstep_groups(self.SEEDS, 0)) == []
+        assert list(lockstep_groups(self.SEED, 3, 0, 3)) == []
+        assert list(lockstep_groups(self.SEED, 0, 5, 3)) == []
