@@ -18,7 +18,7 @@ import functools
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any, Callable
 
@@ -287,15 +287,6 @@ def _resolve_chain(cfg: dict, config_dir: Path) -> tuple[AbsorbingChain, dict]:
     return chain, echo
 
 
-@dataclass(frozen=True)
-class RunContext:
-    """Everything a kind handler needs, resolved once."""
-
-    chain: AbsorbingChain
-    params: dict
-    seed: ReplicaSeed
-
-
 def _check(name: str, value: float, limit: float) -> dict:
     return {
         "name": name,
@@ -305,18 +296,12 @@ def _check(name: str, value: float, limit: float) -> dict:
     }
 
 
-def _run_qsd(ctx: RunContext):
-    sol = qsd(ctx.chain, tol=ctx.params["tol"], max_iter=ctx.params["max_iter"])
-    rows = [dict(x=state, estimate=v) for state, v in zip(ctx.chain.states, sol.nu)]
-    results = {
-        "nu": sol.nu,
-        "alpha": sol.alpha,
-        "residual": sol.residual,
-        "iterations": sol.iterations,
-        "converged": sol.converged,
-    }
+def _run_qsd(chain: AbsorbingChain, params: dict, seed: ReplicaSeed):
+    sol = qsd(chain, tol=params["tol"], max_iter=params["max_iter"])
+    rows = [dict(x=state, estimate=v) for state, v in zip(chain.states, sol.nu)]
+    results = asdict(sol)
     plot = svgplot.line_plot(
-        np.arange(ctx.chain.n),
+        np.arange(chain.n),
         {"nu": sol.nu},
         xlabel="site index",
         ylabel="weight",
@@ -325,10 +310,10 @@ def _run_qsd(ctx: RunContext):
     return rows, results, [], plot
 
 
-def _run_semigroup(ctx: RunContext):
-    mu = _profile(ctx.params["initial"], ctx.chain, "parameters.initial")
-    sol = qsd(ctx.chain)
-    fit = decay_rate_estimate(ctx.chain, mu, np.asarray(ctx.params["t_grid"]),
+def _run_semigroup(chain: AbsorbingChain, params: dict, seed: ReplicaSeed):
+    mu = _profile(params["initial"], chain, "parameters.initial")
+    sol = qsd(chain)
+    fit = decay_rate_estimate(chain, mu, np.asarray(params["t_grid"]),
                               solution=sol)
     rows = [dict(t=t, estimate=d) for t, d in zip(fit.times, fit.distances)]
     results = {
@@ -350,14 +335,13 @@ def _run_semigroup(ctx: RunContext):
     return rows, results, [], plot
 
 
-def _run_simulate(ctx: RunContext):
-    n_particles = ctx.params["n_particles"]
-    replicas = ctx.params["replicas"]
-    times = np.asarray(ctx.params["record_times"])
-    profile = _profile(ctx.params["initial"], ctx.chain, "parameters.initial")
-    chain = ctx.chain
+def _run_simulate(chain: AbsorbingChain, params: dict, seed: ReplicaSeed):
+    n_particles = params["n_particles"]
+    replicas = params["replicas"]
+    times = np.asarray(params["record_times"])
+    profile = _profile(params["initial"], chain, "parameters.initial")
     xi0 = configuration_from_profile(profile, n_particles, chain.states)
-    stacked = simulate_counts(chain, xi0, times, replicas, ctx.seed) / n_particles
+    stacked = simulate_counts(chain, xi0, times, replicas, seed) / n_particles
     means = stacked.mean(axis=0)
     if replicas > 1:
         ses = stacked.std(axis=0, ddof=1) / np.sqrt(replicas)
@@ -391,13 +375,13 @@ def _point_plot(n_particles: int, series: dict, ylabel: str, title: str) -> str:
     )
 
 
-def _run_correlation(ctx: RunContext):
-    n_particles = ctx.params["n_particles"]
-    replicas = ctx.params["replicas"]
-    t, x, y = ctx.params["t"], ctx.params["x"], ctx.params["y"]
-    profile = _profile(ctx.params["initial"], ctx.chain, "parameters.initial")
-    xi0 = configuration_from_profile(profile, n_particles, ctx.chain.states)
-    est = correlation_experiment(ctx.chain, xi0, t, x, y, replicas, ctx.seed)
+def _run_correlation(chain: AbsorbingChain, params: dict, seed: ReplicaSeed):
+    n_particles = params["n_particles"]
+    replicas = params["replicas"]
+    t, x, y = params["t"], params["x"], params["y"]
+    profile = _profile(params["initial"], chain, "parameters.initial")
+    xi0 = configuration_from_profile(profile, n_particles, chain.states)
+    est = correlation_experiment(chain, xi0, t, x, y, replicas, seed)
     rows = [dict(
         N=n_particles, t=t, x=x, y=y, estimate=est.covariance,
         se=est.std_error, bound=est.bound, replicas=replicas,
@@ -445,28 +429,25 @@ def _curve_output(curve: ConvergenceCurve, series: str, ylabel: str,
     return rows, results, [], plot
 
 
-def _run_convergence(ctx: RunContext):
-    t, replicas = ctx.params["t"], ctx.params["replicas"]
-    specs = ctx.params["profiles"]
+def _run_convergence(chain: AbsorbingChain, params: dict, seed: ReplicaSeed):
+    t, replicas = params["t"], params["replicas"]
+    specs = params["profiles"]
     if specs == "extreme":
-        profiles = extreme_profiles(ctx.chain.n)
+        profiles = extreme_profiles(chain.n)
     else:
-        profiles = [_profile(p, ctx.chain, "parameters.profiles") for p in specs]
-    curve = convergence_experiment(
-        ctx.chain, profiles, t, ctx.params["n_list"], replicas, ctx.seed
-    )
+        profiles = [_profile(p, chain, "parameters.profiles") for p in specs]
+    curve = convergence_experiment(chain, profiles, t, params["n_list"],
+                                   replicas, seed)
     return _curve_output(
         curve, "worst-profile distance", "E ||m - conditioned law||",
         f"profile convergence at t={t:g}", t=t, replicas=replicas,
     )
 
 
-def _run_qsd_profile(ctx: RunContext):
-    n_samples = ctx.params["n_samples"]
-    curve = qsd_profile_experiment(
-        ctx.chain, ctx.params["n_list"], ctx.params["burn_in"], n_samples,
-        ctx.params["spacing"], ctx.seed,
-    )
+def _run_qsd_profile(chain: AbsorbingChain, params: dict, seed: ReplicaSeed):
+    n_samples = params["n_samples"]
+    curve = qsd_profile_experiment(chain, params["n_list"], params["burn_in"],
+                                   n_samples, params["spacing"], seed)
     return _curve_output(
         curve, "stationary distance", "mean ||m - nu||",
         "stationary profile vs quasi-stationary distribution",
@@ -474,25 +455,19 @@ def _run_qsd_profile(ctx: RunContext):
     )
 
 
-def _run_product_moment(ctx: RunContext):
-    n_particles = ctx.params["n_particles"]
-    n_samples = ctx.params["n_samples"]
-    est = product_moment_experiment(
-        ctx.chain, ctx.params["sites"], n_particles, ctx.params["burn_in"],
-        n_samples, ctx.params["spacing"], ctx.seed,
-    )
+def _run_product_moment(chain: AbsorbingChain, params: dict, seed: ReplicaSeed):
+    n_particles = params["n_particles"]
+    n_samples = params["n_samples"]
+    est = product_moment_experiment(chain, params["sites"], n_particles,
+                                    params["burn_in"], n_samples,
+                                    params["spacing"], seed)
     # Two sites fill x and y; one site, or three and more, go in x.
     x, y = est.sites if len(est.sites) == 2 else (",".join(est.sites), "")
     rows = [dict(
         N=n_particles, x=x, y=y, estimate=est.estimate, se=est.std_error,
         replicas=n_samples,
     )]
-    results = {
-        "estimate": est.estimate,
-        "std_error": est.std_error,
-        "reference": est.reference,
-        "sites": est.sites,
-    }
+    results = asdict(est)
     plot = _point_plot(
         n_particles,
         {"product moment": est.estimate, "reference": est.reference},
@@ -502,15 +477,14 @@ def _run_product_moment(ctx: RunContext):
     return rows, results, [], plot
 
 
-def _run_overlap(ctx: RunContext):
-    n_values, t_values = ctx.params["n_list"], ctx.params["t_grid"]
-    replicas = ctx.params["replicas"]
+def _run_overlap(chain: AbsorbingChain, params: dict, seed: ReplicaSeed):
+    n_values, t_values = params["n_list"], params["t_grid"]
+    replicas = params["replicas"]
     rows = []
     checks = []
     cells = []
     grid = [(n, t) for n in n_values for t in t_values]
-    estimates = influence_experiment(
-        ctx.chain, n_values, t_values, replicas, ctx.seed)
+    estimates = influence_experiment(chain, n_values, t_values, replicas, seed)
     for (n_particles, t), (size, overlap) in zip(grid, estimates):
         for experiment, estimate, est in (
             ("overlap", overlap.probability, overlap),
@@ -631,12 +605,9 @@ def run(
         raise ConfigError("parameters must be an object")
 
     chain, chain_echo = _resolve_chain(cfg, Path(os.fspath(config_path)).parent)
-    ctx = RunContext(
-        chain=chain,
-        params=resolve_params(resolved_kind, params, chain),
-        seed=ReplicaSeed(master_seed),
-    )
-    rows, results, checks, plot = _RUNNERS[resolved_kind](ctx)
+    params = resolve_params(resolved_kind, params, chain)
+    rows, results, checks, plot = _RUNNERS[resolved_kind](
+        chain, params, ReplicaSeed(master_seed))
     if checks:
         results["checks_passed"] = all(c["passed"] for c in checks)
 
@@ -655,7 +626,7 @@ def run(
         "kind": resolved_kind,
         "chain": chain_echo,
         "master_seed": master_seed,
-        "parameters": ctx.params,
+        "parameters": params,
         "results": results,
         "checks": checks,
         "status": status,

@@ -9,6 +9,7 @@ depend only on the seed.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,7 +99,9 @@ def covariance_bound(
 def _resolve_site(chain: AbsorbingChain, site: int | str) -> int:
     if isinstance(site, str):
         return chain.index(site)
-    site = int(site)
+    if isinstance(site, bool):
+        raise TypeError("a site index must be an integer, not a bool")
+    site = operator.index(site)
     if not (0 <= site < chain.n):
         raise ValueError(f"site index {site} out of range")
     return site
@@ -221,6 +224,17 @@ def convergence_experiment(
     return ConvergenceCurve(n_arr, means[worst], errors[worst])
 
 
+def _stationary_runs(chain, n_values, burn_in, n_samples, spacing, seed):
+    # One stationary_sampler run per N, the k-th on seed.offset(k), and only
+    # then the QSD, so every input the sampler refuses is refused before
+    # the solve.
+    _check_batches(n_samples)
+    seed = as_replica_seed(seed)
+    runs = [stationary_sampler(chain, n, burn_in, n_samples, spacing,
+                               seed.offset(k)) for k, n in enumerate(n_values)]
+    return runs, qsd(chain).require_converged().nu
+
+
 def qsd_profile_experiment(
     chain: AbsorbingChain,
     n_list: list[int],
@@ -234,23 +248,17 @@ def qsd_profile_experiment(
     One long trajectory per N, the k-th on ``seed.offset(k)``; batch-means
     standard errors since the samples are autocorrelated.  An empty,
     unsorted or repeated n_list, or fewer than 2 samples per batch, raises
-    ValueError before any draw or solve; a QSD that did not converge
+    ValueError before any draw or solve, and every input the sampler
+    refuses is refused before the solve; a QSD that did not converge
     raises QsdNotConvergedError.
     """
     n_arr = _n_values(n_list)
-    _check_batches(n_samples)
-    solution = qsd(chain).require_converged()
-    seed = as_replica_seed(seed)
-    estimates = np.empty(n_arr.size)
-    std_errors = np.empty(n_arr.size)
-    for k, n_particles in enumerate(n_arr):
-        samples = stationary_sampler(chain, int(n_particles), burn_in,
-                                     n_samples, spacing, seed.offset(k))
-        # Row by row, the same sums as tv_distance(m, solution.nu).
-        dists = np.abs(samples - solution.nu).sum(axis=1)
-        estimates[k] = dists.mean()
-        std_errors[k] = batch_means_se(dists)
-    return ConvergenceCurve(n_arr, estimates, std_errors)
+    runs, nu = _stationary_runs(chain, n_arr.tolist(), burn_in, n_samples,
+                                spacing, seed)
+    # Row by row, the same sums as tv_distance(m, nu).
+    dists = [np.abs(samples - nu).sum(axis=1) for samples in runs]
+    return ConvergenceCurve(n_arr, np.array([d.mean() for d in dists]),
+                            np.array([batch_means_se(d) for d in dists]))
 
 
 @dataclass(frozen=True)
@@ -272,22 +280,20 @@ def product_moment_experiment(
 ) -> ProductMomentEstimate:
     """Stationary mean of the product of m over a site subset, with the
     matching product of quasi-stationary weights as reference.  Fewer than
-    2 samples per batch raise ValueError before any draw; a QSD that did
-    not converge raises QsdNotConvergedError."""
+    2 samples per batch raise ValueError before any draw, and every input
+    the sampler refuses is refused before the solve; a QSD that did not
+    converge raises QsdNotConvergedError."""
     if not sites:
         raise ValueError("need at least one site")
-    _check_batches(n_samples)
     idx = [_resolve_site(chain, s) for s in sites]
     if len(set(idx)) != len(idx):
         raise ValueError("sites must be distinct")
-    solution = qsd(chain).require_converged()
-    samples = stationary_sampler(
-        chain, n_particles, burn_in, n_samples, spacing, seed
-    )
+    [samples], nu = _stationary_runs(chain, [n_particles], burn_in, n_samples,
+                                     spacing, seed)
     stats = samples[:, idx].prod(axis=1)
     return ProductMomentEstimate(
         sites=tuple(chain.states[i] for i in idx),
         estimate=float(stats.mean()),
         std_error=batch_means_se(stats),
-        reference=float(np.prod(solution.nu[idx])),
+        reference=float(np.prod(nu[idx])),
     )

@@ -115,13 +115,11 @@ def _check_size(n_particles: int, horizon: float) -> tuple[int, float]:
     return n_particles, horizon
 
 
-def _event_count(
-    gen: np.random.Generator, mean: float, size: int | None = None
-) -> int | NDArray[np.int64]:
-    # One Poisson(mean) count, or an array of size of them.  numpy's
-    # Poisson sampler refuses a mean near 2**63 or above.
+def _event_count(gen: np.random.Generator, mean: float) -> int:
+    # One Poisson(mean) count.  numpy's Poisson sampler refuses a mean near
+    # 2**63 or above.
     try:
-        return gen.poisson(mean, size)
+        return gen.poisson(mean)
     except ValueError:
         raise HorizonOverflowError(
             f"an expected {mean:g} mark events is beyond numpy's Poisson range"

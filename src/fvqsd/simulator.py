@@ -13,6 +13,7 @@ which is all the empirical measure needs, for many replicas at once.
 """
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 
@@ -21,7 +22,7 @@ from numpy.typing import ArrayLike, NDArray
 
 from . import _kernels
 from .chain import AbsorbingChain
-from .errors import UnsortedTimesError
+from .errors import HorizonOverflowError, UnsortedTimesError
 # empirical_measure is unused here but stays importable: perfbench's tracer
 # patches it by attribute.
 from .measures import check_distribution, empirical_measure  # noqa: F401
@@ -187,7 +188,9 @@ def stationary_sampler(
     Starts from the balanced profile, discards [0, burn_in], then records
     the empirical measure every ``spacing`` time units, ``n_samples``
     times (first sample at burn_in + spacing).  Successive samples are
-    autocorrelated; use batch-means errors downstream.
+    autocorrelated; use batch-means errors downstream.  A last time
+    burn_in + n_samples * spacing that is not a finite double raises
+    HorizonOverflowError before any array is built.
     """
     if not (burn_in > 0.0):
         raise ValueError("burn_in must be positive")
@@ -195,6 +198,11 @@ def stationary_sampler(
         raise ValueError("spacing must be positive")
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
+    # Python floats, which overflow to inf without a numpy warning.
+    if not math.isfinite(float(burn_in) + float(n_samples) * float(spacing)):
+        raise HorizonOverflowError(
+            f"burn_in + n_samples * spacing = {burn_in:g} + {n_samples} * "
+            f"{spacing:g} is not a finite double")
     uniform = np.full(chain.n, 1.0 / chain.n)
     xi0 = configuration_from_profile(uniform, n_particles, chain.states)
     times = burn_in + spacing * np.arange(1, n_samples + 1)

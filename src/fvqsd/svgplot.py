@@ -21,10 +21,10 @@ def _escape(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
-def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
+def _ticks(lo: float, hi: float) -> list[float]:
     if hi <= lo:
         hi = lo + 1.0
-    return list(np.linspace(lo, hi, count))
+    return list(np.linspace(lo, hi, 5))
 
 
 def line_plot(

@@ -200,6 +200,13 @@ MALFORMED = {
     "overlap-t_grid-entry-400": ("overlap", dict(OVERLAP_GRID, t_grid=[0.3, 400]), 0, []),
     "threads-flag-text": ("correlation", CORRELATION, 0, ["--threads", "x"]),
     "seed-flag-fraction": ("qsd", {}, 0, ["--seed", "1.5"]),
+    # burn_in + n_samples * spacing is past DBL_MAX, so building the record
+    # times used to print numpy's overflow warnings before the error.
+    "product_moment-grid-past-DBL_MAX": ("product_moment", {
+        "sites": ["1"], "n_particles": 5, "burn_in": 1.0, "n_samples": 40,
+        "spacing": 1e307}, 0, []),
+    "qsd_profile-grid-past-DBL_MAX": ("qsd_profile", {
+        "n_list": [4, 8], "burn_in": 1e308, "n_samples": 40, "spacing": 1e308}, 0, []),
 }
 
 

@@ -204,6 +204,14 @@ class TestCorrelationExperiment:
             with pytest.raises(ValueError, match="time must be finite"):
                 correlation_experiment(golden_chain, xi0, t, 0, 1, 10, seed=1)
 
+    @pytest.mark.parametrize("x, y", [(0.9, 1.2), (True, 1), (0, False)],
+                             ids=["fractions", "bool-x", "bool-y"])
+    def test_non_integer_site_index_refused(self, golden_chain, x, y):
+        # int(site) truncated: (0.9, 1.2) ran on sites "1" and "2".
+        xi0 = np.zeros(4, dtype=np.int64)
+        with pytest.raises(TypeError):
+            correlation_experiment(golden_chain, xi0, 0.5, x, y, 50, seed=3)
+
 
 class TestConvergenceCurve:
     def test_monotone_n_required(self):
@@ -449,7 +457,43 @@ class TestUnconvergedQsd:
                                       seed=1)
 
 
+class TestStationaryRefusalsBeforeSolve:
+    """Both stationary estimators run the sampler before the QSD solve, so
+    every input the sampler refuses is refused without solving (they used
+    to solve first)."""
+
+    @staticmethod
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved the QSD before refusing the input")
+
+    @pytest.mark.parametrize("n, burn_in, spacing, error, message", [
+        (1, 1.0, 0.5, ValueError, "n_particles must be at least 2"),
+        (5, 0.0, 0.5, ValueError, "burn_in must be positive"),
+        (5, 1.0, 0.0, ValueError, "spacing must be positive"),
+        # The last record time, 1 + 40 * 1e307, is past DBL_MAX.
+        (5, 1.0, 1e307, HorizonOverflowError, "not a finite double"),
+    ], ids=["n-1", "burn_in-0", "spacing-0", "grid-past-DBL_MAX"])
+    @pytest.mark.parametrize("estimator", ["qsd_profile", "product_moment"])
+    def test_refused_before_the_solve(self, golden_chain, monkeypatch, estimator,
+                                      n, burn_in, spacing, error, message):
+        monkeypatch.setattr(estimators, "qsd", self.no_solve)
+        with pytest.raises(error, match=message):
+            if estimator == "qsd_profile":
+                qsd_profile_experiment(golden_chain, [n], burn_in, 40, spacing,
+                                       seed=1)
+            else:
+                product_moment_experiment(golden_chain, ["1"], n, burn_in, 40,
+                                          spacing, seed=1)
+
+
 class TestProductMoment:
+    @pytest.mark.parametrize("site", [True, 0.9, 1.2, np.float64(1.0)])
+    def test_non_integer_site_index_refused(self, golden_chain, site):
+        # int(site) truncated: True and 1.2 ran on site "2".
+        with pytest.raises(TypeError):
+            product_moment_experiment(golden_chain, [site], 10, 1.0, 40, 0.5,
+                                      seed=1)
+
     def test_distinct_sites_required(self, golden_chain):
         with pytest.raises(ValueError):
             product_moment_experiment(
