@@ -54,10 +54,11 @@ LOG_MAX = math.log(sys.float_info.max)
 
 @dataclass(frozen=True, eq=False)
 class AbsorbingChain:
-    """Validated chain data.  Build via :func:`validate_chain` or
-    :func:`load_chain`; direct construction skips semantic validation but
-    still recomputes the diagonal from the off-diagonal rates and
-    ``absorption``."""
+    """Chain data, parsed here: ``rates`` and ``absorption`` are read as
+    float64 arrays, shape-checked against ``states``, and the diagonal is
+    recomputed from the off-diagonal rates and ``absorption``.  Build via
+    :func:`validate_chain` or :func:`load_chain`, which also check the
+    rates; direct construction skips those checks."""
 
     states: tuple[str, ...]
     rates: NDArray[np.float64]
@@ -139,20 +140,12 @@ class AbsorbingChain:
         attempt.  In rows of sites with zero absorption, every entry from the
         last positive target on is forced to 2.0, so rounding in the
         cumulative sum can never manufacture an absorption event there.
-        Every row is sorted.
+        Every row is sorted; a site with zero rate has a row of zeros.
         """
-        off = self.jump_rates
-        site_rate = self.site_rates
-        table = np.zeros((self.n, self.n))
-        for x in range(self.n):
-            if site_rate[x] > 0.0:
-                table[x] = np.cumsum(off[x]) / site_rate[x]
-                if self.absorption[x] == 0.0:
-                    positive = np.flatnonzero(off[x] > 0.0)
-                    if positive.size:
-                        table[x, positive[-1]:] = 2.0
-        table.flags.writeable = False
-        return table
+        site = self.site_rates[:, None]
+        table = np.divide(np.cumsum(self.jump_rates, axis=1), site,
+                          out=np.zeros((self.n, self.n)), where=site > 0.0)
+        return _force_tails(table, self.jump_rates, self.absorption == 0.0)
 
     @cached_property
     def cum_jump_kernel(self) -> NDArray[np.float64]:
@@ -162,12 +155,8 @@ class AbsorbingChain:
         a rounding deficit in the cumulative row cannot push a draw past
         that target, and the row stays sorted for searchsorted.
         """
-        table = np.cumsum(self.jump_kernel, axis=1)
-        for x in range(self.n):
-            positive = np.flatnonzero(self.jump_kernel[x] > 0.0)
-            table[x, positive[-1]:] = 2.0
-        table.flags.writeable = False
-        return table
+        return _force_tails(np.cumsum(self.jump_kernel, axis=1),
+                            self.jump_kernel, np.full(self.n, True))
 
     def index(self, name: str) -> int:
         try:
@@ -182,18 +171,20 @@ class InflowDominance(NamedTuple):
     max_absorption: float
 
 
+def _force_tails(table: NDArray[np.float64], weights: NDArray[np.float64],
+                 rows: NDArray[np.bool_]) -> NDArray[np.float64]:
+    # The cumulative ``table``, read-only, with every entry of each row
+    # marked in ``rows`` from its last positive weight on set to 2.0; a row
+    # with no positive weight is left as it is.
+    seen = np.cumsum(weights > 0.0, axis=1)
+    table[rows[:, None] & (seen == seen[:, -1:]) & (seen > 0)] = 2.0
+    table.flags.writeable = False
+    return table
+
+
 def _require(condition: bool, exc: type[Exception], message: str) -> None:
     if not condition:
         raise exc(message)
-
-
-def _as_rate_matrix(raw: object, n: int) -> NDArray[np.float64]:
-    arr = np.asarray(raw, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape != (n, n):
-        raise DimensionMismatchError(
-            f"rates must be an {n}x{n} matrix, got shape {arr.shape}"
-        )
-    return arr
 
 
 def validate_chain(spec: Mapping[str, object]) -> AbsorbingChain:
@@ -222,25 +213,21 @@ def validate_chain(spec: Mapping[str, object]) -> AbsorbingChain:
         or not all(isinstance(s, str) for s in states_raw)
     ):
         raise ChainFormatError("states must be a nonempty list of strings")
-    states = tuple(states_raw)
-    if len(set(states)) != len(states):
+    if len(set(states_raw)) != len(states_raw):
         raise ChainFormatError("state names must be unique")
-    n = len(states)
 
     try:
-        rates = _as_rate_matrix(spec["rates"], n)
-        absorption = np.asarray(spec["absorption"], dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        if isinstance(exc, DimensionMismatchError):
-            raise
-        raise ChainFormatError(f"non-numeric rate entry: {exc}") from exc
-    if absorption.shape != (n,):
-        raise DimensionMismatchError(
-            f"absorption must have length {n}, got shape {absorption.shape}"
-        )
-
-    off = rates.copy()
-    np.fill_diagonal(off, 0.0)
+        # A row holding NaN or both infinities, or summing past DBL_MAX,
+        # gives a non-finite diagonal, which numpy would warn of; the
+        # checks below refuse such a row.
+        with np.errstate(invalid="ignore", over="ignore"):
+            chain = AbsorbingChain(states_raw, spec["rates"], spec["absorption"])
+    except DimensionMismatchError:
+        raise
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ChainFormatError(f"rate entries must be numbers that fit a "
+                               f"double: {exc}") from exc
+    off, absorption = chain.jump_rates, chain.absorption
     _require(bool(np.all(np.isfinite(off))), NegativeRateError,
              "jump rates must be finite")
     _require(bool(np.all(np.isfinite(absorption))), NegativeRateError,
@@ -257,13 +244,13 @@ def validate_chain(spec: Mapping[str, object]) -> AbsorbingChain:
              "at least one site must have positive absorption rate")
 
     adjacency = off > 0.0
-    start = np.arange(n) == 0
+    start = np.arange(chain.n) == 0
     if not (reachable(adjacency, start).all()
             and reachable(adjacency.T, start).all()):
         raise NotIrreducibleError(
             "live sites must form a single communicating class"
         )
-    return AbsorbingChain(states=states, rates=off, absorption=absorption)
+    return chain
 
 
 def reachable(

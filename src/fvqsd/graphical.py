@@ -50,7 +50,7 @@ from .errors import HorizonOverflowError
 # patches it by attribute.
 from .parallel import map_replicas  # noqa: F401
 from .seeding import ReplicaSeed, as_replica_seed, lockstep_groups
-from .simulator import validate_configuration
+from .simulator import check_array_size, validate_configuration
 
 __all__ = [
     "MarkRealization",
@@ -240,6 +240,7 @@ def _influence_samples(
     # of shape (cells, replicas), the cells on the grid of lockstep_groups;
     # influence_experiment documents the chain and the draw order.  Rates
     # are in units of C / (N - 1), so a cell's clock stops at C t / (N - 1).
+    check_array_size((len(cells), replicas), np.int64)
     sizes = np.empty(len(cells) * replicas, dtype=np.int64)
     overlaps = np.empty(sizes.size, dtype=np.bool_)
     n = [float(n_particles) for n_particles, _ in cells]

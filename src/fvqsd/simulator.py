@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,6 +105,15 @@ def simulate(
     return pos
 
 
+def check_array_size(shape: tuple[int, ...], dtype: np.dtype) -> None:
+    """Raise MemoryError naming the bytes of an array of this shape and
+    dtype if numpy cannot hold one, where numpy would raise ValueError."""
+    nbytes = math.prod(shape) * np.dtype(dtype).itemsize
+    if nbytes > sys.maxsize:
+        raise MemoryError(f"Unable to allocate {nbytes} bytes for an array with "
+                          f"shape {shape} and data type {np.dtype(dtype)}")
+
+
 def _record_times(record_times: ArrayLike) -> NDArray[np.float64]:
     times = np.asarray(record_times, dtype=np.float64)
     if times.ndim != 1 or times.size == 0:
@@ -165,7 +175,9 @@ def _count_cells(chain, starts, seed, times, replicas):
     # cell k starting from the site counts starts[k], as simulate_counts
     # runs it on its stream, in one array of shape (cells, replicas,
     # times, n_sites).
-    out = np.empty((len(starts), replicas, times.size, chain.n), dtype=np.int64)
+    shape = (len(starts), replicas, times.size, chain.n)
+    check_array_size(shape, np.int64)
+    out = np.empty(shape, dtype=np.int64)
     flat = out.reshape(-1, times.size, chain.n)
     for rows, owners, bounds, gens in lockstep_groups(
             as_replica_seed(seed), len(starts), replicas,
@@ -190,7 +202,9 @@ def stationary_sampler(
     times (first sample at burn_in + spacing).  Successive samples are
     autocorrelated; use batch-means errors downstream.  A last time
     burn_in + n_samples * spacing that is not a finite double raises
-    HorizonOverflowError before any array is built.
+    HorizonOverflowError before any array is built, and a grid with two
+    equal successive times (a spacing below the resolution of burn_in)
+    raises UnsortedTimesError.
     """
     if not (burn_in > 0.0):
         raise ValueError("burn_in must be positive")
@@ -205,7 +219,13 @@ def stationary_sampler(
             f"{spacing:g} is not a finite double")
     uniform = np.full(chain.n, 1.0 / chain.n)
     xi0 = configuration_from_profile(uniform, n_particles, chain.states)
+    check_array_size((n_samples,), np.int64)
     times = burn_in + spacing * np.arange(1, n_samples + 1)
+    if np.any(times[1:] == times[:-1]):
+        raise UnsortedTimesError(
+            f"burn_in + k * spacing repeats a sample time at burn_in="
+            f"{burn_in:g}, spacing={spacing:g}: spacing is below the "
+            f"resolution of burn_in")
     traj = simulate_trajectory(chain, xi0, times, seed)
     # Sample k's sites offset by k n, so one bincount counts every sample;
     # row k is then empirical_measure(traj[k], n) bit for bit.

@@ -15,6 +15,7 @@ from fvqsd import (
 )
 from fvqsd.errors import (
     ChainFormatError,
+    ChainValidationError,
     DimensionMismatchError,
     HorizonOverflowError,
     NegativeRateError,
@@ -124,6 +125,40 @@ class TestValidateChain:
         with pytest.raises(ChainFormatError):
             validate_chain(spec)
 
+    @pytest.mark.parametrize("field", ["rates", "absorption"])
+    def test_entry_too_large_for_a_double(self, field):
+        # JSON reads 1 followed by 400 zeros as a Python int, which numpy
+        # cannot convert to a double.
+        spec = spec2()
+        if field == "rates":
+            spec["rates"] = [[0.0, 10**400], [1.0, 0.0]]
+        else:
+            spec["absorption"] = [10**400, 0.0]
+        with pytest.raises(ChainValidationError, match="fit a double"):
+            validate_chain(spec)
+
+    # pyproject.toml turns a RuntimeWarning into a test error, so these
+    # also check that no numpy warning is emitted on the way.
+    @pytest.mark.parametrize("rates, absorption", [
+        ([[0.0, np.nan], [1.0, 0.0]], [1.0, 0.0]),
+        ([[0.0, np.inf], [1.0, 0.0]], [1.0, 0.0]),
+        ([[0.0, 1.0, np.inf, -np.inf], [1.0] * 4, [1.0] * 4, [1.0] * 4],
+         [1.0] * 4),
+        ([[0.0, 1.0], [1.0, 0.0]], [np.nan, 0.0]),
+        ([[0.0, 1.0], [1.0, 0.0]], [np.inf, 0.0]),
+        ([[0.0, 1.0], [1.0, 0.0]], [np.inf, -np.inf]),
+    ], ids=["rates-nan", "rates-inf", "rates-both-infinities",
+            "absorption-nan", "absorption-inf", "absorption-both-infinities"])
+    def test_non_finite_entry_refused(self, rates, absorption):
+        spec = {"states": [str(k) for k in range(len(absorption))],
+                "rates": rates, "absorption": absorption}
+        with pytest.raises(NegativeRateError, match="finite"):
+            validate_chain(spec)
+
+    def test_row_sum_past_dbl_max_refused(self):
+        with pytest.raises(RateBoundError):
+            validate_chain(spec2(q12=1e308, c1=1e308))
+
     def test_index_lookup(self, golden_chain):
         assert golden_chain.index("2") == 1
         with pytest.raises(KeyError):
@@ -165,6 +200,69 @@ class TestJumpKernel:
         assert (k >= 0.0).all()
         # Site a moves to b at rate 2 out of qbar=3; leftover sits on a.
         np.testing.assert_allclose(k[0], [1.0 / 3.0, 2.0 / 3.0, 0.0])
+
+
+class TestCumulativeTables:
+    def test_zero_target_after_last_positive(self):
+        # Site a has no absorption and its last positive target is b, so
+        # its move-table row is forced from b on, past the zero rate to c.
+        chain = validate_chain({
+            "states": ["a", "b", "c"],
+            "rates": [[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 2.0, 0.0]],
+            "absorption": [0.0, 0.5, 1.0],
+        })
+        np.testing.assert_array_equal(chain.move_table, [
+            [0.0, 2.0, 2.0], [0.4, 0.4, 0.8], [0.0, 2 / 3, 2 / 3]])
+        np.testing.assert_array_equal(chain.cum_jump_kernel, [
+            [0.5, 2.0, 2.0], [0.5, 0.5, 2.0], [0.0, 2.0, 2.0]])
+
+    def test_five_site_rows(self, five_site_chain):
+        np.testing.assert_array_equal(five_site_chain.move_table, [
+            [0.0, 0.5, 0.5, 0.5, 0.6818181818181818],
+            [0.3, 0.3, 2.0, 2.0, 2.0],
+            [0.0, 0.3103448275862069, 0.3103448275862069, 0.896551724137931,
+             0.896551724137931],
+            [0.0, 0.0, 0.8571428571428572, 0.8571428571428572, 2.0],
+            [0.3225806451612903, 0.3225806451612903, 0.3225806451612903,
+             0.8387096774193549, 0.8387096774193549],
+        ])
+        np.testing.assert_array_equal(five_site_chain.cum_jump_kernel, [
+            [0.42307692307692313, 0.8461538461538463, 0.8461538461538463,
+             0.8461538461538463, 2.0],
+            [0.11538461538461538, 0.7307692307692308, 2.0, 2.0, 2.0],
+            [0.0, 0.34615384615384615, 0.34615384615384615, 2.0, 2.0],
+            [0.0, 0.0, 0.23076923076923075, 0.9615384615384616, 2.0],
+            [0.1923076923076923, 0.1923076923076923, 0.1923076923076923, 0.5,
+             2.0],
+        ])
+
+    def test_match_row_by_row_reference(self):
+        # Sparse random chains with zero absorption at about half the
+        # sites, built directly, against the tables built one row at a time.
+        rng = np.random.default_rng(28)
+        for _ in range(200):
+            n = int(rng.integers(1, 7))
+            off = 5.0 * (1.0 - rng.random((n, n))) * (rng.random((n, n)) < 0.6)
+            absorption = rng.uniform(0.0, 5.0, n) * (rng.random(n) < 0.5)
+            chain = AbsorbingChain(tuple(map(str, range(n))), off, absorption)
+            move = np.zeros((n, n))
+            cum = np.cumsum(chain.jump_kernel, axis=1)
+            for x in range(n):
+                positive = np.flatnonzero(chain.jump_rates[x] > 0.0)
+                if chain.site_rates[x] > 0.0:
+                    move[x] = np.cumsum(chain.jump_rates[x]) / chain.site_rates[x]
+                    if absorption[x] == 0.0 and positive.size:
+                        move[x, positive[-1]:] = 2.0
+                cum[x, np.flatnonzero(chain.jump_kernel[x] > 0.0)[-1]:] = 2.0
+            np.testing.assert_array_equal(chain.move_table, move)
+            np.testing.assert_array_equal(chain.cum_jump_kernel, cum)
+
+    def test_zero_rate_site_unvalidated(self):
+        # No rate at all: the move-table row has no positive target to
+        # force, so it stays zero; the jump kernel is the identity.
+        chain = AbsorbingChain(("a",), [[0.0]], [0.0])
+        np.testing.assert_array_equal(chain.move_table, [[0.0]])
+        np.testing.assert_array_equal(chain.cum_jump_kernel, [[2.0]])
 
 
 class TestTransientVector:

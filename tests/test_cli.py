@@ -207,6 +207,25 @@ MALFORMED = {
         "spacing": 1e307}, 0, []),
     "qsd_profile-grid-past-DBL_MAX": ("qsd_profile", {
         "n_list": [4, 8], "burn_in": 1e308, "n_samples": 40, "spacing": 1e308}, 0, []),
+    # An output array past the largest size numpy can hold used to end in
+    # numpy's "array is too big" traceback.
+    "simulate-replicas-2^62": ("simulate", dict(SIMULATE, replicas=2**62), 0, []),
+    "correlation-replicas-2^62":
+        ("correlation", dict(CORRELATION, replicas=2**62), 0, []),
+    "convergence-replicas-2^62": ("convergence", {
+        "n_list": [4], "t": 0.5, "replicas": 2**62}, 0, []),
+    "overlap-replicas-2^62": ("overlap", dict(OVERLAP, replicas=2**62), 0, []),
+    "qsd_profile-n_samples-2^62": ("qsd_profile", {
+        "n_list": [4], "burn_in": 0.2, "n_samples": 2**62, "spacing": 0.01}, 0, []),
+    "product_moment-n_samples-2^62":
+        ("product_moment", dict(MOMENT, n_samples=2**62), 0, []),
+    # spacing is below the resolution of burn_in, so sample times repeat and
+    # the run used to report a one-sample estimate with exit 0.
+    "qsd_profile-repeated-times": ("qsd_profile", {
+        "n_list": [4], "burn_in": 1e4, "n_samples": 40, "spacing": 1e-13}, 0, []),
+    "product_moment-repeated-times": ("product_moment", {
+        "sites": ["1"], "n_particles": 4, "burn_in": 1e4, "n_samples": 40,
+        "spacing": 1e-13}, 0, []),
 }
 
 
@@ -435,6 +454,25 @@ class TestValidateCommand:
 
     def test_missing_file(self, tmp_path, capsys):
         assert main(["validate", "--config", str(tmp_path / "nope.json")]) == 1
+
+    @pytest.mark.parametrize("command", ["validate", "qsd"])
+    @pytest.mark.parametrize("field", ["rates", "absorption"])
+    def test_entry_too_large_for_a_double(self, tmp_path, capsys, command, field):
+        # json.dumps writes 10**400 as an integer literal, which numpy
+        # cannot convert to a double.
+        big = {"rates": [[0.0, 10**400], [1.0, 0.0]],
+               "absorption": [10**400, 0.0]}[field]
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(dict(GOLDEN, **{field: big})))
+        out = tmp_path / "out"
+        argv = (["validate", "--config", str(path)] if command == "validate" else
+                ["qsd", "--config", str(write_config(tmp_path, kind="qsd",
+                                                     chain="big.json")),
+                 "--out", str(out)])
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "fit a double" in err, err
+        assert not out.exists()
 
 
 class TestBoundViolation:

@@ -333,6 +333,12 @@ class TestSimulateCounts:
         np.testing.assert_array_equal(a[4:], tail)
         assert len({tuple(row) for row in a[:, 0]}) > 1
 
+    def test_output_past_numpy_size_is_memory_error(self, golden_chain):
+        # 2**62 replicas of 2 sites of 8 bytes is past the largest array
+        # numpy can hold, where numpy raises ValueError.
+        with pytest.raises(MemoryError, match="73786976294838206464 bytes"):
+            simulate_counts(golden_chain, [0, 1], [1.0], 2**62, 1)
+
     def test_single_site_fixed(self, single_site_chain):
         counts = simulate_counts(single_site_chain, np.zeros(4, dtype=np.int64),
                                  [1.0, 5.0], 3, 7)
@@ -427,3 +433,20 @@ class TestStationarySampler:
             stationary_sampler(golden_chain, 10, 1.0, 0, 1.0, 1)
         with pytest.raises(ValueError):
             stationary_sampler(golden_chain, 10, 1.0, 10, 0.0, 1)
+
+    @pytest.mark.parametrize("ulps", [0.1, 0.6, 0.95], ids=[
+        "below-half-ulp", "first-step-distinct", "later-tie"])
+    def test_repeated_sample_times_refused(self, golden_chain, ulps):
+        # With spacing a fraction of an ulp of burn_in, burn_in + k * spacing
+        # rounds to repeated times: at 0.1 ulp the first times are all
+        # burn_in, at 0.6 the first two are both burn_in + 1 ulp, and at
+        # 0.95 the first ten are distinct and the tenth and eleventh tie.
+        burn_in = 1e4
+        spacing = ulps * np.spacing(burn_in)
+        assert (burn_in + spacing > burn_in) == (ulps > 0.5)
+        with pytest.raises(UnsortedTimesError, match="burn_in.*spacing"):
+            stationary_sampler(golden_chain, 4, burn_in, 40, spacing, 1)
+
+    def test_grid_past_numpy_size_is_memory_error(self, golden_chain):
+        with pytest.raises(MemoryError, match="bytes"):
+            stationary_sampler(golden_chain, 4, 0.2, 2**62, 0.01, 1)
