@@ -87,50 +87,49 @@ def _run(gen, positions, site_rate, cum_move, record_times, out):
     top = float(site_rate.max())
     rec = 0
     n_events = 0
-    if top > 0.0:
-        lam = n_particles * top
-        # thr[x] is the null threshold site_rate[x] / R, and row x of rows is
-        # move_table[x] scaled by it.
-        scale = site_rate / top
-        thr = scale.tolist()
-        rows = (cum_move * scale[:, None]).tolist()
-        bisect_right = bisect.bisect_right
-        t = 0.0
-        while True:
-            # The expected epochs left before the last record time, plus
-            # four standard deviations and 16, so one chunk usually ends
-            # the run.
-            mean = lam * (t_end - t)
-            m = int(min(CHUNK_EPOCHS, mean + 4.0 * math.sqrt(mean) + 16.0))
-            steps = gen.exponential(1.0, m) / lam
-            steps[0] += t
-            # add.accumulate adds left to right, as `t += step` does.
-            epoch = np.add.accumulate(steps)
-            u1, u2, u3 = gen.random((3, m))
-            pick = (u1 * n_particles).astype(np.int64)
-            donor = (u3 * (n_particles - 1)).astype(np.int64)
-            donor += donor >= pick
-            # Epochs [lo, stop) fall at or before record time rec, so its
-            # snapshot is right-continuous.
-            lo = 0
-            for stop in epoch.searchsorted(times[rec:], "right").tolist():
-                segment = zip(pick[lo:stop].tolist(), u2[lo:stop].tolist(),
-                              donor[lo:stop].tolist())
-                for i, v, j in segment:
-                    x = pos[i]
-                    if v < thr[x]:
-                        y = bisect_right(rows[x], v)
-                        pos[i] = pos[j] if y == n_sites else y
-                        n_events += 1
-                lo = stop
-                if stop == m:
-                    break
-                if out is not None:
-                    out[rec] = pos
-                rec += 1
-            if rec == n_rec:
+    lam = n_particles * top
+    # thr[x] is the null threshold site_rate[x] / R, and row x of rows is
+    # move_table[x] scaled by it.
+    scale = site_rate / top
+    thr = scale.tolist()
+    rows = (cum_move * scale[:, None]).tolist()
+    bisect_right = bisect.bisect_right
+    t = 0.0
+    while True:
+        # The expected epochs left before the last record time, plus
+        # four standard deviations and 16, so one chunk usually ends
+        # the run.
+        mean = lam * (t_end - t)
+        m = int(min(CHUNK_EPOCHS, mean + 4.0 * math.sqrt(mean) + 16.0))
+        steps = gen.exponential(1.0, m) / lam
+        steps[0] += t
+        # add.accumulate adds left to right, as `t += step` does.
+        epoch = np.add.accumulate(steps)
+        u1, u2, u3 = gen.random((3, m))
+        pick = (u1 * n_particles).astype(np.int64)
+        donor = (u3 * (n_particles - 1)).astype(np.int64)
+        donor += donor >= pick
+        # Epochs [lo, stop) fall at or before record time rec, so its
+        # snapshot is right-continuous.
+        lo = 0
+        for stop in epoch.searchsorted(times[rec:], "right").tolist():
+            segment = zip(pick[lo:stop].tolist(), u2[lo:stop].tolist(),
+                          donor[lo:stop].tolist())
+            for i, v, j in segment:
+                x = pos[i]
+                if v < thr[x]:
+                    y = bisect_right(rows[x], v)
+                    pos[i] = pos[j] if y == n_sites else y
+                    n_events += 1
+            lo = stop
+            if stop == m:
                 break
-            t = float(epoch[-1])
+            if out is not None:
+                out[rec] = pos
+            rec += 1
+        if rec == n_rec:
+            break
+        t = float(epoch[-1])
     if out is not None:
         out[rec:] = pos
     positions[:] = pos
@@ -244,48 +243,47 @@ def run_counts(gens, bounds, starts, site_rate, cum_move, record_times, out):
     every = np.arange(n_reps)
     start = 0.0
     n_events = 0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for k, horizon in enumerate(np.asarray(record_times).tolist()):
-            live = every
-            sizes = block_sizes
-            c = state
-            t = np.full(n_reps, start)
-            while True:
-                # The last running sum is the total, and u * total < total
-                # for every u < 1, so the first running sum above u is never
-                # an empty site's.  A replica with total 0 has no events.
-                cum = _running_sums(c * rate)
-                t_next = t + _draws(waits, sizes) / cum[-1]
-                fire = t_next <= horizon
-                if not fire.all():
-                    state[:, live[~fire]] = c[:, ~fire]
-                    if not fire.any():
-                        break
-                    live = live[fire]
-                    sizes = _block_counts(live, bounds)
-                    c = c.compress(fire, axis=1)
-                    cum = cum.compress(fire, axis=1)
-                    t_next = t_next[fire]
-                t = t_next
-                n_live = live.size
-                u, v = _draws(uniforms, sizes, (2,))
-                x = (cum <= u * cum[-1]).sum(axis=0)
-                y = (move_rows.take(x, axis=1) <= v).sum(axis=0)
-                kill = y == n_sites
-                if kill.any():
-                    donors = c.compress(kill, axis=1)
-                    donors[x[kill], np.arange(donors.shape[1])] -= 1.0
-                    j = _draws(donors_of, _block_counts(live[kill], bounds))
-                    y[kill] = (_running_sums(donors) <= j).sum(axis=0)
-                # c is state or a compressed copy, C-contiguous either way,
-                # so its entry (s, r) is flat[s * n_live + r].
-                flat = c.reshape(-1)
-                replica = every[:n_live]
-                flat[x * n_live + replica] -= 1.0
-                flat[y * n_live + replica] += 1.0
-                n_events += n_live
-            out[:, k] = state.T
-            start = horizon
+    for k, horizon in enumerate(np.asarray(record_times).tolist()):
+        live = every
+        sizes = block_sizes
+        c = state
+        t = np.full(n_reps, start)
+        while True:
+            # The last running sum is the total, and u * total < total
+            # for every u < 1, so the first running sum above u is never
+            # an empty site's.
+            cum = _running_sums(c * rate)
+            t_next = t + _draws(waits, sizes) / cum[-1]
+            fire = t_next <= horizon
+            if not fire.all():
+                state[:, live[~fire]] = c[:, ~fire]
+                if not fire.any():
+                    break
+                live = live[fire]
+                sizes = _block_counts(live, bounds)
+                c = c.compress(fire, axis=1)
+                cum = cum.compress(fire, axis=1)
+                t_next = t_next[fire]
+            t = t_next
+            n_live = live.size
+            u, v = _draws(uniforms, sizes, (2,))
+            x = (cum <= u * cum[-1]).sum(axis=0)
+            y = (move_rows.take(x, axis=1) <= v).sum(axis=0)
+            kill = y == n_sites
+            if kill.any():
+                donors = c.compress(kill, axis=1)
+                donors[x[kill], np.arange(donors.shape[1])] -= 1.0
+                j = _draws(donors_of, _block_counts(live[kill], bounds))
+                y[kill] = (_running_sums(donors) <= j).sum(axis=0)
+            # c is state or a compressed copy, C-contiguous either way,
+            # so its entry (s, r) is flat[s * n_live + r].
+            flat = c.reshape(-1)
+            replica = every[:n_live]
+            flat[x * n_live + replica] -= 1.0
+            flat[y * n_live + replica] += 1.0
+            n_events += n_live
+        out[:, k] = state.T
+        start = horizon
     return n_events
 
 

@@ -54,11 +54,16 @@ LOG_MAX = math.log(sys.float_info.max)
 
 @dataclass(frozen=True, eq=False)
 class AbsorbingChain:
-    """Chain data, parsed here: ``rates`` and ``absorption`` are read as
-    float64 arrays, shape-checked against ``states``, and the diagonal is
-    recomputed from the off-diagonal rates and ``absorption``.  Build via
-    :func:`validate_chain` or :func:`load_chain`, which also check the
-    rates; direct construction skips those checks."""
+    """Chain data, parsed and checked here, so every chain satisfies the
+    hypotheses of the limit theorems however it is built.  ``rates`` and
+    ``absorption`` are read as float64 arrays, shape-checked against
+    ``states``, and the diagonal is recomputed from the off-diagonal rates
+    and ``absorption``.  Every entry must be a number (not a string, a
+    boolean or None); off-diagonal and absorption rates must be finite,
+    nonnegative and at most ``MAX_RATE``; some site must have positive
+    absorption; the sites must form one communicating class; and there
+    must be at least one state, with no name repeated.  So every site
+    rate is positive and -Q is invertible."""
 
     states: tuple[str, ...]
     rates: NDArray[np.float64]
@@ -66,8 +71,16 @@ class AbsorbingChain:
 
     def __post_init__(self) -> None:
         states = tuple(str(s) for s in self.states)
-        rates = np.array(self.rates, dtype=np.float64)
-        absorption = np.array(self.absorption, dtype=np.float64)
+        _require(bool(states), ChainFormatError,
+                 "states must be a nonempty list of strings")
+        _require(len(set(states)) == len(states), ChainFormatError,
+                 "state names must be unique")
+        try:
+            rates = _float_array(self.rates)
+            absorption = _float_array(self.absorption)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ChainFormatError(f"rate entries must be numbers that fit a "
+                                   f"double: {exc}") from exc
         n = len(states)
         if rates.shape != (n, n):
             raise DimensionMismatchError(
@@ -79,6 +92,26 @@ class AbsorbingChain:
             )
         # The stored diagonal is definitional, whatever the caller passed.
         np.fill_diagonal(rates, 0.0)
+        _require(bool(np.all(np.isfinite(rates))), NegativeRateError,
+                 "jump rates must be finite")
+        _require(bool(np.all(np.isfinite(absorption))), NegativeRateError,
+                 "absorption rates must be finite")
+        _require(bool(np.all(rates >= 0.0)), NegativeRateError,
+                 "off-diagonal jump rates must be nonnegative")
+        _require(bool(np.all(absorption >= 0.0)), NegativeRateError,
+                 "absorption rates must be nonnegative")
+        _require(bool(np.all(rates <= MAX_RATE)), RateBoundError,
+                 f"jump rates must not exceed {MAX_RATE:g}")
+        _require(bool(np.all(absorption <= MAX_RATE)), RateBoundError,
+                 f"absorption rates must not exceed {MAX_RATE:g}")
+        _require(bool(np.any(absorption > 0.0)), NoAbsorptionError,
+                 "at least one site must have positive absorption rate")
+        adjacency = rates > 0.0
+        start = np.arange(n) == 0
+        _require(bool(reachable(adjacency, start).all()
+                      and reachable(adjacency.T, start).all()),
+                 NotIrreducibleError,
+                 "live sites must form a single communicating class")
         np.fill_diagonal(rates, -(rates.sum(axis=1) + absorption))
         rates.flags.writeable = False
         absorption.flags.writeable = False
@@ -112,7 +145,7 @@ class AbsorbingChain:
     @cached_property
     def max_internal_rate(self) -> float:
         """Largest total internal jump rate over sites."""
-        return float(self.jump_rates.sum(axis=1).max()) if self.n > 1 else 0.0
+        return float(self.jump_rates.sum(axis=1).max())
 
     @cached_property
     def jump_kernel(self) -> NDArray[np.float64]:
@@ -140,11 +173,9 @@ class AbsorbingChain:
         attempt.  In rows of sites with zero absorption, every entry from the
         last positive target on is forced to 2.0, so rounding in the
         cumulative sum can never manufacture an absorption event there.
-        Every row is sorted; a site with zero rate has a row of zeros.
+        Every row is sorted.
         """
-        site = self.site_rates[:, None]
-        table = np.divide(np.cumsum(self.jump_rates, axis=1), site,
-                          out=np.zeros((self.n, self.n)), where=site > 0.0)
+        table = np.cumsum(self.jump_rates, axis=1) / self.site_rates[:, None]
         return _force_tails(table, self.jump_rates, self.absorption == 0.0)
 
     @cached_property
@@ -174,10 +205,10 @@ class InflowDominance(NamedTuple):
 def _force_tails(table: NDArray[np.float64], weights: NDArray[np.float64],
                  rows: NDArray[np.bool_]) -> NDArray[np.float64]:
     # The cumulative ``table``, read-only, with every entry of each row
-    # marked in ``rows`` from its last positive weight on set to 2.0; a row
-    # with no positive weight is left as it is.
+    # marked in ``rows`` from its last positive weight on set to 2.0.  Every
+    # row of a chain has a positive weight.
     seen = np.cumsum(weights > 0.0, axis=1)
-    table[rows[:, None] & (seen == seen[:, -1:]) & (seen > 0)] = 2.0
+    table[rows[:, None] & (seen == seen[:, -1:])] = 2.0
     table.flags.writeable = False
     return table
 
@@ -187,14 +218,22 @@ def _require(condition: bool, exc: type[Exception], message: str) -> None:
         raise exc(message)
 
 
+def _float_array(values: ArrayLike) -> NDArray[np.float64]:
+    # numpy would also read a numeric string, a boolean or None (as NaN).
+    if not (isinstance(values, np.ndarray) and values.dtype.kind in "fiu"):
+        for v in np.array(values, dtype=object).flat:
+            if isinstance(v, bool) or not isinstance(
+                    v, (int, float, np.integer, np.floating)):
+                raise TypeError(f"got {v!r}")
+    return np.array(values, dtype=np.float64)
+
+
 def validate_chain(spec: Mapping[str, object]) -> AbsorbingChain:
-    """Check a raw chain mapping and build the validated object.
+    """Check a raw chain mapping and build the chain from it.
 
     The mapping must carry exactly the keys ``states``, ``rates`` and
-    ``absorption``.  Off-diagonal rates and absorption rates must be finite,
-    nonnegative and at most ``MAX_RATE``; the diagonal of ``rates`` is
-    ignored and recomputed.  The live sites must form one communicating
-    class and at least one site must have positive absorption.
+    ``absorption``, and ``states`` must be a list of strings; the
+    :class:`AbsorbingChain` constructor checks the rest.
     """
     if not isinstance(spec, Mapping):
         raise ChainFormatError("chain spec must be a JSON object")
@@ -205,52 +244,11 @@ def validate_chain(spec: Mapping[str, object]) -> AbsorbingChain:
     missing = required - set(spec)
     if missing:
         raise ChainFormatError(f"missing chain field(s): {sorted(missing)}")
-
-    states_raw = spec["states"]
-    if (
-        not isinstance(states_raw, (list, tuple))
-        or not states_raw
-        or not all(isinstance(s, str) for s in states_raw)
-    ):
+    states = spec["states"]
+    if (not isinstance(states, (list, tuple))
+            or not all(isinstance(s, str) for s in states)):
         raise ChainFormatError("states must be a nonempty list of strings")
-    if len(set(states_raw)) != len(states_raw):
-        raise ChainFormatError("state names must be unique")
-
-    try:
-        # A row holding NaN or both infinities, or summing past DBL_MAX,
-        # gives a non-finite diagonal, which numpy would warn of; the
-        # checks below refuse such a row.
-        with np.errstate(invalid="ignore", over="ignore"):
-            chain = AbsorbingChain(states_raw, spec["rates"], spec["absorption"])
-    except DimensionMismatchError:
-        raise
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ChainFormatError(f"rate entries must be numbers that fit a "
-                               f"double: {exc}") from exc
-    off, absorption = chain.jump_rates, chain.absorption
-    _require(bool(np.all(np.isfinite(off))), NegativeRateError,
-             "jump rates must be finite")
-    _require(bool(np.all(np.isfinite(absorption))), NegativeRateError,
-             "absorption rates must be finite")
-    _require(bool(np.all(off >= 0.0)), NegativeRateError,
-             "off-diagonal jump rates must be nonnegative")
-    _require(bool(np.all(absorption >= 0.0)), NegativeRateError,
-             "absorption rates must be nonnegative")
-    _require(bool(np.all(off <= MAX_RATE)), RateBoundError,
-             f"jump rates must not exceed {MAX_RATE:g}")
-    _require(bool(np.all(absorption <= MAX_RATE)), RateBoundError,
-             f"absorption rates must not exceed {MAX_RATE:g}")
-    _require(bool(np.any(absorption > 0.0)), NoAbsorptionError,
-             "at least one site must have positive absorption rate")
-
-    adjacency = off > 0.0
-    start = np.arange(chain.n) == 0
-    if not (reachable(adjacency, start).all()
-            and reachable(adjacency.T, start).all()):
-        raise NotIrreducibleError(
-            "live sites must form a single communicating class"
-        )
-    return chain
+    return AbsorbingChain(states, spec["rates"], spec["absorption"])
 
 
 def reachable(

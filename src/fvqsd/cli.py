@@ -171,6 +171,14 @@ def _profile_spec(value: Any, where: str, chain: AbsorbingChain) -> Any:
     return value
 
 
+def _profiles(value: Any, where: str, chain: AbsorbingChain) -> Any:
+    """A list of profiles, or ``"extreme"``, the default, which
+    `_run_convergence` expands to every point mass and the uniform law."""
+    if value == "extreme":
+        return value
+    return _list_of(_profile_spec)(value, where, chain)
+
+
 _PARTICLES = _integer(2, _POSITIONS_MAX)
 # overlap's scan holds a few numbers per replica whatever N is.
 _SCANNED_PARTICLES = _integer(2)
@@ -221,7 +229,7 @@ PARAMETERS: dict[str, tuple[Param, ...]] = {
         Param("n_list", _N_LIST),
         Param("t", _POSITIVE),
         Param("replicas", _integer(2)),
-        Param("profiles", _list_of(_profile_spec), "extreme"),
+        Param("profiles", _profiles, "extreme"),
     ),
     "qsd_profile": (Param("n_list", _N_LIST),) + _STATIONARY,
     "overlap": (

@@ -14,10 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import ArrayLike, NDArray
 
-from .chain import AbsorbingChain, reachable, transient_vector
+from .chain import AbsorbingChain, transient_vector
 from .errors import (
     DistanceUnderflowError,
-    NoAbsorptionError,
     NormalizationDriftError,
     QsdNotConvergedError,
     StepTooLargeError,
@@ -98,7 +97,7 @@ def forward_ode(
     if not (step > 0.0):
         raise ValueError("step must be positive")
     max_rate = float(chain.site_rates.max())
-    if max_rate > 0.0 and step > 0.1 / max_rate:
+    if step > 0.1 / max_rate:
         raise StepTooLargeError(
             f"step {step:g} exceeds stability limit {0.1 / max_rate:g}"
         )
@@ -195,9 +194,10 @@ def qsd(
     """Quasi-stationary distribution by iteration on the Green matrix.
 
     Iterates left multiplication by G = (-Q)^-1, renormalizing to unit
-    1-norm each step.  G is entrywise positive for a validated chain and
-    shares the dominant left eigenvector of Q (its eigenvalue is -1/alpha),
-    so the iteration converges from the uniform start at the ratio of the
+    1-norm each step.  Every chain is irreducible and killed somewhere,
+    so -Q is invertible, G is entrywise positive, and G shares the
+    dominant left eigenvector of Q (its eigenvalue is -1/alpha), so the
+    iteration converges from the uniform start at the ratio of the
     two slowest decay rates, whatever the fast rates of the chain.  Stops
     when successive iterates differ by less than ``tol`` in sup norm and
     the eigen-residual max|v Q - alpha v| is at most ``tol``.  Hitting
@@ -205,20 +205,12 @@ def qsd(
     on the best seen (the roundoff floor of a chain whose rates span many
     decades), returns the last iterate with ``converged=False`` rather
     than raising.  The eigenvalue is alpha = -(v . absorption) /
-    sum(v), the eigen-equation summed over sites.  A chain (built
-    directly, unvalidated) with a site that cannot reach absorption has a
-    singular -Q and raises NoAbsorptionError, a ValueError.
+    sum(v), the eigen-equation summed over sites.
     """
     if not (tol > 0.0):
         raise ValueError("tol must be positive")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
-    stuck = ~reachable(chain.jump_rates.T > 0.0, chain.absorption > 0.0)
-    if stuck.any():
-        names = [chain.states[x] for x in np.flatnonzero(stuck)]
-        raise NoAbsorptionError(
-            f"-Q is singular: sites {names} cannot reach absorption"
-        )
     green = np.linalg.inv(-chain.rates)
 
     def residual_of(vec: NDArray[np.float64]) -> tuple[float, float]:

@@ -137,6 +137,35 @@ class TestValidateChain:
         with pytest.raises(ChainValidationError, match="fit a double"):
             validate_chain(spec)
 
+    @pytest.mark.parametrize("field", ["rates", "absorption"])
+    @pytest.mark.parametrize("entry", ["1e0", True, None, [1.0], np.True_],
+                             ids=["string", "true", "none", "list", "numpy-bool"])
+    def test_non_number_entry_refused(self, field, entry):
+        # numpy would read each of these as a double (None as NaN) or
+        # fail on the nested list with a shape message.
+        spec = spec2()
+        if field == "rates":
+            spec["rates"] = [[0.0, entry], [1.0, 0.0]]
+        else:
+            spec["absorption"] = [entry, 0.0]
+        with pytest.raises(ChainFormatError, match="must be numbers"):
+            validate_chain(spec)
+        with pytest.raises(ChainFormatError, match="must be numbers"):
+            AbsorbingChain(("1", "2"), spec["rates"], spec["absorption"])
+
+    @pytest.mark.parametrize("rates, absorption", [
+        ([[0, 1], [2, 0]], [1, 0]),
+        ([[0.0, np.float64(1.0)], [np.int64(2), 0.0]], [np.float32(1.0), 0]),
+        (np.array([[0, 1], [2, 0]]), np.array([1, 0], dtype=np.uint8)),
+        (np.array([[0.0, 1.0], [2.0, 0.0]], dtype=np.float32),
+         np.array([1.0, 0.0])),
+    ], ids=["ints", "numpy-scalars", "integer-arrays", "float32-array"])
+    def test_numeric_entries_accepted(self, rates, absorption):
+        chain = AbsorbingChain(("1", "2"), rates, absorption)
+        assert chain.rates.dtype == np.float64
+        np.testing.assert_array_equal(chain.rates, [[-2.0, 1.0], [2.0, -2.0]])
+        np.testing.assert_array_equal(chain.absorption, [1.0, 0.0])
+
     # pyproject.toml turns a RuntimeWarning into a test error, so these
     # also check that no numpy warning is emitted on the way.
     @pytest.mark.parametrize("rates, absorption", [
@@ -163,6 +192,62 @@ class TestValidateChain:
         assert golden_chain.index("2") == 1
         with pytest.raises(KeyError):
             golden_chain.index("nope")
+
+
+# Inputs validate_chain refuses, each with the type both paths raise.
+REFUSED = {
+    "nan": (["1", "2"], [[0.0, np.nan], [1.0, 0.0]], [1.0, 0.0], NegativeRateError),
+    "inf": (["1", "2"], [[0.0, np.inf], [1.0, 0.0]], [1.0, 0.0], NegativeRateError),
+    "minus-inf": (["1", "2"], [[0.0, 1.0], [1.0, 0.0]], [-np.inf, 0.0],
+                  NegativeRateError),
+    "negative": (["1", "2"], [[0.0, -0.5], [1.0, 0.0]], [1.0, 0.0],
+                 NegativeRateError),
+    "above-max-rate": (["1", "2"], [[0.0, 1.0], [1.0, 0.0]], [2 * MAX_RATE, 0.0],
+                       RateBoundError),
+    "no-absorption": (["1", "2"], [[0.0, 1.0], [1.0, 0.0]], [0.0, 0.0],
+                      NoAbsorptionError),
+    "reducible": (["1", "2"], [[0.0, 1.0], [0.0, 0.0]], [1.0, 1.0],
+                  NotIrreducibleError),
+    "no-states": ([], [], [], ChainFormatError),
+    "duplicate-states": (["1", "1"], [[0.0, 1.0], [1.0, 0.0]], [1.0, 0.0],
+                         ChainFormatError),
+    "rates-shape": (["1", "2"], [[0.0, 1.0]], [1.0, 0.0], DimensionMismatchError),
+    "absorption-shape": (["1", "2"], [[0.0, 1.0], [1.0, 0.0]], [1.0],
+                         DimensionMismatchError),
+    "single-site-no-absorption": (["a"], [[0.0]], [0.0], NoAbsorptionError),
+}
+
+
+class TestConstruction:
+    """``AbsorbingChain(...)`` checks what ``validate_chain`` checks."""
+
+    @pytest.mark.parametrize("states, rates, absorption, error",
+                             REFUSED.values(), ids=list(REFUSED))
+    def test_refused_as_by_validate_chain(self, states, rates, absorption, error):
+        with pytest.raises(ChainValidationError) as validated:
+            validate_chain({"states": states, "rates": rates,
+                            "absorption": absorption})
+        with pytest.raises(ChainValidationError) as direct:
+            AbsorbingChain(tuple(states), rates, absorption)
+        assert type(validated.value) is type(direct.value) is error
+        assert str(direct.value) == str(validated.value)
+
+    @pytest.mark.parametrize("fixture", [
+        "golden_chain", "symmetric_chain", "single_site_chain",
+        "three_site_chain", "five_site_chain"])
+    def test_both_paths_give_the_same_bytes(self, request, fixture):
+        chain = request.getfixturevalue(fixture)
+        direct = AbsorbingChain(chain.states, np.array(chain.jump_rates),
+                                np.array(chain.absorption))
+        validated = validate_chain({
+            "states": list(chain.states),
+            "rates": chain.jump_rates.tolist(),
+            "absorption": chain.absorption.tolist(),
+        })
+        for name in ("rates", "site_rates", "move_table", "cum_jump_kernel"):
+            a, b = getattr(direct, name), getattr(validated, name)
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+            assert a.tobytes() == getattr(chain, name).tobytes()
 
 
 class TestLoadChain:
@@ -238,31 +323,31 @@ class TestCumulativeTables:
 
     def test_match_row_by_row_reference(self):
         # Sparse random chains with zero absorption at about half the
-        # sites, built directly, against the tables built one row at a time.
+        # sites, built directly, against the tables built one row at a
+        # time.  A draw the type refuses (reducible, or never killed) is
+        # skipped.
         rng = np.random.default_rng(28)
-        for _ in range(200):
+        built = zero_absorption_rows = 0
+        while built < 200:
             n = int(rng.integers(1, 7))
             off = 5.0 * (1.0 - rng.random((n, n))) * (rng.random((n, n)) < 0.6)
             absorption = rng.uniform(0.0, 5.0, n) * (rng.random(n) < 0.5)
-            chain = AbsorbingChain(tuple(map(str, range(n))), off, absorption)
+            try:
+                chain = AbsorbingChain(tuple(map(str, range(n))), off, absorption)
+            except (NotIrreducibleError, NoAbsorptionError):
+                continue
+            built += 1
             move = np.zeros((n, n))
             cum = np.cumsum(chain.jump_kernel, axis=1)
             for x in range(n):
-                positive = np.flatnonzero(chain.jump_rates[x] > 0.0)
-                if chain.site_rates[x] > 0.0:
-                    move[x] = np.cumsum(chain.jump_rates[x]) / chain.site_rates[x]
-                    if absorption[x] == 0.0 and positive.size:
-                        move[x, positive[-1]:] = 2.0
+                move[x] = np.cumsum(chain.jump_rates[x]) / chain.site_rates[x]
+                if absorption[x] == 0.0:
+                    zero_absorption_rows += 1
+                    move[x, np.flatnonzero(chain.jump_rates[x] > 0.0)[-1]:] = 2.0
                 cum[x, np.flatnonzero(chain.jump_kernel[x] > 0.0)[-1]:] = 2.0
             np.testing.assert_array_equal(chain.move_table, move)
             np.testing.assert_array_equal(chain.cum_jump_kernel, cum)
-
-    def test_zero_rate_site_unvalidated(self):
-        # No rate at all: the move-table row has no positive target to
-        # force, so it stays zero; the jump kernel is the identity.
-        chain = AbsorbingChain(("a",), [[0.0]], [0.0])
-        np.testing.assert_array_equal(chain.move_table, [[0.0]])
-        np.testing.assert_array_equal(chain.cum_jump_kernel, [[2.0]])
+        assert zero_absorption_rows > 0
 
 
 class TestTransientVector:
@@ -275,14 +360,17 @@ class TestTransientVector:
         np.testing.assert_array_equal(transient_vector(golden_chain, mu, 0.0), mu)
 
     def test_symmetric_closed_form(self):
-        # No absorption: stochastic 2-state flip at rate 1 from a point mass.
+        # 2-state flip at rate 1 from a point mass, killed at rate a at
+        # both sites: the flip's law times the survival e^{-a t}.
+        a = 0.5
         chain = AbsorbingChain(
             states=("1", "2"),
             rates=np.array([[0.0, 1.0], [1.0, 0.0]]),
-            absorption=np.zeros(2),
+            absorption=np.full(2, a),
         )
         w = transient_vector(chain, [1.0, 0.0], 1.0)
-        expected = [(1.0 + np.exp(-2.0)) / 2.0, (1.0 - np.exp(-2.0)) / 2.0]
+        expected = np.exp(-a) * np.array(
+            [(1.0 + np.exp(-2.0)) / 2.0, (1.0 - np.exp(-2.0)) / 2.0])
         np.testing.assert_allclose(w, expected, atol=1e-12)
 
     def test_errors(self, golden_chain):

@@ -474,6 +474,25 @@ class TestValidateCommand:
         assert len(err.splitlines()) == 1 and "fit a double" in err, err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["validate", "qsd"])
+    @pytest.mark.parametrize("field", ["rates", "absorption"])
+    @pytest.mark.parametrize("entry", ["1e0", True, None], ids=["string", "true", "null"])
+    def test_entry_not_a_number(self, tmp_path, capsys, command, field, entry):
+        # numpy reads "1e0" and true as 1.0 and null as NaN; a chain file
+        # must give numbers.
+        bad = {"rates": [[0.0, entry], [1.0, 0.0]], "absorption": [entry, 0.0]}[field]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(dict(GOLDEN, **{field: bad})))
+        out = tmp_path / "out"
+        argv = (["validate", "--config", str(path)] if command == "validate" else
+                ["qsd", "--config", str(write_config(tmp_path, kind="qsd",
+                                                     chain="bad.json")),
+                 "--out", str(out)])
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "must be numbers" in err, err
+        assert not out.exists()
+
 
 class TestBoundViolation:
     def test_exit_code_two(self, tmp_path, chain_file, monkeypatch):
@@ -604,6 +623,24 @@ def test_outputs_are_byte_stable(tmp_path):
             hashlib.sha256((out / f).read_bytes()).hexdigest()[:16]
             for f in ("results.csv", "summary.json", "plot.svg"))
     assert hashes == STABLE_HASHES
+
+
+@pytest.mark.parametrize("name", list(STABLE_CONFIGS))
+def test_echoed_config_reruns_to_the_same_bytes(tmp_path, name):
+    # summary.json echoes the resolved kind, chain, seed and parameters;
+    # fed back as a config they must reproduce every output byte.
+    kind, chain, master_seed, params = STABLE_CONFIGS[name]
+    first = tmp_path / "first"
+    cfg = write_config(tmp_path, "first.json", kind=kind, chain=chain,
+                       master_seed=master_seed, parameters=params)
+    assert run(cfg, out=str(first)) in (0, 2)
+    echo = read_summary(first)
+    second = tmp_path / "second"
+    cfg = write_config(tmp_path, "second.json", **{
+        k: echo[k] for k in ("kind", "chain", "master_seed", "parameters")})
+    assert run(cfg, out=str(second)) in (0, 2)
+    for f in ("results.csv", "summary.json", "plot.svg"):
+        assert (second / f).read_bytes() == (first / f).read_bytes(), f
 
 
 def test_plot_escapes_site_names(tmp_path):

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from fvqsd import (
-    AbsorbingChain,
     MarkRealization,
     ReplicaSeed,
     evolve,
@@ -385,17 +384,6 @@ class TestSampleMarks:
             with pytest.raises(ValueError, match=r"map sites must lie in \[-1, 2\)"):
                 hand_marks((0, 1, row), n_particles=3)
 
-    def test_zero_absorption_no_voter_events(self):
-        chain = AbsorbingChain(
-            states=("1", "2"),
-            rates=np.array([[0.0, 1.0], [1.0, 0.0]]),
-            absorption=np.zeros(2),
-        )
-        marks = sample_marks(chain, 5, 3.0, 0)
-        assert marks.n_events > 0
-        assert not is_copy(marks).any()
-        assert (marks.maps >= 0).all()
-
 
 class TestEvolve:
     def test_no_events_identity(self, golden_chain):
@@ -487,15 +475,6 @@ class TestInfluence:
         marks = sample_marks(golden_chain, 8, 2.0, 5)
         for i, s in enumerate(influence_sets(marks)):
             assert i in s
-
-    def test_no_voter_events_singleton(self):
-        chain = AbsorbingChain(
-            states=("1", "2"),
-            rates=np.array([[0.0, 1.0], [1.0, 0.0]]),
-            absorption=np.zeros(2),
-        )
-        marks = sample_marks(chain, 5, 2.0, 0)
-        assert influence_sets(marks) == [frozenset({i}) for i in range(5)]
 
     def test_matches_reference_scan(self, golden_chain):
         for r in range(30):

@@ -18,7 +18,9 @@ from fvqsd import (
 from fvqsd.cli import main
 from fvqsd.errors import (
     DistanceUnderflowError,
+    NoAbsorptionError,
     NormalizationDriftError,
+    NotIrreducibleError,
     QsdNotConvergedError,
     StepTooLargeError,
     SurvivalUnderflowError,
@@ -225,21 +227,19 @@ class TestStiffQsd:
         np.testing.assert_allclose(fit.distances, expected, rtol=1e-9)
 
     def test_singular_minus_q_raises(self):
-        # Direct construction skips validation; site c is closed and
-        # never absorbed, so -Q is singular.
-        chain = AbsorbingChain(
-            states=("a", "b", "c"),
-            rates=[[0.0, 1.0, 1.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]],
-            absorption=[0.0, 1.0, 0.0],
-        )
-        with pytest.raises(ValueError, match=r"^-Q is singular: sites \['c'\]"):
-            qsd(chain)
-        no_absorption = AbsorbingChain(
-            states=("1", "2"), rates=[[0.0, 1.0], [1.0, 0.0]],
-            absorption=[0.0, 0.0],
-        )
-        with pytest.raises(ValueError, match="cannot reach absorption"):
-            qsd(no_absorption)
+        # Chains whose -Q would be singular cannot be built: site c is
+        # closed and never absorbed, or no site is absorbed at all.
+        with pytest.raises(NotIrreducibleError):
+            AbsorbingChain(
+                states=("a", "b", "c"),
+                rates=[[0.0, 1.0, 1.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]],
+                absorption=[0.0, 1.0, 0.0],
+            )
+        with pytest.raises(NoAbsorptionError):
+            AbsorbingChain(
+                states=("1", "2"), rates=[[0.0, 1.0], [1.0, 0.0]],
+                absorption=[0.0, 0.0],
+            )
 
 
 class TestForwardOde:
@@ -254,8 +254,10 @@ class TestForwardOde:
         forward_ode(golden_chain, [0.5, 0.5], 1.0, 0.05)
 
     def test_zero_absorption_is_linear(self):
-        # Without killing the equation is the plain forward equation, so
-        # RK4 must reproduce the matrix exponential.
+        # With the same absorption a at every site, v . absorption = a on
+        # the simplex, so the field is v (Q + a I): the plain forward
+        # equation of the unkilled chain, whose law RK4 must reproduce.
+        a = 0.7
         chain = AbsorbingChain(
             states=("1", "2", "3"),
             rates=np.array([
@@ -263,11 +265,11 @@ class TestForwardOde:
                 [2.0, 0.0, 1.0],
                 [0.5, 0.5, 0.0],
             ]),
-            absorption=np.zeros(3),
+            absorption=np.full(3, a),
         )
         mu = np.array([1.0, 0.0, 0.0])
         got = forward_ode(chain, mu, 2.0, 0.01)
-        want = mu @ series_expm(chain.rates, 2.0)
+        want = mu @ series_expm(chain.rates + a * np.eye(3), 2.0)
         np.testing.assert_allclose(got, want, atol=1e-9)
 
     def test_matches_conditioned_law(self, golden_chain):
