@@ -325,13 +325,15 @@ def transient_vector(
     a = math.ldexp(mass, -squarings)
     step = a * (np.eye(chain.n) + chain.rates / rate)
     term = np.eye(chain.n)
-    total = term
+    # Its own identity: the in-place adds must not write into term.
+    total = np.eye(chain.n)
     for k in range(1, 19):
-        term = term @ step / k
-        total = total + term
+        term = np.dot(term, step)
+        term /= k
+        total += term
     power = math.exp(-a) * total
     for _ in range(squarings):
-        power = power @ power
+        power = np.dot(power, power)
     return mu @ power
 
 

@@ -13,6 +13,7 @@ summary.json echoes what it returns.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import json
@@ -20,13 +21,14 @@ import os
 import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, Iterator, TextIO
 
 import numpy as np
 
 from . import svgplot
 from .chain import (
     AbsorbingChain,
+    _float_array,
     check_bound_horizon,
     inflow_dominance,
     load_chain,
@@ -158,8 +160,13 @@ def _profile(spec: Any, chain: AbsorbingChain, where: str) -> np.ndarray:
         return np.eye(chain.n)[chain.index(_site(spec, where, chain))]
     if isinstance(spec, list):
         try:
-            return check_distribution(spec, chain.n)
-        except (TypeError, ValueError, OverflowError) as exc:
+            weights = _float_array(spec)
+        except (TypeError, OverflowError) as exc:
+            raise ConfigError(f"{where}: weights must be numbers that fit a "
+                              f"double: {exc}") from None
+        try:
+            return check_distribution(weights, chain.n)
+        except ValueError as exc:
             raise ConfigError(f"{where}: {exc}") from None
     raise ConfigError(f"{where} must be 'uniform', a site name, or a weight list")
 
@@ -573,6 +580,18 @@ def _out_dir(cli_out: str | None, cfg: dict) -> Path:
     return Path(".")
 
 
+@contextlib.contextmanager
+def _rewrite(path: Path, newline: str) -> Iterator[TextIO]:
+    """A UTF-8 text file that overwrites ``path`` in place and is cut to
+    what was written.  Unlike opening with "w", an existing file is not
+    first truncated to zero, which on some file systems frees its blocks
+    and forces a writeback at close."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
+    with open(fd, "w", encoding="utf-8", newline=newline) as fh:
+        yield fh
+        fh.truncate()
+
+
 def _master_seed(value: Any, where: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int) or not 0 <= value < 2**64:
         raise ConfigError(f"{where} must be an integer in [0, 2^64)")
@@ -621,7 +640,7 @@ def run(
 
     out_path = _out_dir(out, cfg)
     out_path.mkdir(parents=True, exist_ok=True)
-    with open(out_path / "results.csv", "w", encoding="utf-8", newline="") as fh:
+    with _rewrite(out_path / "results.csv", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
         # A handler's row gives only its own columns.  The experiment
@@ -639,10 +658,10 @@ def run(
         "checks": checks,
         "status": status,
     }
-    with open(out_path / "summary.json", "w", encoding="utf-8", newline="\n") as fh:
+    with _rewrite(out_path / "summary.json", newline="\n") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True, default=_json_default)
         fh.write("\n")
-    with open(out_path / "plot.svg", "w", encoding="utf-8", newline="\n") as fh:
+    with _rewrite(out_path / "plot.svg", newline="\n") as fh:
         fh.write(plot)
     return 0 if status == "ok" else 2
 

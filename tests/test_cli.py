@@ -30,6 +30,8 @@ GOLDEN = {
     "absorption": [1.0, 0.0],
 }
 
+OUTPUTS = ("results.csv", "summary.json", "plot.svg")
+
 
 @pytest.fixture()
 def chain_file(tmp_path):
@@ -171,6 +173,16 @@ MALFORMED = {
     "product_moment-duplicate-sites": ("product_moment", dict(MOMENT, sites=["1", "1"]), 0, []),
     "product_moment-unknown-site": ("product_moment", dict(MOMENT, sites=["1", "9"]), 0, []),
     "simulate-initial-weight-object": ("simulate", dict(SIMULATE, initial=[{}, 1]), 0, []),
+    # numpy reads a boolean or a numeric string as a weight, so these used
+    # to run with exit 0.
+    "semigroup-initial-bool": ("semigroup", {"initial": [True, False],
+                                             "t_grid": [1.0, 2.0, 3.0, 4.0]}, 0, []),
+    "semigroup-initial-numeric-string": ("semigroup", {
+        "initial": ["0.5", "0.5"], "t_grid": [1.0, 2.0, 3.0, 4.0]}, 0, []),
+    "convergence-profiles-bool": ("convergence", {
+        "n_list": [4], "t": 0.5, "replicas": 2, "profiles": ["1", [True, False]]}, 0, []),
+    "convergence-profiles-numeric-string": ("convergence", {
+        "n_list": [4], "t": 0.5, "replicas": 2, "profiles": [["0.5", "0.5"]]}, 0, []),
     "master_seed-negative": ("qsd", {}, -1, []),
     "master_seed-2^64": ("qsd", {}, 2**64, []),
     "seed-flag-negative-correlation": ("correlation", CORRELATION, 0, ["--seed", "-1"]),
@@ -240,6 +252,24 @@ def test_malformed_input_exits_one_with_one_line(
     err = capsys.readouterr().err
     assert err.startswith("error: ") and len(err.splitlines()) == 1, err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("kind, params, master_seed, extra", MALFORMED.values(),
+                         ids=list(MALFORMED))
+def test_malformed_input_leaves_existing_outputs_untouched(
+        tmp_path, kind, params, master_seed, extra):
+    # The outputs are rewritten in place, and only once the run succeeds.
+    out = tmp_path / "out"
+    out.mkdir()
+    for f in OUTPUTS:
+        (out / f).write_bytes(f"kept {f}\n".encode() * 40)
+    before = {f: (out / f).stat().st_mtime_ns for f in OUTPUTS}
+    cfg = write_config(tmp_path, kind=kind, chain=GOLDEN,
+                       master_seed=master_seed, parameters=params)
+    assert main([kind, "--config", str(cfg), "--out", str(out)] + extra) == 1
+    for f in OUTPUTS:
+        assert (out / f).read_bytes() == f"kept {f}\n".encode() * 40, f
+        assert (out / f).stat().st_mtime_ns == before[f], f
 
 
 @pytest.mark.parametrize("message, line", [
@@ -621,7 +651,7 @@ def test_outputs_are_byte_stable(tmp_path):
         assert run(cfg, out=str(out)) in (0, 2)
         hashes[name] = tuple(
             hashlib.sha256((out / f).read_bytes()).hexdigest()[:16]
-            for f in ("results.csv", "summary.json", "plot.svg"))
+            for f in OUTPUTS)
     assert hashes == STABLE_HASHES
 
 
@@ -639,8 +669,29 @@ def test_echoed_config_reruns_to_the_same_bytes(tmp_path, name):
     cfg = write_config(tmp_path, "second.json", **{
         k: echo[k] for k in ("kind", "chain", "master_seed", "parameters")})
     assert run(cfg, out=str(second)) in (0, 2)
-    for f in ("results.csv", "summary.json", "plot.svg"):
+    for f in OUTPUTS:
         assert (second / f).read_bytes() == (first / f).read_bytes(), f
+
+
+@pytest.mark.parametrize("name", ["semigroup", "overlap-t_grid"])
+@pytest.mark.parametrize("scale", [0, 0.5, 3])
+def test_rerun_over_existing_outputs_writes_fresh_bytes(tmp_path, name, scale):
+    # Existing outputs are overwritten in place and cut to the new length:
+    # shorter, longer or empty, with other bytes, they end as a fresh
+    # directory's.
+    kind, chain, master_seed, params = STABLE_CONFIGS[name]
+    cfg = write_config(tmp_path, kind=kind, chain=chain,
+                       master_seed=master_seed, parameters=params)
+    fresh = tmp_path / "fresh"
+    assert run(cfg, out=str(fresh)) in (0, 2)
+    out = tmp_path / "out"
+    out.mkdir()
+    for f in OUTPUTS:
+        size = int(scale * len((fresh / f).read_bytes()))
+        (out / f).write_bytes(bytes(range(7, 256)) * (size // 249) + b"#" * (size % 249))
+    assert run(cfg, out=str(out)) in (0, 2)
+    for f in OUTPUTS:
+        assert (out / f).read_bytes() == (fresh / f).read_bytes(), f
 
 
 def test_plot_escapes_site_names(tmp_path):
