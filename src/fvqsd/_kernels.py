@@ -5,7 +5,10 @@ because indexing a list is several times cheaper than reading a numpy
 scalar.
 
 The labelled event-driven dynamics live in one loop, ``_run``; ``run_events``
-and ``run_recorded`` are its two entry points.  The loop is uniformized:
+and ``run_recorded`` are its two entry points.  Beside the positions the
+loop keeps the running site counts, which each real event moves by one, so
+a count snapshot costs O(n_sites) where a position snapshot costs O(N).
+The loop is uniformized:
 epochs arrive at the constant rate N R, where R = max site_rate, and at
 each epoch
 
@@ -73,15 +76,18 @@ USING_JIT = False
 CHUNK_EPOCHS = 16384
 
 
-def _run(gen, positions, site_rate, cum_move, record_times, out):
+def _run(gen, positions, site_rate, cum_move, record_times, out, counts):
     # The event loop behind run_events and run_recorded; returns the number
-    # of real (non-null) events.  out=None keeps no snapshots.
+    # of real (non-null) events.  out=None keeps no position snapshots and
+    # counts=None no count snapshots.
     n_rec = len(record_times)
     if n_rec == 0:
         return 0
     n_particles = len(positions)
     n_sites = len(site_rate)
     pos = positions.tolist()
+    # cnt[x] is the number of particles at site x, moved with each event.
+    cnt = np.bincount(positions, minlength=n_sites).tolist()
     times = np.asarray(record_times, dtype=np.float64)
     t_end = float(times[-1])
     top = float(site_rate.max())
@@ -119,19 +125,22 @@ def _run(gen, positions, site_rate, cum_move, record_times, out):
                 x = pos[i]
                 if v < thr[x]:
                     y = bisect_right(rows[x], v)
-                    pos[i] = pos[j] if y == n_sites else y
+                    # A revival takes particle j's site.
+                    pos[i] = y = pos[j] if y == n_sites else y
+                    cnt[x] -= 1
+                    cnt[y] += 1
                     n_events += 1
             lo = stop
             if stop == m:
                 break
             if out is not None:
                 out[rec] = pos
+            if counts is not None:
+                counts[rec] = cnt
             rec += 1
         if rec == n_rec:
             break
         t = float(epoch[-1])
-    if out is not None:
-        out[rec:] = pos
     positions[:] = pos
     return n_events
 
@@ -144,18 +153,22 @@ def run_events(gen, positions, site_rate, cum_move, horizon):
     split) or, on an absorption attempt, onto the position of a uniformly
     chosen other particle.  Returns the number of real (non-null) events.
     """
-    return _run(gen, positions, site_rate, cum_move, (horizon,), None)
+    return _run(gen, positions, site_rate, cum_move, (horizon,), None, None)
 
 
-def run_recorded(gen, positions, site_rate, cum_move, record_times, out):
+def run_recorded(gen, positions, site_rate, cum_move, record_times, out=None,
+                 counts=None):
     """Same dynamics as run_events, snapshotting at the given sorted times.
 
-    out has shape (len(record_times), n_particles).  Snapshots are
-    right-continuous: a record time equal to an event time sees the
-    post-event configuration.  positions ends at the last record time and
-    is returned.
+    out, if given, has shape (len(record_times), n_particles) and receives
+    the positions; counts, if given, has shape (len(record_times),
+    n_sites) and receives the site counts, np.bincount(out[k],
+    minlength=n_sites) in row k, at O(n_sites) per record time.
+    Snapshots are right-continuous: a record time equal to an event time
+    sees the post-event configuration.  positions ends at the last record
+    time and is returned.
     """
-    _run(gen, positions, site_rate, cum_move, record_times, out)
+    _run(gen, positions, site_rate, cum_move, record_times, out, counts)
     return positions
 
 

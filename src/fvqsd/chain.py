@@ -32,7 +32,7 @@ from .errors import (
     NotIrreducibleError,
     RateBoundError,
 )
-from .measures import check_distribution
+from .measures import check_distribution, float_array
 
 __all__ = [
     "MAX_RATE",
@@ -76,8 +76,8 @@ class AbsorbingChain:
         _require(len(set(states)) == len(states), ChainFormatError,
                  "state names must be unique")
         try:
-            rates = _float_array(self.rates)
-            absorption = _float_array(self.absorption)
+            rates = float_array(self.rates, copy=True)
+            absorption = float_array(self.absorption, copy=True)
         except (TypeError, ValueError, OverflowError) as exc:
             raise ChainFormatError(f"rate entries must be numbers that fit a "
                                    f"double: {exc}") from exc
@@ -216,16 +216,6 @@ def _force_tails(table: NDArray[np.float64], weights: NDArray[np.float64],
 def _require(condition: bool, exc: type[Exception], message: str) -> None:
     if not condition:
         raise exc(message)
-
-
-def _float_array(values: ArrayLike) -> NDArray[np.float64]:
-    # numpy would also read a numeric string, a boolean or None (as NaN).
-    if not (isinstance(values, np.ndarray) and values.dtype.kind in "fiu"):
-        for v in np.array(values, dtype=object).flat:
-            if isinstance(v, bool) or not isinstance(
-                    v, (int, float, np.integer, np.floating)):
-                raise TypeError(f"got {v!r}")
-    return np.array(values, dtype=np.float64)
 
 
 def validate_chain(spec: Mapping[str, object]) -> AbsorbingChain:

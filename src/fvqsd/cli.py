@@ -28,7 +28,6 @@ import numpy as np
 from . import svgplot
 from .chain import (
     AbsorbingChain,
-    _float_array,
     check_bound_horizon,
     inflow_dominance,
     load_chain,
@@ -160,13 +159,8 @@ def _profile(spec: Any, chain: AbsorbingChain, where: str) -> np.ndarray:
         return np.eye(chain.n)[chain.index(_site(spec, where, chain))]
     if isinstance(spec, list):
         try:
-            weights = _float_array(spec)
-        except (TypeError, OverflowError) as exc:
-            raise ConfigError(f"{where}: weights must be numbers that fit a "
-                              f"double: {exc}") from None
-        try:
-            return check_distribution(weights, chain.n)
-        except ValueError as exc:
+            return check_distribution(spec, chain.n)
+        except (TypeError, ValueError) as exc:
             raise ConfigError(f"{where}: {exc}") from None
     raise ConfigError(f"{where} must be 'uniform', a site name, or a weight list")
 

@@ -7,6 +7,7 @@ from numpy.typing import ArrayLike, NDArray
 from .errors import DimensionMismatchError
 
 __all__ = [
+    "float_array",
     "check_distribution",
     "tv_distance",
     "empirical_measure",
@@ -16,13 +17,33 @@ __all__ = [
 SUM_TOL = 1e-10
 
 
+def float_array(values: ArrayLike, copy: bool | None = None) -> NDArray[np.float64]:
+    """``values`` as a float64 array, copied as ``np.array``'s ``copy`` says.
+
+    Every entry must be a number: numpy would also read a numeric string,
+    a boolean or None (as NaN), so any of those raises TypeError naming
+    the first.  An array of a numeric dtype skips the per-entry scan.
+    """
+    if not (isinstance(values, np.ndarray) and values.dtype.kind in "fiu"):
+        for v in np.array(values, dtype=object).flat:
+            if isinstance(v, bool) or not isinstance(
+                    v, (int, float, np.integer, np.floating)):
+                raise TypeError(f"got {v!r}")
+    return np.array(values, dtype=np.float64, copy=copy)
+
+
 def check_distribution(weights: ArrayLike, n: int | None = None) -> NDArray[np.float64]:
     """Validate and return ``weights`` as a probability vector.
 
-    Entries must be finite and nonnegative and sum to 1 within ``SUM_TOL``.
-    When ``n`` is given the length must match it.
+    Entries must be numbers under :func:`float_array`'s rule (TypeError
+    otherwise, as for one too large for a double), finite and nonnegative,
+    and sum to 1 within ``SUM_TOL``.  When ``n`` is given the length must
+    match it.
     """
-    w = np.asarray(weights, dtype=np.float64)
+    try:
+        w = float_array(weights)
+    except (TypeError, OverflowError) as exc:
+        raise TypeError(f"weights must be numbers that fit a double: {exc}") from None
     if w.ndim != 1 or w.size == 0:
         raise DimensionMismatchError("expected a nonempty 1-d weight vector")
     if n is not None and w.size != n:

@@ -8,8 +8,10 @@ with epochs at the constant rate N max(site_rate), a uniform particle per
 epoch and a move thinned to that particle's site rate (see ``_kernels``).
 
 ``simulate`` and ``simulate_trajectory`` follow labelled particles, one
-realization per call.  ``simulate_counts`` follows only the site counts,
-which is all the empirical measure needs, for many replicas at once.
+realization per call; ``stationary_sampler`` does too, but records only
+the running site counts.  ``simulate_counts`` follows only the site
+counts, which is all the empirical measure needs, for many replicas at
+once.
 """
 from __future__ import annotations
 
@@ -199,12 +201,15 @@ def stationary_sampler(
 
     Starts from the balanced profile, discards [0, burn_in], then records
     the empirical measure every ``spacing`` time units, ``n_samples``
-    times (first sample at burn_in + spacing).  Successive samples are
-    autocorrelated; use batch-means errors downstream.  A last time
-    burn_in + n_samples * spacing that is not a finite double raises
-    HorizonOverflowError before any array is built, and a grid with two
-    equal successive times (a spacing below the resolution of burn_in)
-    raises UnsortedTimesError.
+    times (first sample at burn_in + spacing).  Row k is
+    ``empirical_measure`` of row k of ``simulate_trajectory`` on the same
+    seed, bit for bit, but the kernel records running site counts: a
+    sample costs O(n_sites), and the run holds N positions and the
+    (n_samples, n_sites) counts.  Successive samples are autocorrelated;
+    use batch-means errors downstream.  A last time burn_in + n_samples *
+    spacing that is not a finite double raises HorizonOverflowError before
+    any array is built, and a grid with two equal successive times (a
+    spacing below the resolution of burn_in) raises UnsortedTimesError.
     """
     if not (burn_in > 0.0):
         raise ValueError("burn_in must be positive")
@@ -218,17 +223,17 @@ def stationary_sampler(
             f"burn_in + n_samples * spacing = {burn_in:g} + {n_samples} * "
             f"{spacing:g} is not a finite double")
     uniform = np.full(chain.n, 1.0 / chain.n)
-    xi0 = configuration_from_profile(uniform, n_particles, chain.states)
-    check_array_size((n_samples,), np.int64)
+    pos = configuration_from_profile(uniform, n_particles, chain.states)
+    shape = (n_samples, chain.n)
+    check_array_size(shape, np.int64)
     times = burn_in + spacing * np.arange(1, n_samples + 1)
     if np.any(times[1:] == times[:-1]):
         raise UnsortedTimesError(
             f"burn_in + k * spacing repeats a sample time at burn_in="
             f"{burn_in:g}, spacing={spacing:g}: spacing is below the "
             f"resolution of burn_in")
-    traj = simulate_trajectory(chain, xi0, times, seed)
-    # Sample k's sites offset by k n, so one bincount counts every sample;
-    # row k is then empirical_measure(traj[k], n) bit for bit.
-    offset = traj + chain.n * np.arange(n_samples)[:, None]
-    counts = np.bincount(offset.ravel(), minlength=n_samples * chain.n)
-    return counts.reshape(n_samples, chain.n) / n_particles
+    gen = as_replica_seed(seed).generator()
+    counts = np.empty(shape, dtype=np.int64)
+    _kernels.run_recorded(gen, pos, chain.site_rates, chain.move_table, times,
+                          None, counts)
+    return counts / n_particles

@@ -373,6 +373,11 @@ class TestTransientVector:
             [(1.0 + np.exp(-2.0)) / 2.0, (1.0 - np.exp(-2.0)) / 2.0])
         np.testing.assert_allclose(w, expected, atol=1e-12)
 
+    def test_booleans_refused(self, golden_chain):
+        # numpy reads True as 1.0, so this used to return a vector.
+        with pytest.raises(TypeError, match="^weights must be numbers .*got True$"):
+            transient_vector(golden_chain, [True, False], 1.0)
+
     def test_errors(self, golden_chain):
         mu = [0.5, 0.5]
         with pytest.raises(ValueError, match="finite"):

@@ -12,6 +12,7 @@ from fvqsd import (
     ReplicaSeed,
     conditioned_law,
     batch_means_se,
+    check_distribution,
     convergence_experiment,
     correlation_experiment,
     covariance_bound,
@@ -85,6 +86,17 @@ class TestDistances:
         m = empirical_measure(np.array([0, 1, 1, 2]), 4)
         np.testing.assert_allclose(m, [0.25, 0.5, 0.25, 0.0])
         assert m.sum() == pytest.approx(1.0)
+
+    def test_check_distribution_takes_numeric_arrays_as_they_are(self):
+        # A float64 array is returned itself, with no per-entry scan and no
+        # copy, and an integer array is only converted.
+        w = np.array([0.25, 0.75])
+        assert check_distribution(w) is w
+        np.testing.assert_array_equal(check_distribution(np.array([0, 1])), [0.0, 1.0])
+        with pytest.raises(TypeError, match="^weights must be numbers .*got None$"):
+            check_distribution([None, 1.0])
+        with pytest.raises(TypeError, match="fit a double"):
+            check_distribution([10**400, 0])
 
 
 class TestExtremeProfiles:
@@ -390,11 +402,11 @@ class TestQsdProfileExperiment:
 
     def test_reductions_match_per_sample_calls(
             self, golden_chain, three_site_chain, five_site_chain):
-        # stationary_sampler counts all its samples with one bincount, and
-        # qsd_profile_experiment takes all their distances in one array
-        # call; both equal the per-sample empirical_measure and tv_distance
-        # calls bit for bit, also on 12 sites, where numpy sums a row
-        # pairwise.
+        # stationary_sampler records running site counts, and
+        # qsd_profile_experiment takes all the samples' distances in one
+        # array call; both equal the per-sample empirical_measure and
+        # tv_distance calls bit for bit, also on 12 sites, where numpy sums
+        # a row pairwise.
         ring = np.roll(np.eye(12), 1, axis=1) + 0.5 * np.roll(np.eye(12), -1, axis=1)
         wide = validate_chain({"states": [f"s{k:02d}" for k in range(12)],
                                "rates": ring.tolist(),

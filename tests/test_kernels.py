@@ -284,6 +284,25 @@ def test_run_events_is_run_recorded_at_the_horizon(three_site_chain, n, horizon)
     assert gen_a.random() == gen_b.random()
 
 
+@pytest.mark.parametrize("chain_name", ["golden_chain", "three_site_chain"])
+@pytest.mark.parametrize("seed", [1, 5, 23])
+def test_recorded_counts_are_the_snapshots_bincount(request, chain_name, seed):
+    # One stream fills both outputs; the running counts at each record time
+    # are the counts of that snapshot, also at time 0 and at repeated times.
+    chain = request.getfixturevalue(chain_name)
+    n = 50
+    times = np.array([0.0, 0.1, 0.1, 0.7, 1.3, 2.0, 4.0])
+    pos = np.arange(n, dtype=np.int64) % chain.n
+    out = np.empty((times.size, n), dtype=np.int64)
+    counts = np.empty((times.size, chain.n), dtype=np.int64)
+    _kernels.run_recorded(ReplicaSeed(seed, 0).generator(), pos, chain.site_rates,
+                          chain.move_table, times, out, counts)
+    for k in range(times.size):
+        np.testing.assert_array_equal(counts[k], np.bincount(out[k], minlength=chain.n))
+    np.testing.assert_array_equal(out[-1], pos)
+    assert len(set(map(tuple, counts.tolist()))) > 1
+
+
 # Reference loops index the numpy inputs element by element.  The kernels
 # must match them bit for bit.
 def _reference_run(gen, positions, site_rate, cum_move, record_times, out):

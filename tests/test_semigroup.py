@@ -83,6 +83,11 @@ class TestConditionedLaw:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and len(err.splitlines()) == 1, err
 
+    def test_numeric_strings_refused(self, golden_chain):
+        # numpy reads "0.5" as 0.5, so this used to return a law.
+        with pytest.raises(TypeError, match=r"^weights must be numbers .*got '0\.5'$"):
+            conditioned_law(golden_chain, ["0.5", "0.5"], 1.0)
+
     def test_matches_normalized_series(self):
         rng = np.random.default_rng(7)
         for _ in range(10):
@@ -246,6 +251,11 @@ class TestForwardOde:
     def test_time_zero(self, golden_chain):
         mu = np.array([0.4, 0.6])
         np.testing.assert_array_equal(forward_ode(golden_chain, mu, 0.0, 0.01), mu)
+
+    def test_booleans_refused(self, golden_chain):
+        # numpy reads True as 1.0, so this used to integrate a point mass.
+        with pytest.raises(TypeError, match="^weights must be numbers .*got True$"):
+            forward_ode(golden_chain, [True, False], 1.0, 0.01)
 
     def test_step_limit(self, golden_chain):
         # max site rate 2 -> limit 0.05

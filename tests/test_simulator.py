@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -82,6 +84,11 @@ class TestConfigurationFromProfile:
         pos = configuration_from_profile([1 / 3, 2 / 3], 7, states=("b", "a"))
         assert (pos == 0).sum() == 2
         assert (pos == 1).sum() == 5
+
+    def test_numeric_strings_refused(self):
+        # numpy reads "0.5" as 0.5, so this used to place the particles.
+        with pytest.raises(TypeError, match=r"^weights must be numbers .*got '0\.5'$"):
+            configuration_from_profile(["0.5", "0.5"], 4, ("1", "2"))
 
     def test_errors(self):
         with pytest.raises(ValueError):
@@ -425,6 +432,18 @@ class TestStationarySampler:
         samples = stationary_sampler(symmetric_chain, 30, 20.0, 200, 0.5, 11)
         mean = samples[:, 0].mean()
         assert mean == pytest.approx(0.5, abs=0.05)
+
+    def test_memory_does_not_grow_with_samples_times_particles(self, golden_chain):
+        # 400 samples of 20000 positions would take 64 MB as int64; the
+        # sampler holds the positions once and 400 rows of site counts.
+        tracemalloc.start()
+        try:
+            samples = stationary_sampler(golden_chain, 20000, 1e-3, 400, 1e-5, 4)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20, peak
+        np.testing.assert_array_equal(samples.sum(axis=1), 1.0)
 
     def test_bad_arguments(self, golden_chain):
         with pytest.raises(ValueError):

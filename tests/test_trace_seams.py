@@ -3,8 +3,10 @@
 `perfbench/tracing.py` wraps package names by attribute (`map_replicas` in
 three modules, the kernels, `sample_marks`, the CLI's imports and runner
 table).  Deleting or renaming one breaks `perfbench/run.py --trace 1`, so
-this runs two tiny experiments and one labelled simulation under the tracer
-and checks the spans it relies on.  The correlation kind runs the count
+this runs three tiny experiments and one labelled simulation under the tracer
+and checks the spans it relies on.  The qsd_profile kind's sampler calls
+`run_recorded` itself, which is the only span perfbench's `stationary`
+workload has of the labelled loop.  The correlation kind runs the count
 engine, so the `run_events` span comes from `fvqsd.simulate`, the labelled
 loop that perfbench's event probe times.  The overlap kind scans blocks of
 replicas in lockstep, without `map_replicas`, `sample_marks` or the
@@ -32,12 +34,15 @@ GOLDEN = {
 CONFIGS = {
     "overlap": {"n_particles": 5, "t": 0.3, "replicas": 4},
     "correlation": {"n_particles": 5, "replicas": 4, "t": 0.5, "x": "1", "y": "2"},
+    "qsd_profile": {"n_list": [4], "burn_in": 0.5, "n_samples": 40, "spacing": 0.05},
 }
 SPANS = (
     "graphical.influence_experiment",
     "kernels.influence_matrix_kernel",
     "kernels.run_events",
     "estimators.correlation_experiment",
+    "kernels.run_recorded",
+    "estimators.qsd_profile_experiment",
 )
 
 
@@ -75,6 +80,12 @@ def test_traced_run_records_the_spans_perfbench_reads(tmp_path, tracing):
             fvqsd.graphical.sample_marks(chain, 4, 0.5, 3))
     names = {span[1] for span in tracer.spans}
     assert set(SPANS) <= names, set(SPANS) - names
+    # perfbench sums this count into kernels.us_per_particle_time: N times
+    # the last record time.
+    profile = CONFIGS["qsd_profile"]
+    last = profile["burn_in"] + profile["spacing"] * profile["n_samples"]
+    counts = [span[6] for span in tracer.spans if span[1] == "kernels.run_recorded"]
+    assert counts == [profile["n_list"][0] * last], counts
     for owner, attr, value in before:
         assert getattr(owner, attr) is value, f"{owner!r}.{attr} not restored"
     assert fvqsd.cli._RUNNERS == runners
