@@ -28,7 +28,6 @@ from .errors import (
     HorizonOverflowError,
     NegativeRateError,
     NoAbsorptionError,
-    NormalizationDriftError,
     NotIrreducibleError,
     QsdNotConvergedError,
     RateBoundError,

@@ -46,10 +46,6 @@ class StepTooLargeError(FvqsdError, ValueError):
     """ODE step exceeds the stability limit for the chain's rates."""
 
 
-class NormalizationDriftError(FvqsdError):
-    """An evolved law drifted off the probability simplex beyond tolerance."""
-
-
 class DistanceUnderflowError(FvqsdError):
     """A distance is too close to zero for a meaningful log-scale fit."""
 

@@ -281,7 +281,8 @@ def overlap_probability(n_particles: int, c_rate: float, t: float) -> float:
 
 
 def rk4_forward_ode(chain, mu, t: float, step: float) -> np.ndarray:
-    """Stage-by-stage classical RK4 on dv/dt = v Q + (v . absorption) v.
+    """Stage-by-stage classical RK4 on the sum-conserving forward field
+    dv/dt = v Q + (v . absorption) v / sum(v).
 
     The same fixed step h = t / ceil(t / step) as ``forward_ode``, four
     evaluations of the field per step, and no renormalization: the raw
@@ -291,16 +292,15 @@ def rk4_forward_ode(chain, mu, t: float, step: float) -> np.ndarray:
     absorption = chain.absorption
 
     def field(u: np.ndarray) -> np.ndarray:
-        return u @ rates + (u @ absorption) * u
+        return u @ rates + (u @ absorption) / u.sum() * u
 
     v = np.array(mu, dtype=np.float64)
     n_steps = int(np.ceil(t / step))
     h = t / n_steps
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(n_steps):
-            k1 = field(v)
-            k2 = field(v + 0.5 * h * k1)
-            k3 = field(v + 0.5 * h * k2)
-            k4 = field(v + h * k3)
-            v = v + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    for _ in range(n_steps):
+        k1 = field(v)
+        k2 = field(v + 0.5 * h * k1)
+        k3 = field(v + 0.5 * h * k2)
+        k4 = field(v + h * k3)
+        v = v + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     return v
